@@ -64,7 +64,7 @@ class ZeroKernel(HeatLabError):
 
 
 class EigensolverNoConvergence(HeatLabError):
-    """QL iteration exceeded its sweep budget on some eigenvalue."""
+    """The LAPACK symmetric eigensolver did not converge."""
 
 
 class EmptyGrid(HeatLabError):

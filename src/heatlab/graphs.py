@@ -253,14 +253,6 @@ def laplacian_apply(graph: WeightedGraph, f, x) -> complex:
     return complex(out) if np.iscomplexobj(vals) else float(out)
 
 
-def weighted_degree(graph: WeightedGraph, x) -> float:
-    return graph.degree(x)
-
-
-def connected_components(graph: WeightedGraph) -> list[list[int]]:
-    return graph.components()
-
-
 def dirichlet_energy(graph: WeightedGraph, f) -> float:
     """Q(f) = (1/2) * sum_{x,y} b(x,y) |f(x)-f(y)|^2 = <f, Hf>_mu."""
     vals = _as_values(f, graph.n)
@@ -313,18 +305,34 @@ def _parse_text(text: str, name_hint: str) -> WeightedGraph:
     return WeightedGraph(mu, edges, labels=lab, name=name)
 
 
+# what int(), float() and indexing raise on a malformed JSON entry
+_ENTRY_ERRORS = (KeyError, IndexError, TypeError, ValueError, OverflowError)
+
+
+def _entries(doc: dict, key: str) -> list:
+    items = doc.get(key, [])
+    if not isinstance(items, list):
+        raise InputError(f"'{key}' must be an array, got {items!r}")
+    return items
+
+
 def _parse_structured(doc: dict, name_hint: str) -> WeightedGraph:
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise InputError("structured graph document needs a 'vertices' array")
-    verts = doc["vertices"]
     entries = []
-    for item in verts:
-        if isinstance(item, dict):
-            entries.append((int(item["id"]), float(item["mu"]),
-                            item.get("label")))
-        else:
-            vid, m = item[0], item[1]
-            entries.append((int(vid), float(m), None))
+    for index, item in enumerate(_entries(doc, "vertices")):
+        try:
+            if isinstance(item, dict):
+                entries.append((int(item["id"]), float(item["mu"]),
+                                item.get("label")))
+            elif isinstance(item, list):
+                entries.append((int(item[0]), float(item[1]), None))
+            else:
+                raise TypeError("entry must be an object or an array")
+        except _ENTRY_ERRORS as exc:
+            raise InputError(
+                f"vertices[{index}] needs an integer id and a number mu, "
+                f"got {item!r} ({type(exc).__name__}: {exc})") from None
     ids = sorted(e[0] for e in entries)
     if ids != list(range(len(ids))):
         raise InputError(f"vertex ids must form 0..{len(ids) - 1}, got {ids}")
@@ -334,11 +342,19 @@ def _parse_structured(doc: dict, name_hint: str) -> WeightedGraph:
         mu[vid] = m
         labels[vid] = lab if lab is not None else str(vid)
     edges = []
-    for item in doc.get("edges", []):
-        if isinstance(item, dict):
-            edges.append((int(item["u"]), int(item["v"]), float(item["b"])))
-        else:
-            edges.append((int(item[0]), int(item[1]), float(item[2])))
+    for index, item in enumerate(_entries(doc, "edges")):
+        try:
+            if isinstance(item, dict):
+                edges.append((int(item["u"]), int(item["v"]),
+                              float(item["b"])))
+            elif isinstance(item, list):
+                edges.append((int(item[0]), int(item[1]), float(item[2])))
+            else:
+                raise TypeError("entry must be an object or an array")
+        except _ENTRY_ERRORS as exc:
+            raise InputError(
+                f"edges[{index}] needs integer endpoints and a number b, "
+                f"got {item!r} ({type(exc).__name__}: {exc})") from None
     return WeightedGraph(mu, edges, labels=labels,
                          name=str(doc.get("name", name_hint)))
 

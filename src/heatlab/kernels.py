@@ -201,7 +201,11 @@ _cache = _KernelCache()
 
 
 def clear_kernel_cache() -> None:
+    """Empty the heat-table cache and the bridge-kernel cache."""
+    from .paths import _bridge_cache  # deferred: paths imports this module
+
     _cache.clear()
+    _bridge_cache.clear()
 
 
 def heat_semigroup(graph: WeightedGraph, t: float, lam: float | None = None,

@@ -1,117 +1,21 @@
-"""Dense symmetric eigensolver: Householder reduction + implicit-shift QL.
+"""Dense symmetric eigenvalues through LAPACK (numpy's eigvalsh / eigh).
 
-Implemented here rather than delegated so the trace computations stand on
-their own numerics; numpy appears in the callers only for array storage and
-matrix products. The decomposition satisfies A v_i = w_i v_i with residuals
-well below 1e-9 * ||A|| for the desk-scale matrices this package handles.
+Graph traces and the form-boundedness witness go through these wrappers,
+which check that the input is square and symmetric and turn a LAPACK
+convergence failure into EigensolverNoConvergence. The routes their results
+are held against share no symmetric eigensolver: the uniformization series,
+Monte Carlo over jump paths, and (in the tests) closed-form spectra, numpy's
+nonsymmetric driver and scipy's matrix exponential.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .errors import EigensolverNoConvergence
 
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
 
-
-def _householder_tridiagonalize(a: np.ndarray):
-    """Reduce symmetric a to tridiagonal form T = Q^T a Q.
-
-    Returns (d, e, q) with d the diagonal of T, e[i] the coupling between
-    i and i+1 (e[n-1] = 0), and q orthogonal.
-    """
-    n = a.shape[0]
-    t = np.array(a, dtype=float, copy=True)
-    q = np.eye(n)
-    for k in range(n - 2):
-        x = t[k + 1:, k]
-        alpha = math.sqrt(float(x @ x))
-        if alpha == 0.0:
-            continue
-        v = x.copy()
-        # reflect onto -sign(x0)*|x|*e1 to avoid cancellation
-        v[0] += alpha if v[0] >= 0 else -alpha
-        vnorm = math.sqrt(float(v @ v))
-        if vnorm < _TINY:
-            continue
-        v /= vnorm
-        t[k + 1:, k:] -= 2.0 * np.outer(v, v @ t[k + 1:, k:])
-        t[k:, k + 1:] -= 2.0 * np.outer(t[k:, k + 1:] @ v, v)
-        q[:, k + 1:] -= 2.0 * np.outer(q[:, k + 1:] @ v, v)
-    d = np.diag(t).copy()
-    e = np.zeros(n)
-    if n > 1:
-        e[:n - 1] = np.diag(t, 1)
-    return d, e, q
-
-
-def _ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray,
-                 max_iter: int = 30) -> None:
-    """QL with implicit shifts on tridiagonal (d, e), rotating columns of z.
-
-    In-place; d ends as eigenvalues, z columns as eigenvectors. e[i] couples
-    positions i and i+1.
-    """
-    n = len(d)
-    for l in range(n):
-        niter = 0
-        while True:
-            for m in range(l, n - 1):
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd + _TINY:
-                    break
-            else:
-                m = n - 1
-            if m == l:
-                break
-            niter += 1
-            if niter > max_iter:
-                raise EigensolverNoConvergence(
-                    f"eigenvalue {l} did not settle in {max_iter} QL sweeps")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            interrupted = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # underflow recovery: split the problem and retry
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    interrupted = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                col = z[:, i + 1].copy()
-                z[:, i + 1] = s * z[:, i] + c * col
-                z[:, i] = c * z[:, i] - s * col
-            if interrupted:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-
-
-def symmetric_eigh(a, max_iter: int = 30):
-    """Full eigendecomposition of a real symmetric matrix.
-
-    Returns (w, v) with eigenvalues w ascending and orthonormal eigenvector
-    columns v; a @ v[:, i] == w[i] * v[:, i].
-    """
+def _checked_symmetric(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -119,24 +23,23 @@ def symmetric_eigh(a, max_iter: int = 30):
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     if sym_gap > 1e-10 * max(scale, 1.0):
         raise ValueError(f"matrix is not symmetric (defect {sym_gap:.3e})")
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy(), np.ones((1, 1))
-    d, e, z = _householder_tridiagonalize(a)
-    _ql_implicit(d, e, z, max_iter=max_iter)
-    order = np.argsort(d, kind="stable")
-    return d[order], z[:, order]
+    return a
 
 
-def symmetric_eigvals(a, max_iter: int = 30) -> np.ndarray:
-    w, _ = symmetric_eigh(a, max_iter=max_iter)
-    return w
+def symmetric_eigh(a):
+    """(w, v): ascending eigenvalues and orthonormal eigenvector columns."""
+    try:
+        return np.linalg.eigh(_checked_symmetric(a))
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverNoConvergence(f"eigh: {exc}") from None
 
 
-def residual_bound(a, w, v) -> float:
-    """max_i ||A v_i - w_i v_i||_2, for checking the solver contract."""
-    r = a @ v - v * w[None, :]
-    return float(np.sqrt((r * r).sum(axis=0)).max())
+def symmetric_eigvals(a) -> np.ndarray:
+    """Ascending eigenvalues of a real symmetric matrix, no eigenvectors."""
+    try:
+        return np.linalg.eigvalsh(_checked_symmetric(a))
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverNoConvergence(f"eigvalsh: {exc}") from None
 
 
 def similarity_symmetrize(h: np.ndarray, mu: np.ndarray) -> np.ndarray:

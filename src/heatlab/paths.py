@@ -22,7 +22,6 @@ bit-identical regardless of worker count.
 from __future__ import annotations
 
 import bisect
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +35,7 @@ from .errors import (
 from .graphs import WeightedGraph
 from .kernels import (
     DEFAULT_TAIL_CUTOFF,
+    _KernelCache,
     heat_semigroup,
     jump_count_cap,
     killed_kernel,
@@ -197,21 +197,15 @@ class BridgeKernel:
         return probs, denom
 
 
-_bridge_cache: dict = {}
-_bridge_lock = threading.Lock()
+_bridge_cache = _KernelCache(capacity=129)
 
 
 def bridge_kernel(graph: WeightedGraph, t: float) -> BridgeKernel:
     key = (graph.fingerprint(), float(t))
-    with _bridge_lock:
-        hit = _bridge_cache.get(key)
+    hit = _bridge_cache.lookup(key)
     if hit is not None:
         return hit
-    bk = BridgeKernel(graph, t)
-    with _bridge_lock:
-        if len(_bridge_cache) > 128:
-            _bridge_cache.pop(next(iter(_bridge_cache)))
-        return _bridge_cache.setdefault(key, bk)
+    return _bridge_cache.insert(key, BridgeKernel(graph, t))
 
 
 def _rows_categorical(prob_rows: np.ndarray, rng) -> np.ndarray:

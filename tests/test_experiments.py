@@ -277,6 +277,30 @@ def test_cli_verify_kernel(tmp_path):
     assert (tmp_path / "axioms.csv").exists()
 
 
+def test_cli_verify_kernel_malformed_json_graph_exit_2(tmp_path, capsys):
+    gp = tmp_path / "bad.json"
+    gp.write_text(json.dumps({"vertices": [{"id": 0}]}))
+    code = cli.main(["verify-kernel", "--graph", str(gp),
+                     "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "vertices[0]" in err
+    assert "Traceback" not in err
+
+
+def test_suite_malformed_json_graph_gets_summary_row(tmp_path):
+    d = make_suite_dir(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"vertices": [{"id": 0}]}))
+    write_config(d / "c_bad_graph.json",
+                 {"kind": "axioms", "graph": str(bad), "s": 0.5, "t": 0.5})
+    suite = run_suite(d, tmp_path / "out")
+    assert [r.status for r in suite.results] == ["pass", "pass", "error"]
+    assert suite.exit_code == 2
+    rows = suite.summary_path.read_text().splitlines()
+    assert any(r.startswith("c_bad_graph,axioms,error,") for r in rows)
+
+
 def test_cli_sample_paths_missing_vertex_exit_2(tmp_path):
     g = hl.fixture_registry()["two_vertex"][0]
     gp = tmp_path / "g.graph"

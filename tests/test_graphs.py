@@ -128,6 +128,28 @@ def test_json_format_parses():
     assert g.mu[1] == 2.0
 
 
+@pytest.mark.parametrize("doc,where", [
+    ({"vertices": [{"id": 0}]}, r"vertices\[0\]"),
+    ({"vertices": [{"id": 0, "mu": 1.0}, {"id": "b", "mu": 1.0}]},
+     r"vertices\[1\]"),
+    ({"vertices": [[0, 1.0], [1]]}, r"vertices\[1\]"),
+    ({"vertices": [0, 1]}, r"vertices\[0\]"),
+    ({"vertices": [[0, None]]}, r"vertices\[0\]"),
+    ({"vertices": [[0, 1.0], [1, 1.0]], "edges": [{"u": 0, "b": 1.0}]},
+     r"edges\[0\]"),
+    ({"vertices": [[0, 1.0], [1, 1.0]], "edges": [[0, 1, 1.0], [0, "x", 1]]},
+     r"edges\[1\]"),
+    ({"vertices": {"id": 0}}, "'vertices' must be an array"),
+    ({"vertices": [[0, 1.0], [1, 1.0]], "edges": ["011"]}, r"edges\[0\]"),
+    ({"vertices": [[0, 1.0]], "edges": 3}, "'edges' must be an array"),
+], ids=["vertex-no-mu", "vertex-bad-id", "vertex-short-list",
+        "vertex-scalar", "vertex-null-mu", "edge-no-v", "edge-bad-endpoint",
+        "vertices-object", "edge-string", "edges-scalar"])
+def test_json_parse_malformed_entry_is_input_error(doc, where):
+    with pytest.raises(InputError, match=where):
+        hl.loads_graph(json.dumps(doc))
+
+
 def test_load_missing_file_is_input_error(tmp_path):
     with pytest.raises(InputError):
         hl.load_graph(tmp_path / "absent.graph")

@@ -1,11 +1,19 @@
-"""In-repo symmetric eigensolver against the numpy oracle."""
+"""The LAPACK wrappers against routes that share no symmetric eigensolver.
+
+Oracles: closed-form spectra, numpy's general (nonsymmetric) eigenvalue
+driver applied before symmetrization, and traces from scipy's expm.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from heatlab import linalg
+import heatlab as hl
+from heatlab import cli, linalg
+from heatlab.errors import EigensolverNoConvergence
+from heatlab.graphs import WeightedGraph
 
 
 def random_symmetric(n, seed):
@@ -14,16 +22,29 @@ def random_symmetric(n, seed):
     return (a + a.T) / 2
 
 
+def residual(a, w, v) -> float:
+    """max_i ||A v_i - w_i v_i||_2."""
+    r = a @ v - v * w[None, :]
+    return float(np.sqrt((r * r).sum(axis=0)).max())
+
+
 @pytest.mark.parametrize("n,seed", [(1, 0), (2, 1), (3, 2), (5, 3), (8, 4),
                                     (13, 5), (21, 6), (30, 7)])
 def test_matches_numpy_oracle(n, seed):
+    # h = D^{-1/2} a D^{1/2} is not symmetric; numpy's general driver
+    # (Hessenberg QR) finds its spectrum without any symmetric solver
     a = random_symmetric(n, seed)
-    w, v = linalg.symmetric_eigh(a)
-    w_ref = np.linalg.eigvalsh(a)
+    mu = np.random.default_rng(seed + 100).uniform(0.5, 2.0, size=n)
+    root = np.sqrt(mu)
+    h = a * (root[None, :] / root[:, None])
+    w_ref = np.sort(np.linalg.eigvals(h).real)
+    s = linalg.similarity_symmetrize(h, mu)
+    w, v = linalg.symmetric_eigh(s)
     scale = max(1.0, float(np.linalg.norm(a, 2)))
     assert np.max(np.abs(w - w_ref)) <= 1e-10 * scale
+    assert np.max(np.abs(linalg.symmetric_eigvals(s) - w_ref)) <= 1e-10 * scale
     # residual contract: ||A v - v diag(w)|| <= 1e-9 ||A||
-    assert linalg.residual_bound(a, w, v) <= 1e-9 * scale
+    assert residual(s, w, v) <= 1e-9 * scale
     # eigenvectors orthonormal
     assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-10
 
@@ -32,6 +53,7 @@ def test_ascending_order():
     a = random_symmetric(12, 99)
     w, _ = linalg.symmetric_eigh(a)
     assert np.all(np.diff(w) >= 0)
+    assert np.all(np.diff(linalg.symmetric_eigvals(a)) >= 0)
 
 
 def test_diagonal_matrix_exact():
@@ -39,6 +61,8 @@ def test_diagonal_matrix_exact():
     w, v = linalg.symmetric_eigh(d)
     assert np.allclose(w, [-1.0, 2.0, 3.0], atol=1e-14)
     assert np.allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]], atol=1e-14)
+    assert np.allclose(linalg.symmetric_eigvals(d), [-1.0, 2.0, 3.0],
+                       atol=1e-14)
 
 
 def test_two_by_two_closed_form():
@@ -49,19 +73,36 @@ def test_two_by_two_closed_form():
     assert w[1] == pytest.approx(2 + np.sqrt(2), abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 4, 7, 16, 31])
+def test_cycle_closed_form(n):
+    g = WeightedGraph([1.0] * n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+    ref = np.sort(2 - 2 * np.cos(2 * np.pi * np.arange(n) / n))
+    assert np.allclose(linalg.symmetric_eigvals(g.generator_matrix()), ref,
+                       atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 5, 9, 24])
+def test_path_closed_form(n):
+    ref = 2 - 2 * np.cos(np.pi * np.arange(n) / n)
+    w = linalg.symmetric_eigvals(hl.path_graph(n).generator_matrix())
+    assert np.allclose(w, ref, atol=1e-12)
+
+
 def test_rejects_asymmetric():
     with pytest.raises(ValueError):
         linalg.symmetric_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError):
+        linalg.symmetric_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_rejects_nonsquare():
     with pytest.raises(ValueError):
         linalg.symmetric_eigh(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        linalg.symmetric_eigvals(np.zeros((2, 3)))
 
 
 def test_similarity_preserves_spectrum():
-    import heatlab as hl
-
     g = hl.random_connected_graph(9, 17)
     h = g.generator_matrix()
     s = linalg.similarity_symmetrize(h, g.mu)
@@ -71,14 +112,53 @@ def test_similarity_preserves_spectrum():
     assert np.max(np.abs(w_s - w_h)) <= 1e-9
 
 
+@pytest.mark.parametrize("seed", [3, 11])
+def test_trace_matches_expm(seed):
+    # sum_i e^{-t lambda_i} = tr expm(-t S), S = symmetrized H + diag(w)
+    g = hl.random_connected_graph(15, seed)
+    w = np.random.default_rng(seed).uniform(-1.0, 3.0, size=g.n)
+    s = linalg.similarity_symmetrize(g.generator_matrix(), g.mu) + np.diag(w)
+    lam = linalg.symmetric_eigvals(s)
+    for t in (0.05, 0.5, 2.0):
+        ref = float(np.trace(expm(-t * s)))
+        assert float(np.sum(np.exp(-t * lam))) == pytest.approx(ref,
+                                                                rel=1e-12)
+
+
 def test_degenerate_spectrum():
     # complete graph on 5 vertices: eigenvalues {0, 5, 5, 5, 5} of H
-    import heatlab as hl
-
     g = hl.complete_graph(5)
     w = linalg.symmetric_eigvals(g.generator_matrix())
     assert w[0] == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(w[1:], 5.0, atol=1e-10)
+
+
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_lapack_failure_is_no_convergence(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_convergence)
+    monkeypatch.setattr(np.linalg, "eigh", _no_convergence)
+    a = random_symmetric(4, 1)
+    with pytest.raises(EigensolverNoConvergence):
+        linalg.symmetric_eigvals(a)
+    with pytest.raises(EigensolverNoConvergence):
+        linalg.symmetric_eigh(a)
+
+
+def test_lapack_failure_exits_2_without_traceback(monkeypatch, tmp_path,
+                                                  capsys):
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_convergence)
+    gp = tmp_path / "g.graph"
+    hl.save_graph(hl.two_vertex(), gp)
+    code = cli.main(["sample-paths", "--graph", str(gp), "--t", "1",
+                     "--samples", "10", "--mode", "fk-trace",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "did not converge" in err
+    assert "Traceback" not in err
 
 
 @settings(max_examples=40, deadline=None)

@@ -122,6 +122,13 @@ def test_bridge_count_distribution_matches_kernel(two_vertex):
     assert odd == 1.0
 
 
+def test_clear_kernel_cache_empties_bridge_cache(two_vertex):
+    bk = bridge_kernel(two_vertex, 0.75)
+    assert bridge_kernel(two_vertex, 0.75) is bk
+    hl.clear_kernel_cache()
+    assert bridge_kernel(two_vertex, 0.75) is not bk
+
+
 def test_bridge_time_reversal_symmetry():
     g = hl.path_graph(3)
     n = 4000
