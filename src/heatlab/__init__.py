@@ -6,9 +6,8 @@ from .errors import (AssertionFailed, ConfigError, DisconnectedGraph,
                      InputError, NonpositiveTime, TruncationNotConverged)
 from .fixtures import (complete_graph, fixture_registry, path_graph,
                        random_connected_graph, two_vertex)
-from .graphs import (VertexFunction, WeightedGraph, dirichlet_energy,
-                     dumps_graph, laplacian_apply, load_graph, loads_graph,
-                     save_graph, validate)
+from .graphs import (WeightedGraph, dirichlet_energy, dumps_graph,
+                     laplacian_apply, load_graph, loads_graph, save_graph)
 from .kernels import (AxiomReport, Exhaustion, HeatKernelTable,
                       clear_kernel_cache, heat_semigroup, killed_kernel,
                       minimal_heat_kernel, on_diagonal_scan,

@@ -3,12 +3,17 @@
 Exit codes: 0 all checks passed, 1 a configured assertion failed,
 2 malformed input or configuration. The suite command returns 2 if any
 config errored, else 1 if any failed, else 0.
+
+verify-kernel and check-admissibility are the axioms and admissibility
+kinds on the command line: each builds a config document and runs it like
+`run`, writing axioms.* / admissibility.* (CSV and JSON sidecar).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +21,9 @@ import numpy as np
 from . import experiments
 from .errors import AssertionFailed, HeatLabError
 from .graphs import load_graph
-from .kernels import heat_semigroup, verify_axioms
 from .paths import (feynman_kac_trace_mc, no_jump_lower_bound,
                     pnfb_probability, sample_bridge, sample_free_path,
                     stay_probability_exact)
-from .potential_class import growth_profile_from_config, ricci_admissibility
 from .traces import trace_semigroup
 from .util import write_csv
 
@@ -51,10 +54,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--graph", required=True)
     p_ver.add_argument("--s", type=float, default=0.5)
     p_ver.add_argument("--t", type=float, default=0.5)
-    p_ver.add_argument("--ck-tol", type=float, default=1e-10)
-    p_ver.add_argument("--sym-tol", type=float, default=1e-12)
-    p_ver.add_argument("--mass-tol", type=float, default=1e-12)
+    # tolerances left unset keep verify_axioms' defaults
+    p_ver.add_argument("--ck-tol", type=float)
+    p_ver.add_argument("--sym-tol", type=float)
+    p_ver.add_argument("--mass-tol", type=float)
     p_ver.add_argument("--out", default=".")
+    p_ver.set_defaults(seed=None, threads=1)
 
     p_sp = sub.add_parser("sample-paths",
                           help="Monte Carlo over jump trajectories")
@@ -78,6 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="evaluate a curvature growth profile")
     p_adm.add_argument("profile", help="JSON profile document")
     p_adm.add_argument("--out", default=".")
+    p_adm.set_defaults(seed=None, threads=1)
     return parser
 
 
@@ -90,13 +96,26 @@ def _vertex(graph, raw, flag):
         return graph.resolve(raw)
 
 
-def _cmd_run(args) -> int:
-    config = experiments.ExperimentConfig.from_file(args.config)
-    result = experiments.run(config, args.out, seed=args.seed,
-                             threads=args.threads)
-    print(f"{result.name}: pass")
+def _print_result(result) -> None:
+    if result.summary:
+        print(result.summary)
+    print(f"{result.name}: {result.status}")
     for artifact in result.artifacts:
         print(f"  wrote {artifact}")
+
+
+def _cmd_run(args, config=None) -> int:
+    """Run config, or the config file args.config when config is None."""
+    if config is None:
+        config = experiments.ExperimentConfig.from_file(args.config)
+    try:
+        result = experiments.run(config, args.out, seed=args.seed,
+                                 threads=args.threads)
+    except AssertionFailed as exc:
+        if exc.result is not None:
+            _print_result(exc.result)
+        raise
+    _print_result(result)
     return 0
 
 
@@ -109,30 +128,20 @@ def _cmd_suite(args) -> int:
         if r.detail:
             line += f"  {r.detail}"
         print(line)
-    counts = {"pass": 0, "fail": 0, "error": 0}
-    for r in suite.results:
-        counts[r.status] += 1
+    counts = Counter(r.status for r in suite.results)
     print(f"{counts['pass']} passed, {counts['fail']} failed, "
           f"{counts['error']} errored; summary at {suite.summary_path}")
     return suite.exit_code
 
 
 def _cmd_verify_kernel(args) -> int:
-    graph = load_graph(args.graph)
-    report = verify_axioms(
-        heat_semigroup(graph, args.s), heat_semigroup(graph, args.t),
-        heat_semigroup(graph, args.s + args.t),
-        ck_tol=args.ck_tol, sym_tol=args.sym_tol, mass_tol=args.mass_tol)
-    path = write_csv(Path(args.out) / "axioms.csv", report.header,
-                     report.rows())
-    print(f"ck defect {report.chapman_kolmogorov_defect:.3e}, "
-          f"symmetry defect {report.symmetry_defect:.3e}, "
-          f"mass excess {report.mass_excess:.3e}, "
-          f"deficit {report.mass_deficit:.3e}")
-    print(f"wrote {path}")
-    if not report.passed:
-        raise AssertionFailed("axioms: defects exceed tolerances")
-    return 0
+    tolerances = {key: value for key, value in (
+        ("ck", args.ck_tol), ("symmetry", args.sym_tol),
+        ("mass", args.mass_tol)) if value is not None}
+    doc = {"kind": "axioms", "name": "axioms", "graph": args.graph,
+           "s": args.s, "t": args.t, "tolerances": tolerances}
+    return _cmd_run(args, experiments.ExperimentConfig.from_doc(
+        doc, ".", "axioms", "verify-kernel"))
 
 
 def _path_statistics(paths_iter, t, n, seed, reference):
@@ -159,8 +168,7 @@ def _cmd_sample_paths(args) -> int:
     t, n, seed = args.t, args.samples, args.seed
     if n < 1:
         raise HeatLabError("--samples must be at least 1")
-    header = ("statistic", "t", "estimate", "std_error", "n_samples",
-              "seed", "reference", "abs_diff")
+    header = experiments.MC_HEADER
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     if args.mode == "free":
         x = _vertex(graph, args.x, "--x")
@@ -208,28 +216,12 @@ def _cmd_sample_paths(args) -> int:
 
 
 def _cmd_check_admissibility(args) -> int:
-    import json
-
-    p = Path(args.profile)
-    try:
-        doc = json.loads(p.read_text())
-    except OSError as exc:
-        raise HeatLabError(f"cannot read profile {p}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise HeatLabError(f"invalid JSON in {p}: {exc}") from None
-    profile = growth_profile_from_config(doc)
-    result = ricci_admissibility(profile, window=int(doc.get("window", 16)))
-    path = write_csv(Path(args.out) / "admissibility.csv", result.header,
-                     result.rows())
-    print(f"verdict: {result.verdict} "
-          f"(k_max {result.k_max}, partial sum {result.partial_sum!r}, "
-          f"tail bound {result.tail_bound!r})")
-    print(f"wrote {path}")
-    expect = doc.get("expect")
-    if expect is not None and result.verdict != expect:
-        raise AssertionFailed(
-            f"expected_verdict: got {result.verdict!r}, wanted {expect!r}")
-    return 0
+    # a bare profile document may carry the run's window and expect keys
+    profile = experiments.read_json(args.profile)
+    doc = {key: profile[key] for key in ("window", "expect") if key in profile}
+    doc.update(kind="admissibility", name="admissibility", profile=profile)
+    return _cmd_run(args, experiments.ExperimentConfig.from_doc(
+        doc, ".", "admissibility", args.profile))
 
 
 _COMMANDS = {

@@ -100,5 +100,8 @@ class ConfigError(HeatLabError):
 class AssertionFailed(HeatLabError):
     """A configured experiment assertion did not hold.
 
-    Carries the name of the first failing check in args[0].
+    Carries the name of the first failing check in args[0]; experiments.run
+    sets result to the failed run's ExperimentResult (otherwise None).
     """
+
+    result = None

@@ -2,10 +2,12 @@
 
 Each experiment is one JSON document with a "kind" field. Running it writes
 a CSV table and a JSON sidecar into the output directory and then evaluates
-its configured checks; the first failing check raises AssertionFailed with
-that check's name. Malformed documents raise ConfigError, unreadable data
-files InputError. A suite is a directory of configs run in sorted filename
-order with per-config error isolation and a one-line-per-config summary.
+its checks (the report's own, such as AxiomReport.checks, plus the runner's);
+the first failing check raises AssertionFailed with that check's name.
+Malformed documents raise ConfigError, unreadable data files InputError. A
+suite is a directory of configs run in sorted filename order with per-config
+error isolation and a one-line-per-config summary. The CLI's verify-kernel
+and check-admissibility build axioms and admissibility documents run here.
 
 All CSV output is byte-deterministic: same configs, same bytes.
 """
@@ -13,6 +15,7 @@ All CSV output is byte-deterministic: same configs, same bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,10 +31,25 @@ from .paths import feynman_kac_trace_mc, no_jump_lower_bound, \
 from .potential_class import growth_profile_from_config, ricci_admissibility
 from .torus import TorusModel, potential_from_spec, torus_semiclassical_scan
 from .traces import semiclassical_scan, trace_semigroup
-from .util import default_time_grid, parallel_map, write_csv
+from .util import check_time_grid, default_time_grid, parallel_map, write_csv
 
 KNOWN_KINDS = ("graph-limit", "torus-limit", "fk-crosscheck", "pnfb",
                "axioms", "admissibility")
+VERDICTS = ("admissible", "inadmissible", "undecided")
+
+
+def read_json(path) -> dict:
+    """A JSON object from path; ConfigError if unreadable or not an object."""
+    p = Path(path)
+    try:
+        doc = json.loads(p.read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {p}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {p}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{p} must hold a JSON object")
+    return doc
 
 
 @dataclass
@@ -43,25 +61,22 @@ class ExperimentConfig:
     base_dir: Path
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        p = Path(path)
-        try:
-            doc = json.loads(p.read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {p}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {p}: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config {p} must be a JSON object")
+    def from_doc(cls, doc: dict, base_dir, default_name: str,
+                 origin: str) -> "ExperimentConfig":
+        """Validate kind, name and seed; origin names doc in errors."""
         kind = doc.get("kind")
         if kind not in KNOWN_KINDS:
             raise ConfigError(
-                f"unknown experiment kind {kind!r} in {p}; "
+                f"unknown experiment kind {kind!r} in {origin}; "
                 f"expected one of {', '.join(KNOWN_KINDS)}")
-        name = doc.get("name", p.stem)
-        seed = int(doc.get("seed", 0))
-        return cls(kind=kind, name=str(name), seed=seed, doc=doc,
-                   base_dir=p.parent)
+        return cls(kind=kind, name=str(doc.get("name", default_name)),
+                   seed=_number(doc, "seed", kind, int, default=0, minimum=0),
+                   doc=doc, base_dir=Path(base_dir))
+
+    @classmethod
+    def from_file(cls, path) -> "ExperimentConfig":
+        p = Path(path)
+        return cls.from_doc(read_json(p), p.parent, p.stem, str(p))
 
 
 @dataclass
@@ -71,9 +86,12 @@ class ExperimentResult:
     status: str            # pass | fail | error
     detail: str = ""
     artifacts: list = field(default_factory=list)
+    summary: str = ""      # one line for the console, e.g. a verdict
 
 
 # ------------------------------------------------------------ doc parsing
+
+_REQUIRED = object()
 
 
 def _require(doc: dict, key: str, kind: str):
@@ -82,43 +100,83 @@ def _require(doc: dict, key: str, kind: str):
     return doc[key]
 
 
+def _number(doc: dict, key: str, kind: str, cast=float, default=_REQUIRED,
+            minimum=None):
+    """doc[key] as a finite number of type cast, at least minimum if given.
+
+    Every numeric config value passes through here, so a string, NaN or
+    out-of-range value is a ConfigError naming its key, never a ValueError.
+    """
+    if key not in doc and default is not _REQUIRED:
+        return default
+    raw = _require(doc, key, kind)
+    try:
+        value = cast(raw)
+        ok = math.isfinite(value) and (minimum is None or value >= minimum)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{kind} key {key!r} must be a finite number"
+                          f"{bound}, got {raw!r}")
+    return value
+
+
+def _floats(raw, what: str) -> np.ndarray:
+    """A flat array of finite floats, or ConfigError naming what."""
+    try:
+        vals = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        vals = None
+    if vals is None or vals.ndim != 1 or not np.all(np.isfinite(vals)):
+        raise ConfigError(f"{what} must be a list of finite numbers, "
+                          f"got {raw!r}")
+    return vals
+
+
+def _options(doc: dict, kind: str, spec: dict) -> dict:
+    """Keyword arguments for the keys of doc that spec maps to
+    (argument, cast). Absent keys keep the library defaults."""
+    return {arg: _number(doc, key, kind, cast)
+            for key, (arg, cast) in spec.items() if key in doc}
+
+
+def _fixture(ref: str, what: str):
+    """(graph, potential) of the fixture named in "fixture:<name>"."""
+    name = ref.split(":", 1)[1]
+    registry = fixture_registry()
+    if name not in registry:
+        raise ConfigError(f"unknown fixture {what} {name!r}")
+    return registry[name]
+
+
 def _resolve_graph(ref, base_dir: Path) -> WeightedGraph:
-    if isinstance(ref, str) and ref.startswith("fixture:"):
-        name = ref.split(":", 1)[1]
-        registry = fixture_registry()
-        if name not in registry:
-            raise ConfigError(f"unknown fixture graph {name!r}")
-        return registry[name][0]
+    if not isinstance(ref, str):
+        raise ConfigError(f"graph must be a file path or fixture:<name>, "
+                          f"got {ref!r}")
+    if ref.startswith("fixture:"):
+        return _fixture(ref, "graph")[0]
     path = Path(ref)
     if not path.is_absolute():
         path = base_dir / path
     return load_graph(path)
 
 
-def _potential_values(entry, n: int, graph_ref=None) -> np.ndarray:
+def _potential_values(entry, n: int) -> np.ndarray:
     if entry is None:
         return np.zeros(n)
     if isinstance(entry, (int, float)):
-        return np.full(n, float(entry))
+        entry = {"constant": entry}
+    if isinstance(entry, str) and entry.startswith("fixture:"):
+        entry = list(_fixture(entry, "potential")[1])
     if isinstance(entry, list):
         entry = {"values": entry}
-    if isinstance(entry, str) and entry.startswith("fixture:"):
-        name = entry.split(":", 1)[1]
-        registry = fixture_registry()
-        if name not in registry:
-            raise ConfigError(f"unknown fixture potential {name!r}")
-        vals = np.asarray(registry[name][1], dtype=float)
-        if vals.size != n:
-            raise ConfigError(
-                f"fixture potential {name!r} has {vals.size} entries, "
-                f"graph has {n} vertices")
-        return vals
     if not isinstance(entry, dict):
         raise ConfigError(f"cannot interpret potential spec {entry!r}")
     if "constant" in entry:
-        return np.full(n, float(entry["constant"]))
+        return np.full(n, _number(entry, "constant", "potential"))
     if "values" in entry:
-        vals = np.asarray(entry["values"], dtype=float)
+        vals = _floats(entry["values"], "potential values")
         if vals.size != n:
             raise ConfigError(
                 f"potential has {vals.size} entries, graph has {n} vertices")
@@ -126,19 +184,26 @@ def _potential_values(entry, n: int, graph_ref=None) -> np.ndarray:
     raise ConfigError(f"potential spec needs 'values' or 'constant': {entry!r}")
 
 
+def _grid(spec, what: str) -> np.ndarray:
+    """A list, {"values": list} or {t0, ratio, points} spec as a strictly
+    decreasing positive time grid (util.check_time_grid)."""
+    try:
+        if isinstance(spec, dict) and "values" in spec:
+            spec = spec["values"]
+        elif isinstance(spec, dict):
+            spec = default_time_grid(
+                t0=_number(spec, "t0", what, default=1.0),
+                ratio=_number(spec, "ratio", what, default=0.5),
+                points=_number(spec, "points", what, int, default=20,
+                               minimum=1))
+        return check_time_grid(spec)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what} {spec!r}: {exc}") from None
+
+
 def _time_grid(doc: dict) -> np.ndarray:
     spec = doc.get("t_grid")
-    if spec is None:
-        return default_time_grid()
-    if isinstance(spec, list):
-        return np.asarray(spec, dtype=float)
-    if isinstance(spec, dict):
-        if "values" in spec:
-            return np.asarray(spec["values"], dtype=float)
-        return default_time_grid(t0=float(spec.get("t0", 1.0)),
-                                 ratio=float(spec.get("ratio", 0.5)),
-                                 points=int(spec.get("points", 20)))
-    raise ConfigError(f"cannot interpret t_grid spec {spec!r}")
+    return default_time_grid() if spec is None else _grid(spec, "t_grid")
 
 
 def _tolerances(doc: dict) -> dict:
@@ -148,12 +213,6 @@ def _tolerances(doc: dict) -> dict:
     return tol
 
 
-def _check_all(checks) -> None:
-    for name, ok, detail in checks:
-        if not ok:
-            raise AssertionFailed(f"{name}: {detail}")
-
-
 def _write_json(path: Path, payload: dict) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -161,74 +220,59 @@ def _write_json(path: Path, payload: dict) -> Path:
 
 
 # ------------------------------------------------------------ kind runners
+#
+# A runner returns (artifacts, checks, summary): the files it wrote, its
+# (name, ok, detail) checks in reporting order, and a console line or "".
+
+_SCAN_TOLERANCES = {"final_rel_error": ("final_rel_tol", float),
+                    "monotone_tail": ("monotone_tail", int),
+                    "monotone": ("require_monotone", bool)}
 
 
-def _scan_checks(report, tol: dict):
-    rel = float(tol.get("final_rel_error", report.final_rel_tol))
-    budget = rel * abs(report.target)
-    checks = [("final_rel_error", report.final_error <= budget,
-               f"final abs error {report.final_error!r} exceeds "
-               f"{rel!r} * |target| = {budget!r}")]
-    if bool(tol.get("monotone", True)):
-        checks.append(("monotone_tail", report.tail_monotone(),
-                       f"errors over the last {report.monotone_tail} grid "
-                       f"points are not nonincreasing"))
+def _scan_outcome(report, out: Path, name: str):
+    csv = report.to_csv(out / f"{name}.csv")
+    js = _write_json(out / f"{name}.json", report.to_dict())
     gap = report.gt_bounds - report.scaled_traces
     atol = 1e-10 * np.maximum(1.0, np.abs(report.gt_bounds))
-    checks.append(("trace_inequality", bool(np.all(gap >= -atol)),
-                   f"scaled trace exceeds its bound by {float(-gap.min())!r}"))
-    return checks
+    return [csv, js], report.checks + [
+        ("trace_inequality", bool(np.all(gap >= -atol)),
+         f"scaled trace exceeds its bound by {float(-gap.min())!r}")], ""
 
 
 def _run_graph_limit(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
     doc = cfg.doc
     graph = _resolve_graph(_require(doc, "graph", cfg.kind), cfg.base_dir)
     w = _potential_values(doc.get("potential"), graph.n)
-    tol = _tolerances(doc)
     report = semiclassical_scan(
         graph, w, _time_grid(doc),
-        final_rel_tol=float(tol.get("final_rel_error", 0.01)),
-        monotone_tail=int(tol.get("monotone_tail", 5)),
-        require_monotone=bool(tol.get("monotone", True)))
-    csv = report.to_csv(out / f"{cfg.name}.csv")
-    js = report.to_json(out / f"{cfg.name}.json")
-    return [csv, js], _scan_checks(report, tol)
+        **_options(_tolerances(doc), "tolerances", _SCAN_TOLERANCES))
+    return _scan_outcome(report, out, cfg.name)
 
 
 def _run_torus_limit(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
     doc = cfg.doc
-    dim = int(_require(doc, "dim", cfg.kind))
-    lengths = _require(doc, "lengths", cfg.kind)
-    if dim not in (1, 2, 3):
-        raise ConfigError(f"torus dim must be 1, 2 or 3, got {dim}")
-    if not isinstance(lengths, list) or len(lengths) != dim:
-        raise ConfigError(f"lengths must list {dim} circumferences")
-    trunc = int(_require(doc, "truncation", cfg.kind))
-    potential = potential_from_spec(doc.get("potential", "zero"),
-                                    [float(v) for v in lengths])
-    model = TorusModel(dim=dim, lengths=tuple(float(v) for v in lengths),
-                       truncation=trunc, potential=potential)
-    tol = _tolerances(doc)
-    kwargs = {}
-    if "scaling_base" in doc:
-        kwargs["scaling_base"] = float(doc["scaling_base"])
+    dim = _number(doc, "dim", cfg.kind, int)
+    lengths = _floats(_require(doc, "lengths", cfg.kind), "lengths").tolist()
+    if dim not in (1, 2, 3) or len(lengths) != dim or min(lengths) <= 0:
+        raise ConfigError(f"a torus needs dim 1, 2 or 3 and that many "
+                          f"positive lengths, got {dim} and {lengths}")
+    trunc = _number(doc, "truncation", cfg.kind, int, minimum=1)
+    potential = potential_from_spec(doc.get("potential", "zero"), lengths)
+    model = TorusModel(dim=dim, lengths=tuple(lengths), truncation=trunc,
+                       potential=potential)
+    options = _options(_tolerances(doc), "tolerances", dict(
+        _SCAN_TOLERANCES, truncation_doubling=("check_rel_tol", float)))
+    options.update(_options(doc, cfg.kind,
+                            {"scaling_base": ("scaling_base", float)}))
     try:
-        report = torus_semiclassical_scan(
-            model, _time_grid(doc),
-            final_rel_tol=float(tol.get("final_rel_error", 0.01)),
-            monotone_tail=int(tol.get("monotone_tail", 5)),
-            require_monotone=bool(tol.get("monotone", True)),
-            check_rel_tol=float(tol.get("truncation_doubling", 1e-6)),
-            **kwargs)
+        report = torus_semiclassical_scan(model, _time_grid(doc), **options)
     except TruncationNotConverged as exc:
         # the doubling gate is an experiment assertion, not bad input
         raise AssertionFailed(f"truncation_doubling: {exc}") from None
-    csv = report.to_csv(out / f"{cfg.name}.csv")
-    js = report.to_json(out / f"{cfg.name}.json")
-    return [csv, js], _scan_checks(report, tol)
+    return _scan_outcome(report, out, cfg.name)
 
 
-_MC_HEADER = ("statistic", "t", "estimate", "std_error", "n_samples", "seed",
+MC_HEADER = ("statistic", "t", "estimate", "std_error", "n_samples", "seed",
               "reference", "abs_diff")
 
 
@@ -237,14 +281,14 @@ def _run_fk_crosscheck(cfg: ExperimentConfig, out: Path, seed: int,
     doc = cfg.doc
     graph = _resolve_graph(_require(doc, "graph", cfg.kind), cfg.base_dir)
     w = _potential_values(doc.get("potential"), graph.n)
-    t = float(_require(doc, "t", cfg.kind))
-    samples = int(_require(doc, "samples", cfg.kind))
+    t = _number(doc, "t", cfg.kind)
+    samples = _number(doc, "samples", cfg.kind, int, minimum=1)
     tol = _tolerances(doc)
-    k_sigma = float(tol.get("k_sigma", 3.0))
+    k_sigma = _number(tol, "k_sigma", "tolerances", default=3.0)
     exact = trace_semigroup(graph, w, t)
     est = feynman_kac_trace_mc(graph, w, t, samples, seed, threads=threads)
     diff = abs(est.mean - exact)
-    csv = write_csv(out / f"{cfg.name}.csv", _MC_HEADER,
+    csv = write_csv(out / f"{cfg.name}.csv", MC_HEADER,
                     [("fk_trace", t, est.mean, est.std_error, est.n_samples,
                       est.seed, exact, diff)])
     js = _write_json(out / f"{cfg.name}.json", {
@@ -257,10 +301,10 @@ def _run_fk_crosscheck(cfg: ExperimentConfig, out: Path, seed: int,
                f"|{est.mean!r} - {exact!r}| = {diff!r} > "
                f"{k_sigma!r} * {est.std_error!r}")]
     if "max_rel_se" in tol:
-        cap = float(tol["max_rel_se"]) * abs(exact)
+        cap = _number(tol, "max_rel_se", "tolerances") * abs(exact)
         checks.append(("relative_se", est.std_error <= cap,
                        f"std error {est.std_error!r} exceeds {cap!r}"))
-    return [csv, js], checks
+    return [csv, js], checks, ""
 
 
 def _run_pnfb(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
@@ -268,65 +312,64 @@ def _run_pnfb(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
     graph = _resolve_graph(_require(doc, "graph", cfg.kind), cfg.base_dir)
     x = _require(doc, "x", cfg.kind)
     subset = _require(doc, "K", cfg.kind)
-    t_list = [float(v) for v in _require(doc, "t_list", cfg.kind)]
-    if len(t_list) < 1 or any(b <= 0 for b in t_list) or \
-            any(t_list[i + 1] >= t_list[i] for i in range(len(t_list) - 1)):
-        raise ConfigError("t_list must be strictly decreasing and positive")
-    samples = int(_require(doc, "samples", cfg.kind))
+    if not isinstance(subset, list):
+        raise ConfigError(f"K must be a list of vertices, got {subset!r}")
+    t_list = [float(t) for t in
+              _grid(_require(doc, "t_list", cfg.kind), "t_list")]
+    samples = _number(doc, "samples", cfg.kind, int, minimum=1)
     tol = _tolerances(doc)
-    k_sigma = float(tol.get("k_sigma", 3.0))
-    final_min = float(tol.get("final_min", 0.99))
-    rows = []
-    estimates = []
+    k_sigma = _number(tol, "k_sigma", "tolerances", default=3.0)
+    final_min = _number(tol, "final_min", "tolerances", default=0.99)
+    rows, checks, means = [], [], []
     for i, t in enumerate(t_list):
         est = pnfb_probability(graph, x, subset, t, samples, seed + i)
         bound = no_jump_lower_bound(graph, x, t)
         exact = stay_probability_exact(graph, x, subset, t)
         rows.append((t, est.mean, est.std_error, est.n_samples, est.seed,
                      bound, exact))
-        estimates.append((t, est, bound, exact))
-    header = ("t", "estimate", "std_error", "n_samples", "seed",
-              "lower_bound", "exact_ratio")
-    csv = write_csv(out / f"{cfg.name}.csv", header, rows)
-    js = _write_json(out / f"{cfg.name}.json", {
-        "x": graph.resolve(x), "K": sorted(graph.resolve(v) for v in subset),
-        "rows": [dict(zip(header, r)) for r in rows]})
-    checks = []
-    for t, est, bound, exact in estimates:
+        means.append(est.mean)
         # the 1/n floor covers the degenerate all-stay draw, where the
         # empirical standard error collapses to zero
-        tol = k_sigma * (est.std_error + 1.0 / est.n_samples)
-        ok = abs(est.mean - exact) <= tol
-        checks.append(("per_time_consistency", ok,
+        allowed = k_sigma * (est.std_error + 1.0 / est.n_samples)
+        checks.append(("per_time_consistency",
+                       abs(est.mean - exact) <= allowed,
                        f"at t={t!r}: estimate {est.mean!r} vs exact "
                        f"{exact!r} beyond {k_sigma!r} sigma"))
         checks.append(("dominates_lower_bound",
                        est.mean >= bound - k_sigma * est.std_error - 1e-10,
                        f"at t={t!r}: estimate {est.mean!r} under bound "
                        f"{bound!r}"))
-    means = [e.mean for _, e, _, _ in estimates]
+    header = ("t", "estimate", "std_error", "n_samples", "seed",
+              "lower_bound", "exact_ratio")
+    csv = write_csv(out / f"{cfg.name}.csv", header, rows)
+    js = _write_json(out / f"{cfg.name}.json", {
+        "x": graph.resolve(x), "K": sorted(graph.resolve(v) for v in subset),
+        "rows": [dict(zip(header, r)) for r in rows]})
     checks.append(("monotone_in_shrinking_t",
                    all(means[i + 1] >= means[i] - 1e-12
                        for i in range(len(means) - 1)),
                    f"estimates {means!r} do not increase as t shrinks"))
     checks.append(("final_value", means[-1] >= final_min,
                    f"final estimate {means[-1]!r} below {final_min!r}"))
-    return [csv, js], checks
+    return [csv, js], checks, ""
+
+
+_AXIOM_TOLERANCES = {"ck": ("ck_tol", float),
+                     "symmetry": ("sym_tol", float),
+                     "mass": ("mass_tol", float)}
 
 
 def _run_axioms(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
     doc = cfg.doc
     graph = _resolve_graph(_require(doc, "graph", cfg.kind), cfg.base_dir)
-    s = float(_require(doc, "s", cfg.kind))
-    t = float(_require(doc, "t", cfg.kind))
-    tol = _tolerances(doc)
+    s = _number(doc, "s", cfg.kind)
+    t = _number(doc, "t", cfg.kind)
+    options = _options(_tolerances(doc), "tolerances", _AXIOM_TOLERANCES)
+    options.update(_options(doc, cfg.kind,
+                            {"conservative": ("conservative", bool)}))
     report = verify_axioms(
         heat_semigroup(graph, s), heat_semigroup(graph, t),
-        heat_semigroup(graph, s + t),
-        ck_tol=float(tol.get("ck", 1e-10)),
-        sym_tol=float(tol.get("symmetry", 1e-12)),
-        mass_tol=float(tol.get("mass", 1e-12)),
-        conservative=bool(doc.get("conservative", True)))
+        heat_semigroup(graph, s + t), **options)
     csv = write_csv(out / f"{cfg.name}.csv", report.header, report.rows())
     js = _write_json(out / f"{cfg.name}.json", {
         "s": report.s, "t": report.t,
@@ -334,31 +377,25 @@ def _run_axioms(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
         "symmetry_defect": report.symmetry_defect,
         "mass_excess": report.mass_excess,
         "mass_deficit": report.mass_deficit, "passed": report.passed})
-    ck_tol = float(tol.get("ck", 1e-10))
-    sym_tol = float(tol.get("symmetry", 1e-12))
-    mass_tol = float(tol.get("mass", 1e-12))
-    checks = [
-        ("chapman_kolmogorov",
-         report.chapman_kolmogorov_defect <= ck_tol,
-         f"defect {report.chapman_kolmogorov_defect!r} > {ck_tol!r}"),
-        ("symmetry", report.symmetry_defect <= sym_tol,
-         f"defect {report.symmetry_defect!r} > {sym_tol!r}"),
-        ("mass_window",
-         report.mass_excess <= mass_tol and
-         (not bool(doc.get("conservative", True))
-          or report.mass_deficit <= mass_tol),
-         f"excess {report.mass_excess!r}, deficit {report.mass_deficit!r} "
-         f"outside {mass_tol!r}"),
-    ]
-    return [csv, js], checks
+    summary = (f"ck defect {report.chapman_kolmogorov_defect:.3e}, "
+               f"symmetry defect {report.symmetry_defect:.3e}, "
+               f"mass excess {report.mass_excess:.3e}, "
+               f"deficit {report.mass_deficit:.3e}")
+    return [csv, js], report.checks, summary
 
 
 def _run_admissibility(cfg: ExperimentConfig, out: Path, seed: int,
                        threads: int):
     doc = cfg.doc
+    expect = doc.get("expect")
+    if expect is not None and expect not in VERDICTS:
+        raise ConfigError(f"bad expected verdict {expect!r}; "
+                          f"expected one of {', '.join(VERDICTS)}")
     profile = growth_profile_from_config(_require(doc, "profile", cfg.kind))
-    result = ricci_admissibility(profile,
-                                 window=int(doc.get("window", 16)))
+    options = {}
+    if "window" in doc:
+        options["window"] = _number(doc, "window", cfg.kind, int, minimum=1)
+    result = ricci_admissibility(profile, **options)
     csv = write_csv(out / f"{cfg.name}.csv", result.header, result.rows())
     js = _write_json(out / f"{cfg.name}.json", {
         "verdict": result.verdict, "k_max": result.k_max,
@@ -367,13 +404,13 @@ def _run_admissibility(cfg: ExperimentConfig, out: Path, seed: int,
         "certified_ratio": result.certified_ratio,
         "tail_bound": result.tail_bound})
     checks = []
-    if "expect" in doc:
-        expect = doc["expect"]
-        if expect not in ("admissible", "inadmissible", "undecided"):
-            raise ConfigError(f"bad expected verdict {expect!r}")
+    if expect is not None:
         checks.append(("expected_verdict", result.verdict == expect,
                        f"verdict {result.verdict!r}, expected {expect!r}"))
-    return [csv, js], checks
+    summary = (f"verdict: {result.verdict} (k_max {result.k_max}, "
+               f"partial sum {result.partial_sum!r}, "
+               f"tail bound {result.tail_bound!r})")
+    return [csv, js], checks, summary
 
 
 _RUNNERS = {
@@ -394,17 +431,25 @@ def run(config: ExperimentConfig, out_dir, seed: int | None = None,
     """Run one experiment; write artifacts; evaluate its checks.
 
     Artifacts land on disk before checks are evaluated, so a failing
-    experiment still leaves its data behind. seed overrides the config's
-    own seed for the kinds that draw random numbers.
+    experiment still leaves its data behind; the AssertionFailed then
+    carries the failed ExperimentResult as its result attribute. seed
+    overrides the config's own seed for the kinds that draw random numbers.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     effective_seed = config.seed if seed is None else int(seed)
-    artifacts, checks = _RUNNERS[config.kind](config, out, effective_seed,
-                                              threads)
-    _check_all(checks)
-    return ExperimentResult(name=config.name, kind=config.kind,
-                            status="pass", artifacts=artifacts)
+    artifacts, checks, summary = _RUNNERS[config.kind](
+        config, out, effective_seed, threads)
+    result = ExperimentResult(name=config.name, kind=config.kind,
+                              status="pass", artifacts=artifacts,
+                              summary=summary)
+    for name, ok, detail in checks:
+        if not ok:
+            result.status, result.detail = "fail", f"{name}: {detail}"
+            failure = AssertionFailed(result.detail)
+            failure.result = result
+            raise failure
+    return result
 
 
 @dataclass

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,27 +30,7 @@ from .errors import (
 )
 
 
-@dataclass
-class VertexFunction:
-    """A real or complex function on the vertex set, stored as a flat array."""
-
-    values: np.ndarray
-
-    @classmethod
-    def from_dict(cls, graph: "WeightedGraph", mapping: dict) -> "VertexFunction":
-        vals = np.zeros(graph.n, dtype=complex if any(
-            isinstance(v, complex) for v in mapping.values()) else float)
-        for key, v in mapping.items():
-            vals[graph.resolve(key)] = v
-        return cls(vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def _as_values(f, n: int) -> np.ndarray:
-    if isinstance(f, VertexFunction):
-        f = f.values
     arr = np.asarray(f)
     if arr.shape != (n,):
         raise ValueError(f"vertex function has shape {arr.shape}, expected ({n},)")
@@ -132,7 +111,11 @@ class WeightedGraph:
                 return self.labels.index(key)
             except ValueError:
                 raise UnknownVertex(f"no vertex labeled {key!r}") from None
-        x = int(key)
+        try:
+            x = int(key)
+        except (TypeError, ValueError):
+            raise UnknownVertex(f"{key!r} is not a vertex index or label") \
+                from None
         if not 0 <= x < self.n:
             raise UnknownVertex(f"vertex {x} outside 0..{self.n - 1}")
         return x
@@ -154,10 +137,6 @@ class WeightedGraph:
 
     def neighbors(self, x) -> tuple[tuple[int, float], ...]:
         return self._adj[self.resolve(x)]
-
-    def weight_sum(self, x) -> float:
-        """sum_y b(x,y), the unnormalized degree."""
-        return float(self._weight_sums[self.resolve(x)])
 
     def degree(self, x) -> float:
         """Weighted degree Deg(x) = (1/mu(x)) * sum_y b(x,y)."""
@@ -211,24 +190,6 @@ class WeightedGraph:
     def __repr__(self):
         return (f"WeightedGraph(n={self.n}, edges={len(self.edges)}"
                 + (f", name={self.name!r}" if self.name else "") + ")")
-
-
-def validate(graph: WeightedGraph) -> WeightedGraph:
-    """Re-check all invariants, compute components, and return the graph.
-
-    Construction already enforces the invariants; this is the explicit entry
-    point used after file ingestion, and it makes the connectivity report
-    available on the returned object.
-    """
-    if np.any(graph.mu <= 0) or not np.all(np.isfinite(graph.mu)):
-        raise NonpositiveMeasure("vertex measure must be positive and finite")
-    for i, j, b in graph.edges:
-        if b < 0:
-            raise NegativeWeight(f"b({i},{j}) = {b}")
-        if i == j:
-            raise SelfLoop(f"b({i},{i}) = {b}")
-    graph.components()
-    return graph
 
 
 def require_connected(graph: WeightedGraph) -> None:
@@ -371,12 +332,13 @@ def loads_graph(text: str, name_hint: str = "") -> WeightedGraph:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid JSON graph document: {exc}") from None
-        return validate(_parse_structured(doc, name_hint))
-    return validate(_parse_text(text, name_hint))
+        return _parse_structured(doc, name_hint)
+    return _parse_text(text, name_hint)
 
 
 def load_graph(path) -> WeightedGraph:
-    """Load and validate a graph file (text or JSON, sniffed by content)."""
+    """Load a graph file (text or JSON, sniffed by content); the
+    WeightedGraph constructor enforces every invariant of the data."""
     from pathlib import Path
 
     p = Path(path)

@@ -40,8 +40,8 @@ _MAGIC = b"HKT1"
 _HEADER = struct.Struct("<4sId")  # magic, n, t -> 16 bytes
 
 
-def poisson_weights(lam_t: float, cutoff: float = DEFAULT_TAIL_CUTOFF):
-    """Poisson(lam_t) pmf truncated where the upper tail drops below cutoff.
+def poisson_weights(lam_t: float):
+    """Poisson(lam_t) pmf truncated at an upper tail below the cutoff.
 
     Returns (pmf, tail_bound) with tail_bound = P(N > len(pmf)-1) evaluated
     from the high end for accuracy. Computed in log space so large rates do
@@ -59,8 +59,8 @@ def poisson_weights(lam_t: float, cutoff: float = DEFAULT_TAIL_CUTOFF):
     # tail[n] = P(N > n); sum from the top so small tails keep precision
     tail = np.cumsum(pmf[::-1])[::-1]
     tail = np.concatenate((tail[1:], [0.0])) + remainder
-    keep = int(np.argmax(tail <= cutoff))
-    if tail[keep] > cutoff:
+    keep = int(np.argmax(tail <= DEFAULT_TAIL_CUTOFF))
+    if tail[keep] > DEFAULT_TAIL_CUTOFF:
         keep = nmax
     return pmf[:keep + 1], float(tail[keep])
 
@@ -77,11 +77,11 @@ class UniformizationInfo:
     tail_bound: float
 
 
-def uniformized_exponential(h: np.ndarray, t: float, lam: float | None = None,
-                            cutoff: float = DEFAULT_TAIL_CUTOFF):
+def uniformized_exponential(h: np.ndarray, t: float):
     """e^{-t h} for a generator with nonnegative diagonal and <= 0 off-diagonal.
 
-    Returns (matrix, UniformizationInfo). All series terms are entrywise
+    The uniformization rate is the largest diagonal entry. Returns
+    (matrix, UniformizationInfo). All series terms are entrywise
     nonnegative, so the result is certified >= 0 and its row sums certify the
     sub-Markov property up to the reported tail bound.
     """
@@ -89,21 +89,17 @@ def uniformized_exponential(h: np.ndarray, t: float, lam: float | None = None,
         raise NonpositiveTime(f"t = {t} must be positive")
     h = np.asarray(h, dtype=float)
     n = h.shape[0]
-    diag_max = float(np.max(np.diag(h))) if n else 0.0
-    if lam is None:
-        lam = diag_max
-    elif lam < diag_max:
-        raise ValueError(f"uniformization rate {lam} < max diagonal {diag_max}")
+    lam = float(np.max(np.diag(h))) if n else 0.0
     if lam == 0.0:
         return np.eye(n), UniformizationInfo(0.0, 1, 0.0)
     r = np.eye(n) - h / lam
-    pmf, tail = poisson_weights(lam * t, cutoff)
+    pmf, tail = poisson_weights(lam * t)
     out = pmf[0] * np.eye(n)
     power = np.eye(n)
     for w in pmf[1:]:
         power = power @ r
         out += w * power
-    return out, UniformizationInfo(float(lam), len(pmf), tail)
+    return out, UniformizationInfo(lam, len(pmf), tail)
 
 
 # --------------------------------------------------------------- the table
@@ -208,10 +204,8 @@ def clear_kernel_cache() -> None:
     _bridge_cache.clear()
 
 
-def heat_semigroup(graph: WeightedGraph, t: float, lam: float | None = None,
-                   cutoff: float = DEFAULT_TAIL_CUTOFF,
-                   use_cache: bool = True) -> HeatKernelTable:
-    """Kernel table for the full graph at time t.
+def heat_semigroup(graph: WeightedGraph, t: float) -> HeatKernelTable:
+    """Kernel table for the full graph at time t, cached per (graph, t).
 
     Requires a connected graph (strict positivity of every entry is part of
     the contract and cannot hold across components). The raw matrix is
@@ -221,13 +215,12 @@ def heat_semigroup(graph: WeightedGraph, t: float, lam: float | None = None,
     if t <= 0:
         raise NonpositiveTime(f"t = {t} must be positive")
     require_connected(graph)
-    key = (graph.fingerprint(), float(t), lam, cutoff)
-    if use_cache:
-        hit = _cache.lookup(key)
-        if hit is not None:
-            return hit
+    key = (graph.fingerprint(), float(t))
+    hit = _cache.lookup(key)
+    if hit is not None:
+        return hit
     h = graph.generator_matrix()
-    e, info = uniformized_exponential(h, t, lam=lam, cutoff=cutoff)
+    e, info = uniformized_exponential(h, t)
     p_raw = e / graph.mu[None, :]
     defect = float(np.max(np.abs(p_raw - p_raw.T)))
     p = 0.5 * (p_raw + p_raw.T)
@@ -236,9 +229,7 @@ def heat_semigroup(graph: WeightedGraph, t: float, lam: float | None = None,
         uniformization_rate=info.rate, truncation_error_bound=info.tail_bound,
         presymmetrization_defect=defect, labels=graph.labels)
     table.values.setflags(write=False)
-    if use_cache:
-        table = _cache.insert(key, table)
-    return table
+    return _cache.insert(key, table)
 
 
 def on_diagonal_scan(graph: WeightedGraph, x, t_grid) -> np.ndarray:
@@ -269,13 +260,12 @@ def killed_generator(graph: WeightedGraph, subset) -> tuple[np.ndarray, list[int
     return h[sub].copy(), idx
 
 
-def killed_kernel(graph: WeightedGraph, subset, t: float,
-                  cutoff: float = DEFAULT_TAIL_CUTOFF):
+def killed_kernel(graph: WeightedGraph, subset, t: float):
     """Killed kernel table values p_K(t,x,y) for x,y in sorted(subset)."""
     if t <= 0:
         raise NonpositiveTime(f"t = {t} must be positive")
     h_k, idx = killed_generator(graph, subset)
-    e, _ = uniformized_exponential(h_k, t, cutoff=cutoff)
+    e, _ = uniformized_exponential(h_k, t)
     mu_k = graph.mu[idx]
     p_raw = e / mu_k[None, :]
     return 0.5 * (p_raw + p_raw.T), idx
@@ -342,7 +332,8 @@ def minimal_heat_kernel(graph: WeightedGraph, exhaustion: Exhaustion,
 
 @dataclass
 class AxiomReport:
-    """Defects of the semigroup axioms for tables at s, t and s+t."""
+    """Defects of the semigroup axioms for tables at s, t and s+t, and one
+    (name, ok, detail) check per axiom against its tolerance."""
 
     s: float
     t: float
@@ -350,7 +341,11 @@ class AxiomReport:
     symmetry_defect: float
     mass_excess: float
     mass_deficit: float
-    passed: bool
+    checks: list
+
+    @property
+    def passed(self) -> bool:
+        return all(ok for _, ok, _ in self.checks)
 
     def rows(self):
         return [(self.s, self.t, self.chapman_kolmogorov_defect,
@@ -384,9 +379,14 @@ def verify_axioms(table_s: HeatKernelTable, table_t: HeatKernelTable,
     masses = np.concatenate([t.mass() for t in (table_s, table_t, table_st)])
     excess = float(np.max(masses) - 1.0)
     deficit = float(1.0 - np.min(masses))
-    ok = ck <= ck_tol and sym <= sym_tol and excess <= mass_tol
-    if conservative:
-        ok = ok and deficit <= mass_tol
+    checks = [
+        ("chapman_kolmogorov", ck <= ck_tol, f"defect {ck!r} > {ck_tol!r}"),
+        ("symmetry", sym <= sym_tol, f"defect {sym!r} > {sym_tol!r}"),
+        ("mass_window",
+         excess <= mass_tol and (not conservative or deficit <= mass_tol),
+         f"excess {excess!r}, deficit {deficit!r} outside {mass_tol!r}"),
+    ]
     return AxiomReport(s=table_s.t, t=table_t.t,
                        chapman_kolmogorov_defect=ck, symmetry_defect=sym,
-                       mass_excess=excess, mass_deficit=deficit, passed=ok)
+                       mass_excess=excess, mass_deficit=deficit,
+                       checks=checks)

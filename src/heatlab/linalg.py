@@ -1,7 +1,8 @@
 """Dense symmetric eigenvalues through LAPACK (numpy's eigvalsh / eigh).
 
-Graph traces and the form-boundedness witness go through these wrappers,
-which check that the input is square and symmetric and turn a LAPACK
+Graph traces, torus Galerkin traces (complex Hermitian matrices) and the
+form-boundedness witness go through these wrappers, which check that the
+input is square and symmetric (Hermitian) and turn a LAPACK
 convergence failure into EigensolverNoConvergence. The routes their results
 are held against share no symmetric eigensolver: the uniformization series,
 Monte Carlo over jump paths, and (in the tests) closed-form spectra, numpy's
@@ -16,10 +17,13 @@ from .errors import EigensolverNoConvergence
 
 
 def _checked_symmetric(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+    """a as a square real-symmetric or complex-Hermitian array."""
+    a = np.asarray(a)
+    if not np.iscomplexobj(a):
+        a = a.astype(float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    sym_gap = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+    sym_gap = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     if sym_gap > 1e-10 * max(scale, 1.0):
         raise ValueError(f"matrix is not symmetric (defect {sym_gap:.3e})")
@@ -35,7 +39,7 @@ def symmetric_eigh(a):
 
 
 def symmetric_eigvals(a) -> np.ndarray:
-    """Ascending eigenvalues of a real symmetric matrix, no eigenvectors."""
+    """Ascending eigenvalues of a symmetric or Hermitian matrix, no vectors."""
     try:
         return np.linalg.eigvalsh(_checked_symmetric(a))
     except np.linalg.LinAlgError as exc:

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .graphs import WeightedGraph
 from .kernels import (
-    DEFAULT_TAIL_CUTOFF,
     _KernelCache,
     heat_semigroup,
     jump_count_cap,
@@ -55,7 +54,6 @@ class JumpPath:
     start: int
     jumps: list
     horizon: float
-    exploded: bool = False
 
     def __post_init__(self):
         prev_t = 0.0
@@ -95,15 +93,11 @@ class JumpPath:
         vals = np.asarray(values, dtype=float)
         return float(sum(vals[state] * (b - a) for state, a, b in self.segments()))
 
-    def occupation(self, n_vertices: int, a: float = None, b: float = None):
-        """Occupation time per vertex over [a, b] (defaults: whole horizon)."""
-        a = 0.0 if a is None else a
-        b = self.horizon if b is None else b
+    def occupation(self, n_vertices: int) -> np.ndarray:
+        """Occupation time per vertex over the whole horizon."""
         occ = np.zeros(n_vertices)
-        for state, s0, s1 in self.segments():
-            lo, hi = max(s0, a), min(s1, b)
-            if hi > lo:
-                occ[state] += hi - lo
+        for state, a, b in self.segments():
+            occ[state] += b - a
         return occ
 
 
@@ -150,8 +144,7 @@ def sample_free_path(graph: WeightedGraph, x, t: float, rng=None) -> JumpPath:
 class BridgeKernel:
     """Uniformization tables for exact bridge sampling at one (graph, t)."""
 
-    def __init__(self, graph: WeightedGraph, t: float,
-                 cutoff: float = DEFAULT_TAIL_CUTOFF):
+    def __init__(self, graph: WeightedGraph, t: float):
         if t <= 0:
             raise NonpositiveTime(f"t = {t} must be positive")
         self.graph = graph
@@ -172,7 +165,7 @@ class BridgeKernel:
             self.tail = 0.0
         else:
             self.r = np.eye(n) - h / self.lam
-            self.pmf, self.tail = poisson_weights(self.lam * self.t, cutoff)
+            self.pmf, self.tail = poisson_weights(self.lam * self.t)
         if len(self.pmf) > self.n_max:
             # fold the cut terms into the reported tail mass
             self.tail += float(self.pmf[self.n_max:].sum())

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .graphs import WeightedGraph
 from .kernels import heat_semigroup
 from .traces import as_potential
@@ -40,11 +40,11 @@ from .util import kahan_sum
 KATO_QUADRATURE_POINTS = 32
 ADMISSIBLE_TAIL_TOL = 1e-9
 _WINDOW = 16
+_CHUNK = 1 << 22
 _FLOOR = 1e-12
 
 
-def kato_modulus(graph: WeightedGraph, w, t: float,
-                 points: int = KATO_QUADRATURE_POINTS) -> float:
+def kato_modulus(graph: WeightedGraph, w, t: float) -> float:
     """sup_x int_0^t sum_y p(s,x,y)|w(y)| mu(y) ds by Gauss-Legendre.
 
     The integrand is smooth in s, so the fixed 32-point rule is accurate to
@@ -54,7 +54,7 @@ def kato_modulus(graph: WeightedGraph, w, t: float,
         raise ValueError(f"t = {t} must be positive")
     pot = as_potential(w, graph.n)
     weighted = np.abs(pot.values) * graph.mu
-    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes, weights = np.polynomial.legendre.leggauss(KATO_QUADRATURE_POINTS)
     s_vals = 0.5 * t * (nodes + 1.0)
     per_vertex = np.zeros(graph.n)
     for s, quad_w in zip(s_vals, weights):
@@ -100,7 +100,7 @@ class GrowthProfile:
         self.k_max = int(self.k_max)
         if self.m < 1:
             raise ValueError("dimension m must be >= 1")
-        if self.a < 0:
+        if not self.a >= 0:     # NaN fails too
             raise ValueError("curvature magnitude A must be >= 0")
         if self.k_max < 3:
             raise ValueError("k_max must be >= 3")
@@ -176,21 +176,21 @@ def growth_profile_from_config(doc: dict) -> GrowthProfile:
         k_max = int(doc["k_max"])
         rule = doc["rule"]
         kind = rule["rule"]
-    except (KeyError, TypeError, ValueError) as exc:
+        if kind == "constant":
+            c = constant_rule(float(rule.get("value", 1.0)))
+        elif kind == "power":
+            c = power_rule(float(rule["exponent"]))
+        elif kind == "quadratic-growth":
+            c = quadratic_growth_rule(float(rule["rate"]))
+        elif kind == "table":
+            c = table_rule(rule["values"])
+            k_max = min(k_max, len(rule["values"]) + 1)
+        else:
+            raise ConfigError(f"unknown c_k rule {kind!r}")
+        return GrowthProfile(m=m, a=a, c_values=c, k_max=k_max,
+                             label=rule.get("label", kind))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad growth profile: {exc!r}") from None
-    if kind == "constant":
-        c = constant_rule(float(rule.get("value", 1.0)))
-    elif kind == "power":
-        c = power_rule(float(rule["exponent"]))
-    elif kind == "quadratic-growth":
-        c = quadratic_growth_rule(float(rule["rate"]))
-    elif kind == "table":
-        c = table_rule(rule["values"])
-        k_max = min(k_max, len(rule["values"]) + 1)
-    else:
-        raise ConfigError(f"unknown c_k rule {kind!r}")
-    label = rule.get("label", kind)
-    return GrowthProfile(m=m, a=a, c_values=c, k_max=k_max, label=label)
 
 
 # ------------------------------------------------------------- the verdict
@@ -216,9 +216,8 @@ class AdmissibilityResult:
             yield (k, term, partial, partial * self.doubling_scale)
 
 
-def ricci_admissibility(profile: GrowthProfile, window: int = _WINDOW,
-                        tail_tol: float = ADMISSIBLE_TAIL_TOL,
-                        chunk: int = 1 << 22) -> AdmissibilityResult:
+def ricci_admissibility(profile: GrowthProfile,
+                        window: int = _WINDOW) -> AdmissibilityResult:
     """Evaluate the admissibility series and certify a verdict.
 
     Chunked so very large k_max stays affordable; partial sums are combined
@@ -233,11 +232,11 @@ def ricci_admissibility(profile: GrowthProfile, window: int = _WINDOW,
     checkpoints = []
     start = 2
     while start <= profile.k_max:
-        stop = min(start + chunk - 1, profile.k_max)
+        stop = min(start + _CHUNK - 1, profile.k_max)
         k = np.arange(start, stop + 1, dtype=float)
         terms = profile.terms(k)
         if np.any(terms < 0):
-            raise ValueError("series terms must be nonnegative (c_k >= 0)")
+            raise InputError("series terms must be nonnegative (c_k >= 0)")
         partial_before = kahan_sum(chunk_sums)
         for cp in ks_checkpoints:
             if start <= cp <= stop:
@@ -261,7 +260,7 @@ def ricci_admissibility(profile: GrowthProfile, window: int = _WINDOW,
     q = float(np.max(ratios)) if ratios.size else float("nan")
     last = float(tail_terms[-1]) if tail_terms.size else float("nan")
     tail_bound = last * q / (1.0 - q) if decaying else float("inf")
-    if decaying and tail_bound < tail_tol:
+    if decaying and tail_bound < ADMISSIBLE_TAIL_TOL:
         verdict = "admissible"
     elif (tail_terms.size and np.min(tail_terms) >= _FLOOR
           and (not finite or not ratios.size or np.max(ratios) >= 1.0)):

@@ -29,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import linalg
 from .errors import ConfigError, NonpositiveTime, TruncationNotConverged
 from .traces import ConvergenceReport, assemble_report
 from .util import check_time_grid, default_time_grid
@@ -62,10 +63,6 @@ def zero_potential() -> TorusPotential:
 def constant_potential(c: float) -> TorusPotential:
     return TorusPotential(kind="constant", constant=float(c),
                           label=f"constant:{c}")
-
-
-def callable_potential(fn: Callable, label: str = "callable") -> TorusPotential:
-    return TorusPotential(kind="callable", fn=fn, label=label)
 
 
 def coefficient_potential(coeffs: dict, label: str = "coefficients") -> TorusPotential:
@@ -132,8 +129,9 @@ class TorusModel:
             self.lengths if np.iterable(self.lengths) else [self.lengths]))
         if len(self.lengths) != self.dim:
             raise ValueError(f"{len(self.lengths)} lengths for dim {self.dim}")
-        if any(L <= 0 for L in self.lengths):
-            raise ValueError("side lengths must be positive")
+        # a non-finite side would never end the theta sums
+        if not all(0 < L < math.inf for L in self.lengths):
+            raise ValueError("side lengths must be positive and finite")
         self.truncation = int(self.truncation)
         if self.truncation < 1:
             raise ValueError("truncation N must be >= 1")
@@ -286,7 +284,7 @@ def galerkin_trace(model: TorusModel, t: float,
             idx = idx * width + diff
         mat = table[idx] * potential_scale
         mat[np.diag_indices_from(mat)] += lam
-        eigs = np.linalg.eigvalsh(mat)
+        eigs = linalg.symmetric_eigvals(mat)
     return float(np.sum(np.exp(-t * np.sort(eigs))[::-1]))
 
 
@@ -313,14 +311,14 @@ def check_truncation(model: TorusModel, t: float,
     return change / abs(base)
 
 
-def potential_integral(model: TorusModel, resolution: int | None = None) -> float:
+def potential_integral(model: TorusModel) -> float:
     """Quadrature value of int e^{-w} over the torus (the scan target).
 
-    Uniform-grid quadrature on the periodic domain; spectrally accurate for
-    the smooth potentials used here. Independent of the Galerkin machinery.
+    Uniform-grid quadrature on the periodic domain (4096, 512^2 or 64^3
+    points); spectrally accurate for the smooth potentials used here.
+    Independent of the Galerkin machinery.
     """
-    if resolution is None:
-        resolution = 4096 if model.dim == 1 else 512 if model.dim == 2 else 64
+    resolution = 4096 if model.dim == 1 else 512 if model.dim == 2 else 64
     vals = model.evaluate_potential(resolution)
     cell = model.volume / resolution ** model.dim
     return float(np.sum(np.exp(-vals)) * cell)
@@ -332,8 +330,7 @@ def torus_semiclassical_scan(model: TorusModel, t_grid=None,
                              monotone_tail: int = 5,
                              require_monotone: bool = True,
                              check: bool = True,
-                             check_rel_tol: float = 1e-6,
-                             target_resolution: int | None = None
+                             check_rel_tol: float = 1e-6
                              ) -> ConvergenceReport:
     """(scaling_base * t)^{m/2} * tr e^{-t(H + w/t)} against int e^{-w}.
 
@@ -344,7 +341,7 @@ def torus_semiclassical_scan(model: TorusModel, t_grid=None,
     grid = check_time_grid(default_time_grid() if t_grid is None else t_grid)
     if check:
         check_truncation(model, float(grid[0]), rel_tol=check_rel_tol)
-    target = potential_integral(model, resolution=target_resolution)
+    target = potential_integral(model)
     vol = model.volume
     half_m = 0.5 * model.dim
     scaled = np.empty(grid.size)

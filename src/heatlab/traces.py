@@ -16,7 +16,6 @@ dominates the scaled trace, with equality exactly for constant w.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -24,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
+from .errors import NonpositiveTime
 from .graphs import WeightedGraph
 from .kernels import heat_semigroup
 from .util import check_time_grid, default_time_grid, write_csv
@@ -124,7 +124,7 @@ def schrodinger_operator(graph: WeightedGraph, w) -> SchrodingerOperator:
 def trace_semigroup(graph: WeightedGraph, w, t: float) -> float:
     """tr e^{-t (H + w)} from the eigenvalues of the symmetrized operator."""
     if t <= 0:
-        raise ValueError(f"t = {t} must be positive")
+        raise NonpositiveTime(f"t = {t} must be positive")
     lam = schrodinger_operator(graph, w).eigenvalues()
     # sum smallest terms first for a stable total
     return float(np.sum(np.exp(-t * lam)[::-1]))
@@ -135,14 +135,17 @@ def trace_semigroup(graph: WeightedGraph, w, t: float) -> float:
 
 @dataclass
 class ConvergenceReport:
-    """Scan output: scaled traces against the limit target along a grid."""
+    """Scan output: scaled traces against the limit target along a grid.
+
+    checks are the convergence criteria as (name, ok, detail) triples; the
+    verdict is "pass" when all hold.
+    """
 
     t_grid: np.ndarray
     scaled_traces: np.ndarray
     target: float
     abs_errors: np.ndarray
     gt_bounds: np.ndarray
-    verdict: str
     final_rel_tol: float = 0.01
     monotone_tail: int = 5
     require_monotone: bool = True
@@ -170,12 +173,6 @@ class ConvergenceReport:
             "require_monotone": self.require_monotone,
         }
 
-    def to_json(self, path) -> Path:
-        p = Path(path)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-        return p
-
     def tail_monotone(self) -> bool:
         # slack of 1e-12 * |target| so a machine-noise error floor never
         # registers as an increase
@@ -188,47 +185,51 @@ class ConvergenceReport:
     def final_error(self) -> float:
         return float(self.abs_errors[-1])
 
+    @property
+    def checks(self) -> list:
+        budget = self.final_rel_tol * abs(self.target)
+        out = [("final_rel_error", self.final_error <= budget,
+                f"final abs error {self.final_error!r} exceeds "
+                f"{self.final_rel_tol!r} * |target| = {budget!r}")]
+        if self.require_monotone:
+            out.append(("monotone_tail", self.tail_monotone(),
+                        f"errors over the last {self.monotone_tail} grid "
+                        f"points are not nonincreasing"))
+        return out
 
-def _verdict(report_err: float, target: float, monotone: bool,
-             rel_tol: float) -> str:
-    ok = report_err <= rel_tol * abs(target) and monotone
-    return "pass" if ok else "fail"
+    @property
+    def verdict(self) -> str:
+        return "pass" if all(ok for _, ok, _ in self.checks) else "fail"
 
 
 def assemble_report(t_grid, scaled, target, gt_bounds, final_rel_tol,
                     monotone_tail, require_monotone=True):
     scaled = np.asarray(scaled, dtype=float)
-    errors = np.abs(scaled - target)
-    report = ConvergenceReport(
+    return ConvergenceReport(
         t_grid=np.asarray(t_grid, dtype=float), scaled_traces=scaled,
-        target=float(target), abs_errors=errors,
-        gt_bounds=np.asarray(gt_bounds, dtype=float), verdict="",
+        target=float(target), abs_errors=np.abs(scaled - target),
+        gt_bounds=np.asarray(gt_bounds, dtype=float),
         final_rel_tol=final_rel_tol, monotone_tail=monotone_tail,
         require_monotone=require_monotone)
-    report.verdict = _verdict(report.final_error, target,
-                              report.tail_monotone() or not require_monotone,
-                              final_rel_tol)
-    return report
 
 
 # ---------------------------------------------------------------- the scan
 
 
 def semiclassical_scan(graph: WeightedGraph, w, t_grid=None,
-                       pair: AsymptoticControlPair | None = None,
                        final_rel_tol: float = 0.01,
                        monotone_tail: int = 5,
                        require_monotone: bool = True) -> ConvergenceReport:
     """Follow psi(t) * tr e^{-t(H + w/t)} toward sum_x e^{-w} rho2(x) mu(x).
 
-    The grid must be strictly decreasing; the verdict is "pass" when the
-    final error is within final_rel_tol of the target and the error sequence
-    is nonincreasing over the last monotone_tail points.
+    The control pair is the graph's (graph_control_pair). The grid must be
+    strictly decreasing; the verdict is "pass" when the final error is
+    within final_rel_tol of the target and the error sequence is
+    nonincreasing over the last monotone_tail points.
     """
     pot = as_potential(w, graph.n)
     grid = check_time_grid(default_time_grid() if t_grid is None else t_grid)
-    if pair is None:
-        pair = graph_control_pair(graph)
+    pair = graph_control_pair(graph)
     base = linalg.similarity_symmetrize(graph.generator_matrix(), graph.mu)
     target = float(np.sum(np.exp(-pot.values) * pair.rho2 * graph.mu))
     scaled = np.empty(grid.size)

@@ -1,8 +1,13 @@
 """Config-driven experiment runner and the command-line entry point."""
 
 import json
+import re
+import shutil
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heatlab as hl
 from heatlab import cli, experiments
@@ -337,3 +342,178 @@ def test_cli_check_admissibility(tmp_path):
     p2 = write_config(tmp_path / "prof2.json", doc)
     assert cli.main(["check-admissibility", str(p2),
                      "--out", str(tmp_path)]) == 1
+
+
+# ------------------------------------ CLI commands as experiment kinds
+
+# the verdict line that bench/checks.py parses from check-admissibility
+VERDICT_LINE = re.compile(r"verdict: (\w+) \(k_max (\d+), partial sum (\S+), "
+                          r"tail bound (\S+)\)")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_verify_kernel_is_the_axioms_kind(tmp_path):
+    gp = tmp_path / "p5.graph"
+    hl.save_graph(hl.fixture_registry()["p5"][0], gp)
+    assert cli.main(["verify-kernel", "--graph", str(gp), "--s", ".3",
+                     "--t", ".7", "--out", str(tmp_path / "cli")]) == 0
+    cfg = write_config(tmp_path / "axioms.json",
+                       {"kind": "axioms", "graph": str(gp), "s": 0.3,
+                        "t": 0.7})
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    for name in ("axioms.csv", "axioms.json"):
+        assert (tmp_path / "cli" / name).read_bytes() == \
+            (tmp_path / "run" / name).read_bytes(), name
+
+
+def test_check_admissibility_is_the_admissibility_kind(tmp_path, capsys):
+    profile = json.loads(
+        (CONFIGS / "profiles" / "gaussian_decay.json").read_text())
+    p = write_config(tmp_path / "prof.json", profile)
+    assert cli.main(["check-admissibility", str(p),
+                     "--out", str(tmp_path / "cli")]) == 0
+    match = VERDICT_LINE.search(capsys.readouterr().out)
+    assert match is not None and match.group(1) == "admissible"
+    assert int(match.group(2)) == profile["k_max"]
+    cfg = write_config(tmp_path / "admissibility.json",
+                       {"kind": "admissibility", "profile": profile,
+                        "expect": profile["expect"]})
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    for name in ("admissibility.csv", "admissibility.json"):
+        assert (tmp_path / "cli" / name).read_bytes() == \
+            (tmp_path / "run" / name).read_bytes(), name
+
+
+def test_verify_kernel_failing_tolerance_names_the_check(tmp_path, capsys):
+    gp = tmp_path / "p5.graph"
+    hl.save_graph(hl.fixture_registry()["p5"][0], gp)
+    code = cli.main(["verify-kernel", "--graph", str(gp), "--ck-tol",
+                     "1e-30", "--out", str(tmp_path)])
+    assert code == 1
+    assert "FAILED chapman_kolmogorov:" in capsys.readouterr().err
+    assert (tmp_path / "axioms.csv").exists()
+
+
+def test_axiom_report_owns_its_checks(tmp_path):
+    g = hl.fixture_registry()["p5"][0]
+    tables = [hl.heat_semigroup(g, t) for t in (0.3, 0.7, 1.0)]
+    report = hl.verify_axioms(*tables, mass_tol=0.0)
+    names = [name for name, _, _ in report.checks]
+    assert names == ["chapman_kolmogorov", "symmetry", "mass_window"]
+    assert [ok for _, ok, _ in report.checks] == [True, True, False]
+    assert not report.passed
+
+
+def test_check_admissibility_invalid_expect_exit_2(tmp_path, capsys):
+    doc = {"m": 2, "A": 1.0, "k_max": 100,
+           "rule": {"rule": "quadratic-growth", "rate": 1.0},
+           "expect": "probably"}
+    p = write_config(tmp_path / "prof.json", doc)
+    assert cli.main(["check-admissibility", str(p),
+                     "--out", str(tmp_path)]) == 2
+    assert "probably" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "\"profile\"", "{not json"])
+def test_check_admissibility_bad_document_exit_2(tmp_path, capsys, text):
+    p = tmp_path / "prof.json"
+    p.write_text(text)
+    assert cli.main(["check-admissibility", str(p),
+                     "--out", str(tmp_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# --------------------------------------- malformed values in shipped configs
+
+MUTANTS = [
+    ("graph_limit_k5.json", ["t_grid"], [1.0, -1.0]),
+    ("graph_limit_k5.json", ["t_grid"], [1.0, float("nan")]),
+    ("graph_limit_k5.json", ["t_grid", "t0"], -1.0),
+    ("graph_limit_p5.json", ["potential", "values"], [0.0, "x", 0, 0, 0]),
+    ("axioms_random10.json", ["s"], "abc"),
+    ("axioms_random10.json", ["tolerances", "ck"], "abc"),
+    ("adm_gaussian.json", ["window"], "abc"),
+    ("adm_gaussian.json", ["window"], -1),
+    ("adm_gaussian.json", ["profile", "rule", "rate"], "abc"),
+    ("fk_k5.json", ["samples"], "abc"),
+    ("pnfb_p5.json", ["samples"], -5),
+    ("pnfb_p5.json", ["K"], 3),
+    ("torus_1d_zero.json", ["truncation"], "abc"),
+    ("torus_1d_zero.json", ["lengths"], [float("nan")]),
+]
+
+
+DROP = object()
+
+
+def _mutant(tmp_path, name, path, value, base=None):
+    """A shipped config (or base, a copy of one) with one value replaced or
+    dropped, next to a copy of the shipped graphs so its relative graph
+    reference still resolves."""
+    shutil.copytree(CONFIGS / "graphs", tmp_path / "graphs")
+    doc = base or json.loads((CONFIGS / "acceptance" / name).read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    (tmp_path / "configs").mkdir()
+    return write_config(tmp_path / "configs" / name, doc)
+
+
+@pytest.mark.parametrize("name,path,value", MUTANTS)
+def test_malformed_value_exits_2(tmp_path, capsys, name, path, value):
+    p = _mutant(tmp_path, name, path, value)
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,path,value", MUTANTS[::3])
+def test_malformed_value_gets_suite_error_row(tmp_path, name, path, value):
+    p = _mutant(tmp_path, name, path, value)
+    for other in ("axioms_random10.json", "graph_limit_two_vertex.json"):
+        if other != name:
+            shutil.copy(CONFIGS / "acceptance" / other, p.parent)
+    suite = run_suite(p.parent, tmp_path / "out")
+    statuses = {r.name: r.status for r in suite.results}
+    assert statuses.pop(p.stem) == "error"
+    assert set(statuses.values()) == {"pass"}
+    rows = suite.summary_path.read_text().splitlines()
+    assert any(r.startswith(f"{p.stem},") and ",error," in r for r in rows)
+
+
+def _key_paths(doc, prefix=()):
+    for key, value in sorted(doc.items()):
+        if key != "kind":
+            yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+# one config per kind; MC sample counts cut to 200 to bound the run time
+PROPERTY_CONFIGS = ["graph_limit_k5.json", "torus_1d_zero.json",
+                    "fk_two_vertex.json", "pnfb_p5.json",
+                    "axioms_random10.json", "adm_gaussian.json"]
+BAD_VALUES = ["abc", float("nan"), float("inf"), -1, -1.5, 0, None, [], {},
+              [1.0, -1.0], True, DROP]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_property_mutant_keeps_exit_contract(tmp_path_factory, data):
+    name = data.draw(st.sampled_from(PROPERTY_CONFIGS))
+    doc = json.loads((CONFIGS / "acceptance" / name).read_text())
+    if "samples" in doc:
+        doc["samples"] = 200
+    path = data.draw(st.sampled_from(list(_key_paths(doc))))
+    value = data.draw(st.sampled_from(BAD_VALUES))
+    tmp_path = tmp_path_factory.mktemp("mutant")
+    p = _mutant(tmp_path, name, path, value, base=doc)
+    # any exception escaping main would be a traceback on the console
+    code = cli.main(["suite", str(p.parent), "--out", str(tmp_path / "out")])
+    assert code in (0, 1, 2)
+    rows = (tmp_path / "out" / "suite_summary.csv").read_text().splitlines()
+    assert len(rows) == 2

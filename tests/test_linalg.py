@@ -4,6 +4,8 @@ Oracles: closed-form spectra, numpy's general (nonsymmetric) eigenvalue
 driver applied before symmetrization, and traces from scipy's expm.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ import heatlab as hl
 from heatlab import cli, linalg
 from heatlab.errors import EigensolverNoConvergence
 from heatlab.graphs import WeightedGraph
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_symmetric(n, seed):
@@ -95,6 +99,24 @@ def test_rejects_asymmetric():
         linalg.symmetric_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_keeps_imaginary_parts():
+    # [[1, i/2], [-i/2, 1]] has eigenvalues 1 -+ 1/2; a cast to float
+    # would drop the imaginary parts and return [1, 1]
+    a = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
+    assert np.allclose(linalg.symmetric_eigvals(a), [0.5, 1.5], atol=1e-14)
+    rng = np.random.default_rng(7)
+    b = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    h = (b + b.conj().T) / 2
+    ref = np.sort(np.linalg.eigvals(h).real)
+    assert np.max(np.abs(h.imag)) > 0.1
+    assert np.allclose(linalg.symmetric_eigvals(h), ref, atol=1e-10)
+    w, v = linalg.symmetric_eigh(h)
+    assert np.max(np.abs(h @ v - v * w)) <= 1e-10
+    # complex symmetric but not Hermitian
+    with pytest.raises(ValueError):
+        linalg.symmetric_eigvals(np.array([[1.0, 1j], [1j, 1.0]]))
+
+
 def test_rejects_nonsquare():
     with pytest.raises(ValueError):
         linalg.symmetric_eigh(np.zeros((2, 3)))
@@ -147,14 +169,25 @@ def test_lapack_failure_is_no_convergence(monkeypatch):
         linalg.symmetric_eigh(a)
 
 
-def test_lapack_failure_exits_2_without_traceback(monkeypatch, tmp_path,
-                                                  capsys):
-    monkeypatch.setattr(np.linalg, "eigvalsh", _no_convergence)
+def _fk_trace_argv(tmp_path):
     gp = tmp_path / "g.graph"
     hl.save_graph(hl.two_vertex(), gp)
-    code = cli.main(["sample-paths", "--graph", str(gp), "--t", "1",
-                     "--samples", "10", "--mode", "fk-trace",
-                     "--out", str(tmp_path)])
+    return ["sample-paths", "--graph", str(gp), "--t", "1", "--samples",
+            "10", "--mode", "fk-trace", "--out", str(tmp_path)]
+
+
+def _torus_run_argv(tmp_path):
+    # cosine-well is not diagonal in the plane-wave basis: dense eigvalsh
+    config = ROOT / "configs" / "acceptance" / "torus_1d_cosine.json"
+    return ["run", str(config), "--out", str(tmp_path)]
+
+
+@pytest.mark.parametrize("argv", [_fk_trace_argv, _torus_run_argv],
+                         ids=["sample-paths-fk-trace", "run-torus"])
+def test_lapack_failure_exits_2_without_traceback(monkeypatch, tmp_path,
+                                                  capsys, argv):
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_convergence)
+    code = cli.main(argv(tmp_path))
     assert code == 2
     err = capsys.readouterr().err
     assert "did not converge" in err
