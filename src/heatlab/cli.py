@@ -112,8 +112,7 @@ def _cmd_run(args, config=None) -> int:
         result = experiments.run(config, args.out, seed=args.seed,
                                  threads=args.threads)
     except AssertionFailed as exc:
-        if exc.result is not None:
-            _print_result(exc.result)
+        _print_result(exc.result)
         raise
     _print_result(result)
     return 0

@@ -100,8 +100,8 @@ class ConfigError(HeatLabError):
 class AssertionFailed(HeatLabError):
     """A configured experiment assertion did not hold.
 
-    Carries the name of the first failing check in args[0]; experiments.run
-    sets result to the failed run's ExperimentResult (otherwise None).
+    Carries the name of the first failing check in args[0]; experiments.run,
+    which raises it, sets result to the failed run's ExperimentResult.
     """
 
     result = None

@@ -100,38 +100,43 @@ def _require(doc: dict, key: str, kind: str):
     return doc[key]
 
 
+def _real(value) -> bool:
+    """value is a finite int or float: not a bool, a string or null."""
+    try:
+        return (isinstance(value, (int, float))
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
 def _number(doc: dict, key: str, kind: str, cast=float, default=_REQUIRED,
             minimum=None):
-    """doc[key] as a finite number of type cast, at least minimum if given.
+    """doc[key] as a value of type cast, at least minimum if given.
 
-    Every numeric config value passes through here, so a string, NaN or
-    out-of-range value is a ConfigError naming its key, never a ValueError.
+    Every numeric config value passes through here: a bool key takes only
+    true or false, an int key only an integral number, and no key a string,
+    so a bad value is a ConfigError naming its key, never a ValueError.
     """
     if key not in doc and default is not _REQUIRED:
         return default
     raw = _require(doc, key, kind)
-    try:
-        value = cast(raw)
-        ok = math.isfinite(value) and (minimum is None or value >= minimum)
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
+    if not (isinstance(raw, bool) if cast is bool else (
+            _real(raw) and (cast is float or float(raw).is_integer())
+            and (minimum is None or raw >= minimum))):
+        what = {bool: "true or false", int: "an integer"}.get(
+            cast, "a finite number")
         bound = "" if minimum is None else f" >= {minimum}"
-        raise ConfigError(f"{kind} key {key!r} must be a finite number"
-                          f"{bound}, got {raw!r}")
-    return value
+        raise ConfigError(f"{kind} key {key!r} must be {what}{bound}, "
+                          f"got {raw!r}")
+    return cast(raw)
 
 
 def _floats(raw, what: str) -> np.ndarray:
-    """A flat array of finite floats, or ConfigError naming what."""
-    try:
-        vals = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        vals = None
-    if vals is None or vals.ndim != 1 or not np.all(np.isfinite(vals)):
+    """A list of finite numbers as a float array, or ConfigError."""
+    if not (isinstance(raw, list) and all(map(_real, raw))):
         raise ConfigError(f"{what} must be a list of finite numbers, "
                           f"got {raw!r}")
-    return vals
+    return np.asarray(raw, dtype=float)
 
 
 def _options(doc: dict, kind: str, spec: dict) -> dict:
@@ -185,25 +190,28 @@ def _potential_values(entry, n: int) -> np.ndarray:
 
 
 def _grid(spec, what: str) -> np.ndarray:
-    """A list, {"values": list} or {t0, ratio, points} spec as a strictly
-    decreasing positive time grid (util.check_time_grid)."""
+    """A list of times as a strictly decreasing positive grid."""
     try:
-        if isinstance(spec, dict) and "values" in spec:
-            spec = spec["values"]
-        elif isinstance(spec, dict):
-            spec = default_time_grid(
-                t0=_number(spec, "t0", what, default=1.0),
-                ratio=_number(spec, "ratio", what, default=0.5),
-                points=_number(spec, "points", what, int, default=20,
-                               minimum=1))
-        return check_time_grid(spec)
-    except (TypeError, ValueError) as exc:
+        return check_time_grid(_floats(spec, what))
+    except ValueError as exc:
         raise ConfigError(f"bad {what} {spec!r}: {exc}") from None
 
 
 def _time_grid(doc: dict) -> np.ndarray:
+    """t_grid as a list, {"values": list} or {t0, ratio, points}."""
     spec = doc.get("t_grid")
-    return default_time_grid() if spec is None else _grid(spec, "t_grid")
+    if spec is None:
+        return default_time_grid()
+    if isinstance(spec, dict) and "values" not in spec:
+        try:
+            return default_time_grid(
+                t0=_number(spec, "t0", "t_grid", default=1.0),
+                ratio=_number(spec, "ratio", "t_grid", default=0.5),
+                points=_number(spec, "points", "t_grid", int, default=20,
+                               minimum=1))
+        except ValueError as exc:
+            raise ConfigError(f"bad t_grid {spec!r}: {exc}") from None
+    return _grid(spec["values"] if isinstance(spec, dict) else spec, "t_grid")
 
 
 def _tolerances(doc: dict) -> dict:
@@ -267,8 +275,8 @@ def _run_torus_limit(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
     try:
         report = torus_semiclassical_scan(model, _time_grid(doc), **options)
     except TruncationNotConverged as exc:
-        # the doubling gate is an experiment assertion, not bad input
-        raise AssertionFailed(f"truncation_doubling: {exc}") from None
+        # the doubling gate is an experiment check, not bad input
+        return [], [("truncation_doubling", False, str(exc))], ""
     return _scan_outcome(report, out, cfg.name)
 
 
@@ -314,8 +322,7 @@ def _run_pnfb(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
     subset = _require(doc, "K", cfg.kind)
     if not isinstance(subset, list):
         raise ConfigError(f"K must be a list of vertices, got {subset!r}")
-    t_list = [float(t) for t in
-              _grid(_require(doc, "t_list", cfg.kind), "t_list")]
+    t_list = _grid(_require(doc, "t_list", cfg.kind), "t_list").tolist()
     samples = _number(doc, "samples", cfg.kind, int, minimum=1)
     tol = _tolerances(doc)
     k_sigma = _number(tol, "k_sigma", "tolerances", default=3.0)
@@ -484,19 +491,16 @@ def run_suite(config_dir, out_dir, seed: int | None = None,
     out.mkdir(parents=True, exist_ok=True)
 
     def one(path: Path) -> ExperimentResult:
+        name, kind = path.stem, "?"
         try:
             config = ExperimentConfig.from_file(path)
-        except HeatLabError as exc:
-            return ExperimentResult(name=path.stem, kind="?", status="error",
-                                    detail=str(exc))
-        try:
+            name, kind = config.name, config.kind
             return run(config, out, seed=seed, threads=1)
         except AssertionFailed as exc:
-            return ExperimentResult(name=config.name, kind=config.kind,
-                                    status="fail", detail=str(exc))
+            return exc.result
         except HeatLabError as exc:
-            return ExperimentResult(name=config.name, kind=config.kind,
-                                    status="error", detail=str(exc))
+            return ExperimentResult(name=name, kind=kind, status="error",
+                                    detail=str(exc))
 
     results = parallel_map(one, paths, threads)
     summary = write_csv(out / "suite_summary.csv",

@@ -113,7 +113,7 @@ class WeightedGraph:
                 raise UnknownVertex(f"no vertex labeled {key!r}") from None
         try:
             x = int(key)
-        except (TypeError, ValueError):
+        except (OverflowError, TypeError, ValueError):
             raise UnknownVertex(f"{key!r} is not a vertex index or label") \
                 from None
         if not 0 <= x < self.n:

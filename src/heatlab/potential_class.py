@@ -189,7 +189,8 @@ def growth_profile_from_config(doc: dict) -> GrowthProfile:
             raise ConfigError(f"unknown c_k rule {kind!r}")
         return GrowthProfile(m=m, a=a, c_values=c, k_max=k_max,
                              label=rule.get("label", kind))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         raise ConfigError(f"bad growth profile: {exc!r}") from None
 
 

@@ -440,6 +440,17 @@ MUTANTS = [
     ("pnfb_p5.json", ["K"], 3),
     ("torus_1d_zero.json", ["truncation"], "abc"),
     ("torus_1d_zero.json", ["lengths"], [float("nan")]),
+    ("axioms_random10.json", ["s"], "0.3"),
+    ("fk_k5.json", ["samples"], 2.9),
+    ("torus_1d_cosine.json", ["truncation"], 1.5),
+    ("torus_1d_zero.json", ["tolerances", "monotone"], "false"),
+    ("axioms_random10.json", ["conservative"], "no"),
+    ("pnfb_p5.json", ["t_list"], {"values": [1.0, 0.5]}),
+    ("pnfb_p5.json", ["t_list"], {"t0": 1.0, "ratio": 0.5, "points": 3}),
+    ("graph_limit_k5.json", ["t_grid"], ["1.0", "0.5"]),
+    ("torus_1d_zero.json", ["lengths"], [10 ** 400]),
+    ("pnfb_p5.json", ["x"], float("inf")),
+    ("adm_gaussian.json", ["profile", "A"], 10 ** 400),
 ]
 
 
