@@ -12,6 +12,7 @@ kinds on the command line: each builds a config document and runs it like
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -28,6 +29,29 @@ from .traces import trace_semigroup
 from .util import write_csv
 
 
+def _flag(what: str, cast, ok=lambda value: True, listed=False):
+    """An argparse type: cast text (each comma-separated item if listed),
+    keep it if ok, else exit 2 with a usage error naming the flag."""
+    def convert(text):
+        try:
+            value = [cast(v) for v in text.split(",")] if listed else cast(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return convert
+
+
+_SEED = _flag("an integer >= 0", int, lambda v: v >= 0)
+_COUNT = _flag("an integer >= 1", int, lambda v: v >= 1)
+_TIME = _flag("a finite number > 0", float, lambda v: 0 < v < math.inf)
+_REAL = _flag("a finite number", float, math.isfinite)
+_INTS = _flag("comma-separated integers", int, listed=True)
+_REALS = _flag("comma-separated finite numbers", float,
+               lambda values: all(map(math.isfinite, values)), listed=True)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heatlab",
@@ -36,9 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_SEED, default=None,
                        help="override the config seed")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_COUNT, default=1)
 
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("config")
@@ -64,19 +88,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sp = sub.add_parser("sample-paths",
                           help="Monte Carlo over jump trajectories")
     p_sp.add_argument("--graph", required=True)
-    p_sp.add_argument("--t", type=float, required=True)
-    p_sp.add_argument("--samples", type=int, required=True)
-    p_sp.add_argument("--seed", type=int, default=0)
+    p_sp.add_argument("--t", type=_TIME, required=True)
+    p_sp.add_argument("--samples", type=_COUNT, required=True)
+    p_sp.add_argument("--seed", type=_SEED, default=0)
     p_sp.add_argument("--mode", required=True,
                       choices=("free", "bridge", "fk-trace", "pnfb"))
     p_sp.add_argument("--x", help="start vertex (index or label)")
     p_sp.add_argument("--y", help="end vertex for bridges")
-    p_sp.add_argument("--K", help="comma-separated subset for pnfb")
-    p_sp.add_argument("--potential",
+    p_sp.add_argument("--K", type=_INTS,
+                      help="comma-separated subset for pnfb")
+    p_sp.add_argument("--potential", type=_REALS,
                       help="comma-separated vertex values for fk-trace")
-    p_sp.add_argument("--constant", type=float,
+    p_sp.add_argument("--constant", type=_REAL,
                       help="constant potential value for fk-trace")
-    p_sp.add_argument("--threads", type=int, default=1)
+    p_sp.add_argument("--threads", type=_COUNT, default=1)
     p_sp.add_argument("--out", default=".")
 
     p_adm = sub.add_parser("check-admissibility",
@@ -165,8 +190,6 @@ def _path_statistics(paths_iter, t, n, seed, reference):
 def _cmd_sample_paths(args) -> int:
     graph = load_graph(args.graph)
     t, n, seed = args.t, args.samples, args.seed
-    if n < 1:
-        raise HeatLabError("--samples must be at least 1")
     header = experiments.MC_HEADER
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     if args.mode == "free":
@@ -184,7 +207,10 @@ def _cmd_sample_paths(args) -> int:
             t, n, seed, ref)
     elif args.mode == "fk-trace":
         if args.potential is not None:
-            w = np.asarray([float(v) for v in args.potential.split(",")])
+            if len(args.potential) != graph.n:
+                raise HeatLabError(f"--potential has {len(args.potential)} "
+                                   f"values, graph has {graph.n} vertices")
+            w = np.asarray(args.potential)
         elif args.constant is not None:
             w = np.full(graph.n, args.constant)
         else:
@@ -198,9 +224,8 @@ def _cmd_sample_paths(args) -> int:
         x = _vertex(graph, args.x, "--x")
         if args.K is None:
             raise HeatLabError("pnfb mode requires --K")
-        subset = [int(v) for v in args.K.split(",")]
-        est = pnfb_probability(graph, x, subset, t, n, seed)
-        exact = stay_probability_exact(graph, x, subset, t)
+        est = pnfb_probability(graph, x, args.K, t, n, seed)
+        exact = stay_probability_exact(graph, x, args.K, t)
         bound = no_jump_lower_bound(graph, x, t)
         rows = [
             ("stay_probability", t, est.mean, est.std_error, n, seed,

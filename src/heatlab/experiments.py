@@ -15,7 +15,6 @@ All CSV output is byte-deterministic: same configs, same bytes.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,11 +30,13 @@ from .paths import feynman_kac_trace_mc, no_jump_lower_bound, \
 from .potential_class import growth_profile_from_config, ricci_admissibility
 from .torus import TorusModel, potential_from_spec, torus_semiclassical_scan
 from .traces import semiclassical_scan, trace_semigroup
-from .util import check_time_grid, default_time_grid, parallel_map, write_csv
+from .util import (check_time_grid, default_time_grid, is_finite_real, number,
+                   parallel_map, require, write_csv)
 
 KNOWN_KINDS = ("graph-limit", "torus-limit", "fk-crosscheck", "pnfb",
                "axioms", "admissibility")
 VERDICTS = ("admissible", "inadmissible", "undecided")
+_NAME_MAX = 255     # bytes in one file name on common file systems
 
 
 def read_json(path) -> dict:
@@ -69,14 +70,29 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment kind {kind!r} in {origin}; "
                 f"expected one of {', '.join(KNOWN_KINDS)}")
-        return cls(kind=kind, name=str(doc.get("name", default_name)),
-                   seed=_number(doc, "seed", kind, int, default=0, minimum=0),
+        name = doc.get("name", default_name)
+        if not _is_file_stem(name):
+            raise ConfigError(f"name in {origin} must be a plain file name "
+                              f"of at most {_NAME_MAX - 5} bytes, "
+                              f"got {name!r:.80}")
+        return cls(kind=kind, name=name,
+                   seed=number(doc, "seed", kind, int, default=0, minimum=0),
                    doc=doc, base_dir=Path(base_dir))
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         p = Path(path)
         return cls.from_doc(read_json(p), p.parent, p.stem, str(p))
+
+
+def _is_file_stem(name) -> bool:
+    """name.csv and name.json are plain file names inside the output dir."""
+    try:
+        return (isinstance(name, str) and name not in ("", ".", "..")
+                and not any(c in name for c in "/\\\0")
+                and len(f"{name}.json".encode()) <= _NAME_MAX)
+    except UnicodeEncodeError:      # a lone surrogate from JSON
+        return False
 
 
 @dataclass
@@ -91,49 +107,10 @@ class ExperimentResult:
 
 # ------------------------------------------------------------ doc parsing
 
-_REQUIRED = object()
-
-
-def _require(doc: dict, key: str, kind: str):
-    if key not in doc:
-        raise ConfigError(f"{kind} config is missing required key {key!r}")
-    return doc[key]
-
-
-def _real(value) -> bool:
-    """value is a finite int or float: not a bool, a string or null."""
-    try:
-        return (isinstance(value, (int, float))
-                and not isinstance(value, bool) and math.isfinite(value))
-    except OverflowError:
-        return False
-
-
-def _number(doc: dict, key: str, kind: str, cast=float, default=_REQUIRED,
-            minimum=None):
-    """doc[key] as a value of type cast, at least minimum if given.
-
-    Every numeric config value passes through here: a bool key takes only
-    true or false, an int key only an integral number, and no key a string,
-    so a bad value is a ConfigError naming its key, never a ValueError.
-    """
-    if key not in doc and default is not _REQUIRED:
-        return default
-    raw = _require(doc, key, kind)
-    if not (isinstance(raw, bool) if cast is bool else (
-            _real(raw) and (cast is float or float(raw).is_integer())
-            and (minimum is None or raw >= minimum))):
-        what = {bool: "true or false", int: "an integer"}.get(
-            cast, "a finite number")
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ConfigError(f"{kind} key {key!r} must be {what}{bound}, "
-                          f"got {raw!r}")
-    return cast(raw)
-
 
 def _floats(raw, what: str) -> np.ndarray:
     """A list of finite numbers as a float array, or ConfigError."""
-    if not (isinstance(raw, list) and all(map(_real, raw))):
+    if not (isinstance(raw, list) and all(map(is_finite_real, raw))):
         raise ConfigError(f"{what} must be a list of finite numbers, "
                           f"got {raw!r}")
     return np.asarray(raw, dtype=float)
@@ -142,7 +119,7 @@ def _floats(raw, what: str) -> np.ndarray:
 def _options(doc: dict, kind: str, spec: dict) -> dict:
     """Keyword arguments for the keys of doc that spec maps to
     (argument, cast). Absent keys keep the library defaults."""
-    return {arg: _number(doc, key, kind, cast)
+    return {arg: number(doc, key, kind, cast)
             for key, (arg, cast) in spec.items() if key in doc}
 
 
@@ -179,7 +156,7 @@ def _potential_values(entry, n: int) -> np.ndarray:
     if not isinstance(entry, dict):
         raise ConfigError(f"cannot interpret potential spec {entry!r}")
     if "constant" in entry:
-        return np.full(n, _number(entry, "constant", "potential"))
+        return np.full(n, number(entry, "constant", "potential"))
     if "values" in entry:
         vals = _floats(entry["values"], "potential values")
         if vals.size != n:
@@ -205,10 +182,10 @@ def _time_grid(doc: dict) -> np.ndarray:
     if isinstance(spec, dict) and "values" not in spec:
         try:
             return default_time_grid(
-                t0=_number(spec, "t0", "t_grid", default=1.0),
-                ratio=_number(spec, "ratio", "t_grid", default=0.5),
-                points=_number(spec, "points", "t_grid", int, default=20,
-                               minimum=1))
+                t0=number(spec, "t0", "t_grid", default=1.0),
+                ratio=number(spec, "ratio", "t_grid", default=0.5),
+                points=number(spec, "points", "t_grid", int, default=20,
+                              minimum=1))
         except ValueError as exc:
             raise ConfigError(f"bad t_grid {spec!r}: {exc}") from None
     return _grid(spec["values"] if isinstance(spec, dict) else spec, "t_grid")
@@ -249,7 +226,7 @@ def _scan_outcome(report, out: Path, name: str):
 
 def _run_graph_limit(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
     doc = cfg.doc
-    graph = _resolve_graph(_require(doc, "graph", cfg.kind), cfg.base_dir)
+    graph = _resolve_graph(require(doc, "graph", cfg.kind), cfg.base_dir)
     w = _potential_values(doc.get("potential"), graph.n)
     report = semiclassical_scan(
         graph, w, _time_grid(doc),
@@ -259,12 +236,12 @@ def _run_graph_limit(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
 
 def _run_torus_limit(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
     doc = cfg.doc
-    dim = _number(doc, "dim", cfg.kind, int)
-    lengths = _floats(_require(doc, "lengths", cfg.kind), "lengths").tolist()
+    dim = number(doc, "dim", cfg.kind, int)
+    lengths = _floats(require(doc, "lengths", cfg.kind), "lengths").tolist()
     if dim not in (1, 2, 3) or len(lengths) != dim or min(lengths) <= 0:
         raise ConfigError(f"a torus needs dim 1, 2 or 3 and that many "
                           f"positive lengths, got {dim} and {lengths}")
-    trunc = _number(doc, "truncation", cfg.kind, int, minimum=1)
+    trunc = number(doc, "truncation", cfg.kind, int, minimum=1)
     potential = potential_from_spec(doc.get("potential", "zero"), lengths)
     model = TorusModel(dim=dim, lengths=tuple(lengths), truncation=trunc,
                        potential=potential)
@@ -287,12 +264,12 @@ MC_HEADER = ("statistic", "t", "estimate", "std_error", "n_samples", "seed",
 def _run_fk_crosscheck(cfg: ExperimentConfig, out: Path, seed: int,
                        threads: int):
     doc = cfg.doc
-    graph = _resolve_graph(_require(doc, "graph", cfg.kind), cfg.base_dir)
+    graph = _resolve_graph(require(doc, "graph", cfg.kind), cfg.base_dir)
     w = _potential_values(doc.get("potential"), graph.n)
-    t = _number(doc, "t", cfg.kind)
-    samples = _number(doc, "samples", cfg.kind, int, minimum=1)
+    t = number(doc, "t", cfg.kind)
+    samples = number(doc, "samples", cfg.kind, int, minimum=1)
     tol = _tolerances(doc)
-    k_sigma = _number(tol, "k_sigma", "tolerances", default=3.0)
+    k_sigma = number(tol, "k_sigma", "tolerances", default=3.0)
     exact = trace_semigroup(graph, w, t)
     est = feynman_kac_trace_mc(graph, w, t, samples, seed, threads=threads)
     diff = abs(est.mean - exact)
@@ -309,7 +286,7 @@ def _run_fk_crosscheck(cfg: ExperimentConfig, out: Path, seed: int,
                f"|{est.mean!r} - {exact!r}| = {diff!r} > "
                f"{k_sigma!r} * {est.std_error!r}")]
     if "max_rel_se" in tol:
-        cap = _number(tol, "max_rel_se", "tolerances") * abs(exact)
+        cap = number(tol, "max_rel_se", "tolerances") * abs(exact)
         checks.append(("relative_se", est.std_error <= cap,
                        f"std error {est.std_error!r} exceeds {cap!r}"))
     return [csv, js], checks, ""
@@ -317,16 +294,16 @@ def _run_fk_crosscheck(cfg: ExperimentConfig, out: Path, seed: int,
 
 def _run_pnfb(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
     doc = cfg.doc
-    graph = _resolve_graph(_require(doc, "graph", cfg.kind), cfg.base_dir)
-    x = _require(doc, "x", cfg.kind)
-    subset = _require(doc, "K", cfg.kind)
+    graph = _resolve_graph(require(doc, "graph", cfg.kind), cfg.base_dir)
+    x = require(doc, "x", cfg.kind)
+    subset = require(doc, "K", cfg.kind)
     if not isinstance(subset, list):
         raise ConfigError(f"K must be a list of vertices, got {subset!r}")
-    t_list = _grid(_require(doc, "t_list", cfg.kind), "t_list").tolist()
-    samples = _number(doc, "samples", cfg.kind, int, minimum=1)
+    t_list = _grid(require(doc, "t_list", cfg.kind), "t_list").tolist()
+    samples = number(doc, "samples", cfg.kind, int, minimum=1)
     tol = _tolerances(doc)
-    k_sigma = _number(tol, "k_sigma", "tolerances", default=3.0)
-    final_min = _number(tol, "final_min", "tolerances", default=0.99)
+    k_sigma = number(tol, "k_sigma", "tolerances", default=3.0)
+    final_min = number(tol, "final_min", "tolerances", default=0.99)
     rows, checks, means = [], [], []
     for i, t in enumerate(t_list):
         est = pnfb_probability(graph, x, subset, t, samples, seed + i)
@@ -368,9 +345,9 @@ _AXIOM_TOLERANCES = {"ck": ("ck_tol", float),
 
 def _run_axioms(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
     doc = cfg.doc
-    graph = _resolve_graph(_require(doc, "graph", cfg.kind), cfg.base_dir)
-    s = _number(doc, "s", cfg.kind)
-    t = _number(doc, "t", cfg.kind)
+    graph = _resolve_graph(require(doc, "graph", cfg.kind), cfg.base_dir)
+    s = number(doc, "s", cfg.kind)
+    t = number(doc, "t", cfg.kind)
     options = _options(_tolerances(doc), "tolerances", _AXIOM_TOLERANCES)
     options.update(_options(doc, cfg.kind,
                             {"conservative": ("conservative", bool)}))
@@ -398,10 +375,10 @@ def _run_admissibility(cfg: ExperimentConfig, out: Path, seed: int,
     if expect is not None and expect not in VERDICTS:
         raise ConfigError(f"bad expected verdict {expect!r}; "
                           f"expected one of {', '.join(VERDICTS)}")
-    profile = growth_profile_from_config(_require(doc, "profile", cfg.kind))
+    profile = growth_profile_from_config(require(doc, "profile", cfg.kind))
     options = {}
     if "window" in doc:
-        options["window"] = _number(doc, "window", cfg.kind, int, minimum=1)
+        options["window"] = number(doc, "window", cfg.kind, int, minimum=1)
     result = ricci_admissibility(profile, **options)
     csv = write_csv(out / f"{cfg.name}.csv", result.header, result.rows())
     js = _write_json(out / f"{cfg.name}.json", {

@@ -11,7 +11,8 @@ the skeleton is filled in backward, P(z_k = z | z_{k-1}) ~ R[z_{k-1}, z] *
 [R^{n-k}]_{z, y}, event times are sorted uniforms on (0,t), and self-jumps
 of R are dropped when materializing a path (they do not change any path
 functional). Every sampled bridge ends at y, and the convention here sets
-gamma(t) = y as well.
+gamma(t) = y as well. Both steps read R^n only through its column
+R^n[:, y], so bridge_kernel keeps one (T, n) column table per (graph, t, y).
 
 Reproducibility: estimators take an integer seed; one child stream per
 diagonal vertex is spawned via numpy SeedSequence in vertex order and
@@ -22,7 +23,7 @@ bit-identical regardless of worker count.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,47 +143,48 @@ def sample_free_path(graph: WeightedGraph, x, t: float, rng=None) -> JumpPath:
 
 
 class BridgeKernel:
-    """Uniformization tables for exact bridge sampling at one (graph, t)."""
+    """Uniformization tables for exact bridge sampling to y at one (graph, t).
 
-    def __init__(self, graph: WeightedGraph, t: float):
+    A bridge pinned at y reads R^k only through its column R^k[:, y], so
+    powers[k] holds just that column: a (T, n) table built by
+    v_k = R v_{k-1}, with T = len(pmf).
+    """
+
+    def __init__(self, graph: WeightedGraph, t: float, y: int):
         if t <= 0:
             raise NonpositiveTime(f"t = {t} must be positive")
-        self.graph = graph
         self.t = float(t)
+        self.y = int(y)
         h = graph.generator_matrix()
         n = graph.n
         self.lam = float(np.max(np.diag(h))) if n else 0.0
         self.n_max = jump_count_cap(self.lam * self.t)
-        # refuse before allocating the power table: the exact sampler keeps
-        # every R^n in memory, so enormous lam*t is out of scope
+        # refuse before building the Poisson weights: enormous lam*t is out
+        # of scope for the exact sampler
         if min(self.n_max, MAX_BRIDGE_TERMS) < self.lam * self.t:
             raise NTruncationExceeded(
                 f"lam*t = {self.lam * self.t:.3e} needs more jump-count "
                 f"terms than the cap {min(self.n_max, MAX_BRIDGE_TERMS)}")
-        if self.lam == 0.0:
-            self.r = np.eye(n)
-            self.pmf = np.array([1.0])
-            self.tail = 0.0
-        else:
-            self.r = np.eye(n) - h / self.lam
-            self.pmf, self.tail = poisson_weights(self.lam * self.t)
+        # with no edges H = 0, R = I and the count is 0 with probability 1
+        self.r = np.eye(n) - h / self.lam if self.lam else np.eye(n)
+        self.pmf, self.tail = poisson_weights(self.lam * self.t)
         if len(self.pmf) > self.n_max:
             # fold the cut terms into the reported tail mass
             self.tail += float(self.pmf[self.n_max:].sum())
             self.pmf = self.pmf[:self.n_max]
-        powers = np.empty((len(self.pmf), n, n))
-        powers[0] = np.eye(n)
+        powers = np.zeros((len(self.pmf), n))
+        powers[0, self.y] = 1.0
         for k in range(1, len(self.pmf)):
-            powers[k] = powers[k - 1] @ self.r
+            powers[k] = self.r @ powers[k - 1]
         self.powers = powers
 
-    def count_distribution(self, x: int, y: int):
+    def count_distribution(self, x: int):
         """Unnormalized P(N = n) for the (x, y) bridge, plus its mass."""
-        probs = self.pmf * self.powers[:, x, y]
+        probs = self.pmf * self.powers[:, x]
         denom = float(probs.sum())
         if denom <= 0.0:
-            raise ZeroKernel(
-                f"kernel vanishes between vertices {x} and {y} at t = {self.t}")
+            raise ZeroKernel(f"kernel vanishes between vertices {x} and "
+                             f"{self.y} at t = {self.t}")
         if self.tail > _RELATIVE_TAIL_TOL * denom:
             raise NTruncationExceeded(
                 f"jump-count cap {self.n_max} leaves relative mass "
@@ -190,15 +192,17 @@ class BridgeKernel:
         return probs, denom
 
 
+# worst case 129 * (n^2 + T n) doubles: each kernel keeps R and its columns
 _bridge_cache = _KernelCache(capacity=129)
 
 
-def bridge_kernel(graph: WeightedGraph, t: float) -> BridgeKernel:
-    key = (graph.fingerprint(), float(t))
+def bridge_kernel(graph: WeightedGraph, t: float, y: int) -> BridgeKernel:
+    """The cached bridge kernel to vertex index y at time t."""
+    key = (graph.fingerprint(), float(t), int(y))
     hit = _bridge_cache.lookup(key)
     if hit is not None:
         return hit
-    return _bridge_cache.insert(key, BridgeKernel(graph, t))
+    return _bridge_cache.insert(key, BridgeKernel(graph, t, y))
 
 
 def _rows_categorical(prob_rows: np.ndarray, rng) -> np.ndarray:
@@ -214,14 +218,14 @@ def sample_bridge(graph: WeightedGraph, x, y, t: float, rng=None) -> JumpPath:
     rng = np.random.default_rng(rng)
     x = graph.resolve(x)
     y = graph.resolve(y)
-    bk = bridge_kernel(graph, t)
-    probs, denom = bk.count_distribution(x, y)
+    bk = bridge_kernel(graph, t, y)
+    probs, denom = bk.count_distribution(x)
     cum = np.cumsum(probs)
     u = rng.random() * denom
     n = min(int(np.searchsorted(cum, u, side="right")), len(probs) - 1)
     states = [x]
     for k in range(1, n):
-        row = bk.r[states[-1], :] * bk.powers[n - k][:, y]
+        row = bk.r[states[-1], :] * bk.powers[n - k]
         csum = np.cumsum(row)
         uu = rng.random() * csum[-1]
         states.append(min(int(np.searchsorted(csum, uu, side="right")),
@@ -238,15 +242,15 @@ def sample_bridge(graph: WeightedGraph, x, y, t: float, rng=None) -> JumpPath:
     return JumpPath(start=x, jumps=jumps, horizon=float(t))
 
 
-def _bridge_batch(bk: BridgeKernel, x: int, y: int, n_samples: int, rng,
+def _bridge_batch(bk: BridgeKernel, x: int, n_samples: int, rng,
                   w_vals=None, stay_mask=None):
-    """Vectorized bridge functionals for n_samples paths from x to y.
+    """Vectorized bridge functionals for n_samples paths from x to bk.y.
 
     Returns (fk, stay): fk[i] = exp(-int w along path i) when w_vals is
     given, stay[i] = 1{path i never leaves the masked set}. Jump counts are
     processed in ascending order so the stream consumption is deterministic.
     """
-    probs, denom = bk.count_distribution(x, y)
+    probs, denom = bk.count_distribution(x)
     cum = np.cumsum(probs)
     u = rng.random(n_samples) * denom
     counts = np.minimum(np.searchsorted(cum, u, side="right"), len(probs) - 1)
@@ -259,9 +263,9 @@ def _bridge_batch(bk: BridgeKernel, x: int, y: int, n_samples: int, rng,
         z = np.empty((m, nj + 1), dtype=np.intp)
         z[:, 0] = x
         if nj >= 1:
-            z[:, nj] = y
+            z[:, nj] = bk.y
         for k in range(1, nj):
-            rows = bk.r[z[:, k - 1], :] * bk.powers[nj - k][:, y][None, :]
+            rows = bk.r[z[:, k - 1], :] * bk.powers[nj - k][None, :]
             z[:, k] = _rows_categorical(rows, rng)
         if stay_mask is not None:
             stay[sel] = stay_mask[z].all(axis=1)
@@ -277,9 +281,9 @@ def bridge_functional_mc(graph: WeightedGraph, x, y, w, t: float,
     """MC estimate of E^{x,y}[ exp(-int_0^t w(gamma(s)) ds) ]."""
     pot = as_potential(w, graph.n)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    bk = bridge_kernel(graph, t)
-    fk, _ = _bridge_batch(bk, graph.resolve(x), graph.resolve(y),
-                          int(n_samples), rng, w_vals=pot.values)
+    bk = bridge_kernel(graph, t, graph.resolve(y))
+    fk, _ = _bridge_batch(bk, graph.resolve(x), int(n_samples), rng,
+                          w_vals=pot.values)
     se = float(fk.std(ddof=1) / np.sqrt(len(fk))) if len(fk) > 1 else 0.0
     return McEstimate(mean=float(fk.mean()), std_error=se,
                       n_samples=int(n_samples), seed=int(seed))
@@ -300,14 +304,13 @@ def feynman_kac_trace_mc(graph: WeightedGraph, w, t: float, n_samples: int,
     """
     pot = as_potential(w, graph.n)
     table = heat_semigroup(graph, t)
-    bk = bridge_kernel(graph, t)
     children = np.random.SeedSequence(seed).spawn(graph.n)
     coeff = graph.mu * table.diagonal()
 
     def per_vertex(xi: int):
         rng = np.random.Generator(np.random.PCG64(children[xi]))
-        fk, _ = _bridge_batch(bk, xi, xi, int(n_samples), rng,
-                              w_vals=pot.values)
+        fk, _ = _bridge_batch(bridge_kernel(graph, t, xi), xi,
+                              int(n_samples), rng, w_vals=pot.values)
         var = float(fk.var(ddof=1)) if len(fk) > 1 else 0.0
         return float(fk.mean()), var
 
@@ -336,8 +339,8 @@ def pnfb_probability(graph: WeightedGraph, x, subset, t: float,
     mask = np.zeros(graph.n, dtype=bool)
     mask[members] = True
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    bk = bridge_kernel(graph, t)
-    _, stay = _bridge_batch(bk, xi, xi, int(n_samples), rng, stay_mask=mask)
+    _, stay = _bridge_batch(bridge_kernel(graph, t, xi), xi, int(n_samples),
+                            rng, stay_mask=mask)
     vals = stay.astype(float)
     se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return McEstimate(mean=float(vals.mean()), std_error=se,

@@ -35,7 +35,7 @@ from .errors import ConfigError, InputError
 from .graphs import WeightedGraph
 from .kernels import heat_semigroup
 from .traces import as_potential
-from .util import kahan_sum
+from .util import kahan_sum, number
 
 KATO_QUADRATURE_POINTS = 32
 ADMISSIBLE_TAIL_TOL = 1e-9
@@ -98,8 +98,8 @@ class GrowthProfile:
         self.m = int(self.m)
         self.a = float(self.a)
         self.k_max = int(self.k_max)
-        if self.m < 1:
-            raise ValueError("dimension m must be >= 1")
+        if not 1 <= self.m <= 1023:    # the doubling scale 2^m is a double
+            raise ValueError("dimension m must be in 1..1023")
         if not self.a >= 0:     # NaN fails too
             raise ValueError("curvature magnitude A must be >= 0")
         if self.k_max < 3:
@@ -171,17 +171,17 @@ def table_rule(values) -> Callable:
 def growth_profile_from_config(doc: dict) -> GrowthProfile:
     """Build a profile from a config document (m, A, rule, k_max)."""
     try:
-        m = int(doc["m"])
-        a = float(doc["A"])
-        k_max = int(doc["k_max"])
+        m = number(doc, "m", "profile", int)
+        a = number(doc, "A", "profile")
+        k_max = number(doc, "k_max", "profile", int)
         rule = doc["rule"]
         kind = rule["rule"]
         if kind == "constant":
-            c = constant_rule(float(rule.get("value", 1.0)))
+            c = constant_rule(number(rule, "value", "rule", default=1.0))
         elif kind == "power":
-            c = power_rule(float(rule["exponent"]))
+            c = power_rule(number(rule, "exponent", "rule"))
         elif kind == "quadratic-growth":
-            c = quadratic_growth_rule(float(rule["rate"]))
+            c = quadratic_growth_rule(number(rule, "rate", "rule"))
         elif kind == "table":
             c = table_rule(rule["values"])
             k_max = min(k_max, len(rule["values"]) + 1)

@@ -43,12 +43,11 @@ DEFAULT_SCALING_BASE = 4.0 * math.pi
 
 @dataclass
 class TorusPotential:
-    """A real potential given in closed form or by Fourier coefficients."""
+    """A real potential: zero, a constant, or a vectorized callable."""
 
-    kind: str                       # zero | constant | callable | coefficients
+    kind: str                       # zero | constant | callable
     constant: float = 0.0
     fn: Callable | None = None
-    coeffs: dict | None = None
     label: str = ""
 
     @property
@@ -65,10 +64,6 @@ def constant_potential(c: float) -> TorusPotential:
                           label=f"constant:{c}")
 
 
-def coefficient_potential(coeffs: dict, label: str = "coefficients") -> TorusPotential:
-    return TorusPotential(kind="coefficients", coeffs=dict(coeffs), label=label)
-
-
 def cosine_well(lengths) -> TorusPotential:
     """w(theta) = sum_i (1 - cos(2 pi theta_i / L_i)): a single smooth well."""
     lengths = tuple(float(L) for L in lengths)
@@ -83,7 +78,7 @@ def cosine_well(lengths) -> TorusPotential:
 
 
 def potential_from_spec(spec, lengths) -> TorusPotential:
-    """Parse a config potential: zero | constant:c | cosine-well | coeff dict."""
+    """Parse a config potential: zero | constant:c | cosine-well."""
     if spec in (None, "zero"):
         return zero_potential()
     if isinstance(spec, str):
@@ -94,15 +89,6 @@ def potential_from_spec(spec, lengths) -> TorusPotential:
                 raise ConfigError(f"bad constant potential {spec!r}") from None
         if spec == "cosine-well":
             return cosine_well(lengths)
-        raise ConfigError(f"unknown potential spec {spec!r}")
-    if isinstance(spec, dict) and "coefficients" in spec:
-        coeffs = {}
-        for entry in spec["coefficients"]:
-            k = entry["k"]
-            key = tuple(int(v) for v in (k if isinstance(k, (list, tuple)) else [k]))
-            coeffs[key] = complex(float(entry.get("re", 0.0)),
-                                  float(entry.get("im", 0.0)))
-        return coefficient_potential(coeffs)
     raise ConfigError(f"unknown potential spec {spec!r}")
 
 
@@ -168,25 +154,9 @@ class TorusModel:
             p = 4 * self.truncation + 1
             shape = (p,) * self.dim
             pot = self.potential
-            if pot.kind == "zero":
-                table = np.zeros(shape, dtype=complex)
-            elif pot.kind == "constant":
+            if pot.diagonal_only:
                 table = np.zeros(shape, dtype=complex)
                 table[(n2,) * self.dim] = pot.constant
-            elif pot.kind == "coefficients":
-                table = np.zeros(shape, dtype=complex)
-                for key, val in pot.coeffs.items():
-                    if len(key) != self.dim:
-                        raise ValueError(f"coefficient key {key} has wrong arity")
-                    if any(abs(q) > n2 for q in key):
-                        raise ValueError(
-                            f"coefficient {key} outside resolvable band |q| <= {n2}")
-                    table[tuple(q + n2 for q in key)] = val
-                conj_flip = np.conj(table[(slice(None, None, -1),) * self.dim])
-                if np.max(np.abs(table - conj_flip)) > 1e-12 * max(
-                        1.0, float(np.max(np.abs(table)))):
-                    raise ValueError(
-                        "real potential requires w_hat(-k) = conj(w_hat(k))")
             else:
                 table = self._quadrature_coefficients(p)
             table.setflags(write=False)
@@ -210,28 +180,11 @@ class TorusModel:
     def evaluate_potential(self, resolution: int) -> np.ndarray:
         """Sample w on a uniform grid (used by the quadrature target)."""
         pot = self.potential
-        shape = (resolution,) * self.dim
-        if pot.kind == "zero":
-            return np.zeros(shape)
-        if pot.kind == "constant":
-            return np.full(shape, pot.constant)
+        if pot.diagonal_only:
+            return np.full((resolution,) * self.dim, pot.constant)
         grids = np.meshgrid(*[np.arange(resolution) * (L / resolution)
                               for L in self.lengths], indexing="ij")
-        if pot.kind == "callable":
-            return np.asarray(pot.fn(*grids), dtype=float)
-        # reconstruct from coefficients
-        table = self.coefficient_table()
-        p = table.shape[0]
-        q = np.arange(-(p // 2), p // 2 + 1)
-        out = table.astype(complex)
-        for axis in range(self.dim):
-            pts = np.arange(resolution) * (self.lengths[axis] / resolution)
-            inv = np.exp(2j * np.pi * np.outer(
-                pts / self.lengths[axis], q))
-            out = np.moveaxis(np.tensordot(inv, out, axes=(1, axis)), 0, axis)
-        if np.max(np.abs(out.imag)) > 1e-9 * max(1.0, float(np.max(np.abs(out)))):
-            raise ValueError("coefficient potential reconstructs non-real values")
-        return out.real
+        return np.asarray(pot.fn(*grids), dtype=float)
 
 
 # ------------------------------------------------------------- operations

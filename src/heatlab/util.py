@@ -1,14 +1,54 @@
-"""Small shared helpers: time grids, compensated sums, deterministic CSV."""
+"""Small shared helpers: config numbers, time grids, sums, deterministic CSV."""
 
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyGrid
+from .errors import ConfigError, EmptyGrid
+
+_REQUIRED = object()
+
+
+def require(doc: dict, key: str, kind: str):
+    if key not in doc:
+        raise ConfigError(f"{kind} config is missing required key {key!r}")
+    return doc[key]
+
+
+def is_finite_real(value) -> bool:
+    """value is a finite int or float: not a bool, a string or null."""
+    try:
+        return (isinstance(value, (int, float))
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
+def number(doc: dict, key: str, kind: str, cast=float, default=_REQUIRED,
+           minimum=None):
+    """doc[key] as a value of type cast, at least minimum if given.
+
+    Every numeric config value passes through here: a bool key takes only
+    true or false, an int key only an integral number, and no key a string,
+    so a bad value is a ConfigError naming its key, never a ValueError.
+    """
+    if key not in doc and default is not _REQUIRED:
+        return default
+    raw = require(doc, key, kind)
+    if not (isinstance(raw, bool) if cast is bool else (
+            is_finite_real(raw) and (cast is float or float(raw).is_integer())
+            and (minimum is None or raw >= minimum))):
+        what = {bool: "true or false", int: "an integer"}.get(
+            cast, "a finite number")
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{kind} key {key!r} must be {what}{bound}, "
+                          f"got {raw!r}")
+    return cast(raw)
 
 
 def default_time_grid(t0: float = 1.0, ratio: float = 0.5,

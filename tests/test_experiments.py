@@ -15,6 +15,9 @@ from heatlab.errors import AssertionFailed, ConfigError, InputError
 from heatlab.experiments import ExperimentConfig, run, run_suite
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
 def write_config(path, doc):
     path.write_text(json.dumps(doc))
     return path
@@ -64,6 +67,24 @@ def test_config_non_object(tmp_path):
     p.write_text("[1, 2, 3]")
     with pytest.raises(ConfigError):
         ExperimentConfig.from_file(p)
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../up", "a/b", "a\\b",
+                                  "a\0b", "x" * 251, "\u00e9" * 126, 7,
+                                  None, ["a"]])
+def test_config_name_must_be_a_file_stem(tmp_path, name):
+    # artifacts are <name>.csv and <name>.json inside --out
+    doc = dict(PASSING_SCAN, name=name)
+    with pytest.raises(ConfigError, match="name"):
+        ExperimentConfig.from_file(write_config(tmp_path / "n.json", doc))
+
+
+def test_config_name_at_the_file_name_limit(tmp_path):
+    doc = dict(PASSING_SCAN, name="x" * 250)     # 255 bytes with ".json"
+    cfg = ExperimentConfig.from_file(write_config(tmp_path / "n.json", doc))
+    result = run(cfg, tmp_path / "out")
+    assert sorted(a.name for a in result.artifacts) == [
+        "x" * 250 + ".csv", "x" * 250 + ".json"]
 
 
 def test_config_unknown_kind(tmp_path):
@@ -329,6 +350,42 @@ def test_cli_sample_paths_fk(tmp_path, capsys):
     assert text.splitlines()[0].startswith("statistic,t,estimate")
 
 
+def _exit_code(argv) -> int:
+    """cli.main's exit code, also when argparse rejects a flag."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+SAMPLE = ["sample-paths", "--graph", str(CONFIGS / "graphs" /
+                                          "two_vertex.graph"),
+          "--t", "1", "--samples", "10"]
+FK_CONFIG = str(CONFIGS / "acceptance" / "fk_two_vertex.json")
+
+
+@pytest.mark.parametrize("argv", [
+    SAMPLE + ["--mode", "fk-trace", "--potential=1,2,3"],
+    SAMPLE + ["--mode", "fk-trace", "--potential=1,a"],
+    SAMPLE + ["--mode", "fk-trace", "--potential=1,nan"],
+    SAMPLE + ["--mode", "pnfb", "--x", "0", "--K", "0,a"],
+    SAMPLE + ["--mode", "fk-trace", "--threads", "0"],
+    SAMPLE + ["--mode", "fk-trace", "--threads", "-1"],
+    SAMPLE + ["--mode", "free", "--x", "0", "--seed", "-1"],
+    SAMPLE[:4] + ["nan", "--samples", "10", "--mode", "fk-trace"],
+    ["run", FK_CONFIG, "--seed", "-1"],
+    ["run", FK_CONFIG, "--threads", "0"],
+    ["suite", str(CONFIGS / "acceptance"), "--threads", "-1"],
+], ids=["potential-length", "potential-text", "potential-nan", "K-text",
+        "sample-threads-0", "sample-threads-neg", "sample-seed-neg", "t-nan",
+        "run-seed-neg", "run-threads-0", "suite-threads-neg"])
+def test_bad_flag_exits_2_without_traceback(tmp_path, capsys, argv):
+    assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "error:" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_check_admissibility(tmp_path):
     doc = {"m": 2, "A": 1.0, "k_max": 100,
            "rule": {"rule": "quadratic-growth", "rate": 1.0},
@@ -349,7 +406,6 @@ def test_cli_check_admissibility(tmp_path):
 # the verdict line that bench/checks.py parses from check-admissibility
 VERDICT_LINE = re.compile(r"verdict: (\w+) \(k_max (\d+), partial sum (\S+), "
                           r"tail bound (\S+)\)")
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_verify_kernel_is_the_axioms_kind(tmp_path):
@@ -451,6 +507,12 @@ MUTANTS = [
     ("torus_1d_zero.json", ["lengths"], [10 ** 400]),
     ("pnfb_p5.json", ["x"], float("inf")),
     ("adm_gaussian.json", ["profile", "A"], 10 ** 400),
+    ("graph_limit_k5.json", ["name"], "../escaped"),
+    ("graph_limit_k5.json", ["name"], "x" * 300),
+    ("adm_gaussian.json", ["profile", "m"], "3"),
+    ("adm_gaussian.json", ["profile", "m"], 2.5),
+    ("adm_gaussian.json", ["profile", "m"], 10 ** 400),
+    ("torus_1d_zero.json", ["potential"], {"coefficients": [{"k": "a"}]}),
 ]
 
 
@@ -480,6 +542,9 @@ def test_malformed_value_exits_2(tmp_path, capsys, name, path, value):
     assert cli.main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    # nothing lands outside --out
+    assert {f.name for f in tmp_path.iterdir()} <= {"graphs", "configs",
+                                                    "out"}
 
 
 @pytest.mark.parametrize("name,path,value", MUTANTS[::3])

@@ -1,11 +1,13 @@
 """Jump paths, bridge sampling and the Monte Carlo estimators."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import heatlab as hl
+from heatlab import paths
 from heatlab.errors import NTruncationExceeded, VertexNotInK
 from heatlab.kernels import heat_semigroup
 from heatlab.paths import (JumpPath, bridge_functional_mc, bridge_kernel,
@@ -108,8 +110,8 @@ def test_bridge_no_jump_probability(two_vertex):
 
 
 def test_bridge_count_distribution_matches_kernel(two_vertex):
-    bk = bridge_kernel(two_vertex, 1.0)
-    probs, denom = bk.count_distribution(0, 1)
+    bk = bridge_kernel(two_vertex, 1.0, 1)
+    probs, denom = bk.count_distribution(0)
     # denominator recovers e^{-tH}[x,y] = p * mu
     assert denom == pytest.approx(0.5 * (1 - math.exp(-2)), abs=1e-13)
     assert probs.sum() == pytest.approx(denom, abs=1e-15)
@@ -123,10 +125,32 @@ def test_bridge_count_distribution_matches_kernel(two_vertex):
 
 
 def test_clear_kernel_cache_empties_bridge_cache(two_vertex):
-    bk = bridge_kernel(two_vertex, 0.75)
-    assert bridge_kernel(two_vertex, 0.75) is bk
+    bk = bridge_kernel(two_vertex, 0.75, 0)
+    assert bridge_kernel(two_vertex, 0.75, 0) is bk
     hl.clear_kernel_cache()
-    assert bridge_kernel(two_vertex, 0.75) is not bk
+    assert bridge_kernel(two_vertex, 0.75, 0) is not bk
+
+
+@pytest.mark.parametrize("t", [0.3, 2.0])
+def test_bridge_count_mass_matches_expm(registry, t):
+    # the count law's mass is [e^{-tH}]_{xy} for every pinned column y
+    from scipy.linalg import expm
+
+    g = registry["random20"][0]
+    ref = expm(-t * g.generator_matrix())
+    for y in range(g.n):
+        bk = bridge_kernel(g, t, y)
+        assert bk.powers.shape == (len(bk.pmf), g.n)
+        for x in range(g.n):
+            assert bk.count_distribution(x)[1] == pytest.approx(
+                ref[x, y], abs=1e-13)
+
+
+def test_bridge_kernels_are_keyed_by_pinned_vertex(p5):
+    a = bridge_kernel(p5, 0.6, 1)
+    assert bridge_kernel(p5, 0.6, 1) is a
+    assert bridge_kernel(p5, 0.6, 3) is not a
+    assert bridge_kernel(p5, 0.6, 3).y == 3
 
 
 def test_bridge_time_reversal_symmetry():
@@ -191,6 +215,24 @@ def test_fk_trace_thread_invariant(p5):
     assert a.std_error == b.std_error
 
 
+def test_fk_trace_builds_each_kernel_once_under_thread_stress(registry):
+    # workers build the per-vertex kernels concurrently into one cache
+    g = registry["random20"][0]
+    w = np.linspace(-0.5, 1.0, g.n)
+    hl.clear_kernel_cache()
+    ref = feynman_kac_trace_mc(g, w, 0.7, 200, seed=3, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            hl.clear_kernel_cache()
+            est = feynman_kac_trace_mc(g, w, 0.7, 200, seed=3, threads=g.n)
+            assert (est.mean, est.std_error) == (ref.mean, ref.std_error)
+            assert len(paths._bridge_cache._data) == g.n
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_fk_trace_seed_determinism(two_vertex):
     a = feynman_kac_trace_mc(two_vertex, [0.0, 2.0], 1.0, 2000, seed=5)
     b = feynman_kac_trace_mc(two_vertex, [0.0, 2.0], 1.0, 2000, seed=5)
@@ -245,4 +287,4 @@ def test_bridge_cap_guard():
     # enormous lam*t with a hard cap must refuse rather than truncate badly
     g = hl.WeightedGraph([1e-6, 1e-6], [(0, 1, 1.0)])  # degree 1e6
     with pytest.raises(NTruncationExceeded):
-        bridge_kernel(g, 50.0).count_distribution(0, 0)
+        bridge_kernel(g, 50.0, 0).count_distribution(0)

@@ -7,8 +7,8 @@ import pytest
 from scipy.special import iv
 
 from heatlab.errors import ConfigError, TruncationNotConverged
-from heatlab.torus import (TorusModel, coefficient_potential,
-                           constant_potential, cosine_well, exact_heat_trace,
+from heatlab.torus import (TorusModel, TorusPotential, constant_potential,
+                           cosine_well, exact_heat_trace,
                            galerkin_schrodinger_trace, galerkin_trace,
                            potential_from_spec, potential_integral,
                            torus_eigenvalues, torus_semiclassical_scan,
@@ -89,24 +89,13 @@ def test_cosine_well_coefficients():
     assert np.max(others) <= 1e-12
 
 
-def test_coefficient_potential_round_trip():
-    m = model_1d(potential=coefficient_potential({(0,): 1.0, (1,): -0.5,
-                                                  (-1,): -0.5}))
-    grid = m.evaluate_potential(64)
-    theta = np.arange(64) * TWO_PI / 64
-    assert np.allclose(grid, 1 - np.cos(theta), atol=1e-12)
-
-
-def test_coefficient_table_requires_hermitian():
-    pot = coefficient_potential({(1,): 0.5 + 0.1j})   # conjugate missing
-    with pytest.raises(ValueError):
-        model_1d(potential=pot).coefficient_table()
-
-
 def test_constant_matches_coefficient_route():
+    # the diagonal shortcut against the dense route: the same constant as a
+    # callable goes through quadrature coefficients and the eigensolver
     a = galerkin_trace(model_1d(potential=constant_potential(0.7)), 0.5)
-    b = galerkin_trace(model_1d(potential=coefficient_potential({(0,): 0.7})),
-                       0.5)
+    as_callable = TorusPotential(kind="callable",
+                                 fn=lambda theta: np.full_like(theta, 0.7))
+    b = galerkin_trace(model_1d(potential=as_callable), 0.5)
     assert a == pytest.approx(b, abs=1e-13)
     theta = galerkin_trace(model_1d(), 0.5)
     assert a == pytest.approx(math.exp(-0.5 * 0.7) * theta, abs=1e-13)
@@ -197,10 +186,6 @@ def test_potential_from_spec_forms():
     p = potential_from_spec("constant:0.25", [TWO_PI])
     assert p.kind == "constant"
     assert potential_from_spec("cosine-well", [TWO_PI]).kind == "callable"
-    doc = {"coefficients": [{"k": [0], "re": 1.0, "im": 0.0},
-                            {"k": [1], "re": -0.5, "im": 0.0},
-                            {"k": [-1], "re": -0.5, "im": 0.0}]}
-    assert potential_from_spec(doc, [TWO_PI]).kind == "coefficients"
 
 
 def test_potential_from_spec_rejects_unknown():
@@ -208,6 +193,12 @@ def test_potential_from_spec_rejects_unknown():
         potential_from_spec("sombrero", [TWO_PI])
     with pytest.raises(ConfigError):
         potential_from_spec({"what": 1}, [TWO_PI])
+    # Fourier-coefficient documents are not a potential format
+    doc = {"coefficients": [{"k": [0], "re": 1.0, "im": 0.0},
+                            {"k": [1], "re": -0.5, "im": 0.0},
+                            {"k": [-1], "re": -0.5, "im": 0.0}]}
+    with pytest.raises(ConfigError):
+        potential_from_spec(doc, [TWO_PI])
 
 
 def test_model_validation():
