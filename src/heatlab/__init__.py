@@ -6,12 +6,12 @@ from .errors import (AssertionFailed, ConfigError, DisconnectedGraph,
                      InputError, NonpositiveTime, TruncationNotConverged)
 from .fixtures import (complete_graph, fixture_registry, path_graph,
                        random_connected_graph, two_vertex)
-from .graphs import (WeightedGraph, dirichlet_energy, dumps_graph,
-                     laplacian_apply, load_graph, loads_graph, save_graph)
+from .graphs import (WeightedGraph, dumps_graph, load_graph, loads_graph,
+                     save_graph)
 from .kernels import (AxiomReport, Exhaustion, HeatKernelTable,
                       clear_kernel_cache, heat_semigroup, killed_kernel,
-                      minimal_heat_kernel, on_diagonal_scan,
-                      uniformized_exponential, verify_axioms)
+                      minimal_heat_kernel, uniformized_exponential,
+                      verify_axioms)
 from .linalg import symmetric_eigh, symmetric_eigvals
 from .paths import (JumpPath, McEstimate, bridge_functional_mc,
                     feynman_kac_trace_mc, no_jump_lower_bound,
@@ -26,8 +26,7 @@ from .torus import (TorusModel, TorusPotential, cosine_well,
                     torus_semiclassical_scan)
 from .traces import (AsymptoticControlPair, ConvergenceReport, Potential,
                      golden_thompson_check, graph_control_pair,
-                     schrodinger_operator, semiclassical_scan,
-                     trace_semigroup)
+                     semiclassical_scan, trace_semigroup)
 
 __version__ = "0.1.0"
 

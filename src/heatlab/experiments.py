@@ -30,7 +30,7 @@ from .paths import feynman_kac_trace_mc, no_jump_lower_bound, \
 from .potential_class import growth_profile_from_config, ricci_admissibility
 from .torus import TorusModel, potential_from_spec, torus_semiclassical_scan
 from .traces import semiclassical_scan, trace_semigroup
-from .util import (check_time_grid, default_time_grid, is_finite_real, number,
+from .util import (check_time_grid, default_time_grid, floats, number,
                    parallel_map, require, write_csv)
 
 KNOWN_KINDS = ("graph-limit", "torus-limit", "fk-crosscheck", "pnfb",
@@ -108,14 +108,6 @@ class ExperimentResult:
 # ------------------------------------------------------------ doc parsing
 
 
-def _floats(raw, what: str) -> np.ndarray:
-    """A list of finite numbers as a float array, or ConfigError."""
-    if not (isinstance(raw, list) and all(map(is_finite_real, raw))):
-        raise ConfigError(f"{what} must be a list of finite numbers, "
-                          f"got {raw!r}")
-    return np.asarray(raw, dtype=float)
-
-
 def _options(doc: dict, kind: str, spec: dict) -> dict:
     """Keyword arguments for the keys of doc that spec maps to
     (argument, cast). Absent keys keep the library defaults."""
@@ -158,7 +150,7 @@ def _potential_values(entry, n: int) -> np.ndarray:
     if "constant" in entry:
         return np.full(n, number(entry, "constant", "potential"))
     if "values" in entry:
-        vals = _floats(entry["values"], "potential values")
+        vals = floats(entry["values"], "potential values")
         if vals.size != n:
             raise ConfigError(
                 f"potential has {vals.size} entries, graph has {n} vertices")
@@ -169,7 +161,7 @@ def _potential_values(entry, n: int) -> np.ndarray:
 def _grid(spec, what: str) -> np.ndarray:
     """A list of times as a strictly decreasing positive grid."""
     try:
-        return check_time_grid(_floats(spec, what))
+        return check_time_grid(floats(spec, what))
     except ValueError as exc:
         raise ConfigError(f"bad {what} {spec!r}: {exc}") from None
 
@@ -237,7 +229,7 @@ def _run_graph_limit(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
 def _run_torus_limit(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
     doc = cfg.doc
     dim = number(doc, "dim", cfg.kind, int)
-    lengths = _floats(require(doc, "lengths", cfg.kind), "lengths").tolist()
+    lengths = floats(require(doc, "lengths", cfg.kind), "lengths").tolist()
     if dim not in (1, 2, 3) or len(lengths) != dim or min(lengths) <= 0:
         raise ConfigError(f"a torus needs dim 1, 2 or 3 and that many "
                           f"positive lengths, got {dim} and {lengths}")

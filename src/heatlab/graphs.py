@@ -8,13 +8,16 @@ The formal difference Laplacian acts on functions psi by
 
 and the (nonnegative) generator used everywhere else in the package is
 H = -L, with matrix entries H[x,x] = Deg(x) and H[x,y] = -b(x,y)/mu(x),
-where Deg(x) = (1/mu(x)) * sum_y b(x,y) is the weighted degree.
+where Deg(x) = (1/mu(x)) * sum_y b(x,y) is the weighted degree. Its
+uniformization at the rate Lambda = max_x Deg(x) is the jump chain
+R = I - H/Lambda, which each graph builds once (jump_chain).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from collections import deque
 
 import numpy as np
@@ -30,11 +33,23 @@ from .errors import (
 )
 
 
-def _as_values(f, n: int) -> np.ndarray:
-    arr = np.asarray(f)
-    if arr.shape != (n,):
-        raise ValueError(f"vertex function has shape {arr.shape}, expected ({n},)")
-    return arr
+# serializes the first build of a graph's jump chain, so concurrent bridge
+# builds all share one R
+_chain_lock = threading.Lock()
+
+
+def uniformize(h: np.ndarray) -> tuple[float, np.ndarray]:
+    """Rate Lambda = max_x h[x,x] and jump chain R = I - h / Lambda.
+
+    R is entrywise nonnegative for a generator with nonnegative diagonal and
+    nonpositive off-diagonal; with Lambda = 0 (no edges) R = I. R is
+    returned read-only.
+    """
+    n = h.shape[0]
+    lam = float(np.max(np.diag(h))) if n else 0.0
+    r = np.eye(n) - h / lam if lam else np.eye(n)
+    r.setflags(write=False)
+    return lam, r
 
 
 class WeightedGraph:
@@ -99,6 +114,7 @@ class WeightedGraph:
             raise NegativeWeight("non-finite weight sum")
         self._weight_sums.setflags(write=False)
         self._generator = None
+        self._chain = None
         self._components = None
         self._fingerprint = None
 
@@ -160,6 +176,13 @@ class WeightedGraph:
             self._generator = h
         return self._generator
 
+    def jump_chain(self) -> tuple[float, np.ndarray]:
+        """(Lambda, R) of uniformize(H), built once and shared read-only."""
+        with _chain_lock:
+            if self._chain is None:
+                self._chain = uniformize(self.generator_matrix())
+        return self._chain
+
     # ----------------------------------------------------------- structure
 
     def components(self) -> list[list[int]]:
@@ -184,9 +207,6 @@ class WeightedGraph:
             self._components = comps
         return self._components
 
-    def is_connected(self) -> bool:
-        return len(self.components()) == 1
-
     def __repr__(self):
         return (f"WeightedGraph(n={self.n}, edges={len(self.edges)}"
                 + (f", name={self.name!r}" if self.name else "") + ")")
@@ -198,29 +218,6 @@ def require_connected(graph: WeightedGraph) -> None:
         raise DisconnectedGraph(
             f"graph has {len(comps)} components; strict kernel positivity "
             "cannot be certified")
-
-
-# ----------------------------------------------------------- Laplacian ops
-
-
-def laplacian_apply(graph: WeightedGraph, f, x) -> complex:
-    """(L f)(x) = -(1/mu(x)) * sum_y b(x,y) * (f(x) - f(y))."""
-    x = graph.resolve(x)
-    vals = _as_values(f, graph.n)
-    acc = 0.0
-    for y, b in graph.neighbors(x):
-        acc += b * (vals[x] - vals[y])
-    out = -acc / graph.mu[x]
-    return complex(out) if np.iscomplexobj(vals) else float(out)
-
-
-def dirichlet_energy(graph: WeightedGraph, f) -> float:
-    """Q(f) = (1/2) * sum_{x,y} b(x,y) |f(x)-f(y)|^2 = <f, Hf>_mu."""
-    vals = _as_values(f, graph.n)
-    acc = 0.0
-    for i, j, b in graph.edges:
-        acc += b * abs(vals[i] - vals[j]) ** 2
-    return float(acc)
 
 
 # ------------------------------------------------------------- file format

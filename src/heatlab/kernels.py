@@ -19,25 +19,17 @@ along any exhaustion toward the kernel of the full graph.
 from __future__ import annotations
 
 import math
-import struct
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    GraphMismatch,
-    NonpositiveTime,
-    VertexOutsideExhaustion,
-)
-from .graphs import WeightedGraph, require_connected
-from .util import check_time_grid, write_csv
+from .errors import GraphMismatch, VertexOutsideExhaustion
+from .graphs import WeightedGraph, require_connected, uniformize
+from .util import check_time, write_csv
 
 DEFAULT_TAIL_CUTOFF = 1e-14
-
-_MAGIC = b"HKT1"
-_HEADER = struct.Struct("<4sId")  # magic, n, t -> 16 bytes
 
 
 def poisson_weights(lam_t: float):
@@ -80,19 +72,15 @@ class UniformizationInfo:
 def uniformized_exponential(h: np.ndarray, t: float):
     """e^{-t h} for a generator with nonnegative diagonal and <= 0 off-diagonal.
 
-    The uniformization rate is the largest diagonal entry. Returns
+    The rate and the jump chain R come from graphs.uniformize. Returns
     (matrix, UniformizationInfo). All series terms are entrywise
     nonnegative, so the result is certified >= 0 and its row sums certify the
     sub-Markov property up to the reported tail bound.
     """
-    if t <= 0:
-        raise NonpositiveTime(f"t = {t} must be positive")
+    check_time(t)
     h = np.asarray(h, dtype=float)
     n = h.shape[0]
-    lam = float(np.max(np.diag(h))) if n else 0.0
-    if lam == 0.0:
-        return np.eye(n), UniformizationInfo(0.0, 1, 0.0)
-    r = np.eye(n) - h / lam
+    lam, r = uniformize(h)
     pmf, tail = poisson_weights(lam * t)
     out = pmf[0] * np.eye(n)
     power = np.eye(n)
@@ -139,27 +127,6 @@ class HeatKernelTable:
         rows = ([self.labels[i] if self.labels else str(i)]
                 + list(self.values[i]) for i in range(self.n))
         return write_csv(path, header, rows)
-
-    def to_binary(self, path) -> Path:
-        p = Path(path)
-        with open(p, "wb") as fh:
-            fh.write(_HEADER.pack(_MAGIC, self.n, self.t))
-            fh.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
-        return p
-
-    @staticmethod
-    def read_binary(path):
-        """Read a binary dump; returns (t, values)."""
-        raw = Path(path).read_bytes()
-        if len(raw) < _HEADER.size:
-            raise ValueError("truncated kernel dump")
-        magic, n, t = _HEADER.unpack_from(raw)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-        if body.size != n * n:
-            raise ValueError(f"expected {n * n} values, found {body.size}")
-        return t, body.reshape(n, n).copy()
 
 
 # ----------------------------------------------------------------- caching
@@ -212,8 +179,7 @@ def heat_semigroup(graph: WeightedGraph, t: float) -> HeatKernelTable:
     symmetrized after uniformization; the pre-symmetrization defect is kept
     on the table for inspection.
     """
-    if t <= 0:
-        raise NonpositiveTime(f"t = {t} must be positive")
+    check_time(t)
     require_connected(graph)
     key = (graph.fingerprint(), float(t))
     hit = _cache.lookup(key)
@@ -230,17 +196,6 @@ def heat_semigroup(graph: WeightedGraph, t: float) -> HeatKernelTable:
         presymmetrization_defect=defect, labels=graph.labels)
     table.values.setflags(write=False)
     return _cache.insert(key, table)
-
-
-def on_diagonal_scan(graph: WeightedGraph, x, t_grid) -> np.ndarray:
-    """Rows (t, p(t,x,x) * mu(x)); the product tends to 1 as t -> 0+."""
-    x = graph.resolve(x)
-    grid = check_time_grid(t_grid)
-    out = np.empty((grid.size, 2))
-    for i, t in enumerate(grid):
-        tab = heat_semigroup(graph, float(t))
-        out[i] = (t, tab.values[x, x] * graph.mu[x])
-    return out
 
 
 # ------------------------------------------------------- killed kernels
@@ -262,8 +217,7 @@ def killed_generator(graph: WeightedGraph, subset) -> tuple[np.ndarray, list[int
 
 def killed_kernel(graph: WeightedGraph, subset, t: float):
     """Killed kernel table values p_K(t,x,y) for x,y in sorted(subset)."""
-    if t <= 0:
-        raise NonpositiveTime(f"t = {t} must be positive")
+    check_time(t)
     h_k, idx = killed_generator(graph, subset)
     e, _ = uniformized_exponential(h_k, t)
     mu_k = graph.mu[idx]

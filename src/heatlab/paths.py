@@ -12,7 +12,9 @@ the skeleton is filled in backward, P(z_k = z | z_{k-1}) ~ R[z_{k-1}, z] *
 of R are dropped when materializing a path (they do not change any path
 functional). Every sampled bridge ends at y, and the convention here sets
 gamma(t) = y as well. Both steps read R^n only through its column
-R^n[:, y], so bridge_kernel keeps one (T, n) column table per (graph, t, y).
+R^n[:, y], so bridge_kernel keeps one (T, n) column table per (graph, t, y);
+R itself is the graph's one read-only jump chain, which every bridge kernel
+of that graph shares.
 
 Reproducibility: estimators take an integer seed; one child stream per
 diagonal vertex is spawned via numpy SeedSequence in vertex order and
@@ -27,12 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NonpositiveTime,
-    NTruncationExceeded,
-    VertexNotInK,
-    ZeroKernel,
-)
+from .errors import NTruncationExceeded, VertexNotInK, ZeroKernel
 from .graphs import WeightedGraph
 from .kernels import (
     _KernelCache,
@@ -42,7 +39,7 @@ from .kernels import (
     poisson_weights,
 )
 from .traces import as_potential
-from .util import kahan_sum, parallel_map
+from .util import check_time, kahan_sum, parallel_map
 
 _RELATIVE_TAIL_TOL = 1e-10
 MAX_BRIDGE_TERMS = 100_000
@@ -79,28 +76,6 @@ class JumpPath:
     def jump_count(self) -> int:
         return len(self.jumps)
 
-    def segments(self):
-        """(state, a, b) pieces with the path constant on [a, b)."""
-        out = []
-        state, a = self.start, 0.0
-        for when, target in self.jumps:
-            out.append((state, a, when))
-            state, a = target, when
-        out.append((state, a, self.horizon))
-        return out
-
-    def integrate(self, values) -> float:
-        """int_0^horizon f(gamma(s)) ds for vertex values f."""
-        vals = np.asarray(values, dtype=float)
-        return float(sum(vals[state] * (b - a) for state, a, b in self.segments()))
-
-    def occupation(self, n_vertices: int) -> np.ndarray:
-        """Occupation time per vertex over the whole horizon."""
-        occ = np.zeros(n_vertices)
-        for state, a, b in self.segments():
-            occ[state] += b - a
-        return occ
-
 
 @dataclass
 class McEstimate:
@@ -117,8 +92,7 @@ class McEstimate:
 
 def sample_free_path(graph: WeightedGraph, x, t: float, rng=None) -> JumpPath:
     """One trajectory of the free process started at x, run to horizon t."""
-    if t <= 0:
-        raise NonpositiveTime(f"t = {t} must be positive")
+    check_time(t)
     rng = np.random.default_rng(rng)
     z = graph.resolve(x)
     tau = 0.0
@@ -147,17 +121,14 @@ class BridgeKernel:
 
     A bridge pinned at y reads R^k only through its column R^k[:, y], so
     powers[k] holds just that column: a (T, n) table built by
-    v_k = R v_{k-1}, with T = len(pmf).
+    v_k = R v_{k-1}, with T = len(pmf). r is the graph's shared jump chain.
     """
 
     def __init__(self, graph: WeightedGraph, t: float, y: int):
-        if t <= 0:
-            raise NonpositiveTime(f"t = {t} must be positive")
+        check_time(t)
         self.t = float(t)
         self.y = int(y)
-        h = graph.generator_matrix()
-        n = graph.n
-        self.lam = float(np.max(np.diag(h))) if n else 0.0
+        self.lam, self.r = graph.jump_chain()
         self.n_max = jump_count_cap(self.lam * self.t)
         # refuse before building the Poisson weights: enormous lam*t is out
         # of scope for the exact sampler
@@ -165,14 +136,12 @@ class BridgeKernel:
             raise NTruncationExceeded(
                 f"lam*t = {self.lam * self.t:.3e} needs more jump-count "
                 f"terms than the cap {min(self.n_max, MAX_BRIDGE_TERMS)}")
-        # with no edges H = 0, R = I and the count is 0 with probability 1
-        self.r = np.eye(n) - h / self.lam if self.lam else np.eye(n)
         self.pmf, self.tail = poisson_weights(self.lam * self.t)
         if len(self.pmf) > self.n_max:
             # fold the cut terms into the reported tail mass
             self.tail += float(self.pmf[self.n_max:].sum())
             self.pmf = self.pmf[:self.n_max]
-        powers = np.zeros((len(self.pmf), n))
+        powers = np.zeros((len(self.pmf), graph.n))
         powers[0, self.y] = 1.0
         for k in range(1, len(self.pmf)):
             powers[k] = self.r @ powers[k - 1]
@@ -192,7 +161,8 @@ class BridgeKernel:
         return probs, denom
 
 
-# worst case 129 * (n^2 + T n) doubles: each kernel keeps R and its columns
+# worst case 129 (T, n) column tables, plus the one n x n R of each graph
+# whose kernels they are
 _bridge_cache = _KernelCache(capacity=129)
 
 

@@ -35,7 +35,7 @@ from .errors import ConfigError, InputError
 from .graphs import WeightedGraph
 from .kernels import heat_semigroup
 from .traces import as_potential
-from .util import kahan_sum, number
+from .util import floats, kahan_sum, number, require
 
 KATO_QUADRATURE_POINTS = 32
 ADMISSIBLE_TAIL_TOL = 1e-9
@@ -183,8 +183,9 @@ def growth_profile_from_config(doc: dict) -> GrowthProfile:
         elif kind == "quadratic-growth":
             c = quadratic_growth_rule(number(rule, "rate", "rule"))
         elif kind == "table":
-            c = table_rule(rule["values"])
-            k_max = min(k_max, len(rule["values"]) + 1)
+            values = floats(require(rule, "values", "rule"), "rule 'values'")
+            c = table_rule(values)
+            k_max = min(k_max, values.size + 1)
         else:
             raise ConfigError(f"unknown c_k rule {kind!r}")
         return GrowthProfile(m=m, a=a, c_values=c, k_max=k_max,

@@ -30,9 +30,9 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, NonpositiveTime, TruncationNotConverged
+from .errors import ConfigError, TruncationNotConverged
 from .traces import ConvergenceReport, assemble_report
-from .util import check_time_grid, default_time_grid
+from .util import check_time, check_time_grid, default_time_grid
 
 _THETA_TERM_CUTOFF = 1e-16
 DEFAULT_SCALING_BASE = 4.0 * math.pi
@@ -201,8 +201,7 @@ def exact_heat_trace(model: TorusModel, t: float) -> float:
     Separates into a product of one-dimensional theta sums; each sum is
     truncated when its terms fall below 1e-16.
     """
-    if t <= 0:
-        raise NonpositiveTime(f"t = {t} must be positive")
+    check_time(t)
     total = 1.0
     for L in model.lengths:
         base = t * (2.0 * np.pi / L) ** 2
@@ -221,8 +220,7 @@ def exact_heat_trace(model: TorusModel, t: float) -> float:
 def galerkin_trace(model: TorusModel, t: float,
                    potential_scale: float = 1.0) -> float:
     """sum_i e^{-t eig_i(M)} with M = diag(lambda) + potential_scale * W."""
-    if t <= 0:
-        raise NonpositiveTime(f"t = {t} must be positive")
+    check_time(t)
     lam = model.eigenvalues()
     if model.potential.diagonal_only:
         eigs = lam + model.potential.constant * potential_scale

@@ -23,10 +23,9 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import NonpositiveTime
 from .graphs import WeightedGraph
 from .kernels import heat_semigroup
-from .util import check_time_grid, default_time_grid, write_csv
+from .util import check_time, check_time_grid, default_time_grid, write_csv
 
 
 @dataclass
@@ -42,14 +41,6 @@ class Potential:
         if not np.all(np.isfinite(vals)):
             raise ValueError("potential must be finite on all vertices")
         self.values = vals
-
-    @property
-    def positive_part(self) -> np.ndarray:
-        return np.maximum(self.values, 0.0)
-
-    @property
-    def negative_part(self) -> np.ndarray:
-        return np.maximum(-self.values, 0.0)
 
     def __len__(self):
         return len(self.values)
@@ -101,31 +92,13 @@ def graph_control_pair(graph: WeightedGraph) -> AsymptoticControlPair:
 # ------------------------------------------------------------ the operator
 
 
-@dataclass
-class SchrodingerOperator:
-    """Symmetrized matrix of H + diag(w) over a fixed graph."""
-
-    graph: WeightedGraph
-    potential: Potential
-    matrix: np.ndarray
-
-    def eigenvalues(self) -> np.ndarray:
-        return linalg.symmetric_eigvals(self.matrix)
-
-
-def schrodinger_operator(graph: WeightedGraph, w) -> SchrodingerOperator:
-    """Build S = D^{1/2} (H + diag(w)) D^{-1/2}; symmetric by construction."""
+def trace_semigroup(graph: WeightedGraph, w, t: float) -> float:
+    """tr e^{-t (H + w)} from the eigenvalues of the symmetrized operator
+    S = D^{1/2} (H + diag(w)) D^{-1/2}."""
+    check_time(t)
     pot = as_potential(w, graph.n)
     s = linalg.similarity_symmetrize(graph.generator_matrix(), graph.mu)
-    s = s + np.diag(pot.values)
-    return SchrodingerOperator(graph=graph, potential=pot, matrix=s)
-
-
-def trace_semigroup(graph: WeightedGraph, w, t: float) -> float:
-    """tr e^{-t (H + w)} from the eigenvalues of the symmetrized operator."""
-    if t <= 0:
-        raise NonpositiveTime(f"t = {t} must be positive")
-    lam = schrodinger_operator(graph, w).eigenvalues()
+    lam = linalg.symmetric_eigvals(s + np.diag(pot.values))
     # sum smallest terms first for a stable total
     return float(np.sum(np.exp(-t * lam)[::-1]))
 
@@ -248,12 +221,10 @@ def semiclassical_scan(graph: WeightedGraph, w, t_grid=None,
 def golden_thompson_check(graph: WeightedGraph, w, t: float):
     """Both sides of tr e^{-t(H + w/t)} <= sum_x p(t,x,x) e^{-w(x)} mu(x).
 
-    Returns (lhs, rhs). Equality holds exactly for constant w, where both
-    sides reduce to e^{-c} * tr e^{-tH}.
+    Returns (lhs, rhs), the row of a one-point semiclassical_scan. Equality
+    holds exactly for constant w, where both sides reduce to
+    e^{-c} * tr e^{-tH}.
     """
-    pot = as_potential(w, graph.n)
-    lam = schrodinger_operator(graph, pot.values / t).eigenvalues()
-    lhs = float(np.sum(np.exp(-t * lam)[::-1]))
-    diag = heat_semigroup(graph, float(t)).diagonal()
-    rhs = float(np.sum(diag * np.exp(-pot.values) * graph.mu))
-    return lhs, rhs
+    check_time(t)
+    report = semiclassical_scan(graph, w, [t])
+    return float(report.scaled_traces[0]), float(report.gt_bounds[0])

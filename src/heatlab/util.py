@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EmptyGrid
+from .errors import ConfigError, EmptyGrid, NonpositiveTime
 
 _REQUIRED = object()
 
@@ -49,6 +49,20 @@ def number(doc: dict, key: str, kind: str, cast=float, default=_REQUIRED,
         raise ConfigError(f"{kind} key {key!r} must be {what}{bound}, "
                           f"got {raw!r}")
     return cast(raw)
+
+
+def floats(raw, what: str) -> np.ndarray:
+    """A list of finite numbers as a float array, or ConfigError."""
+    if not (isinstance(raw, list) and all(map(is_finite_real, raw))):
+        raise ConfigError(f"{what} must be a list of finite numbers, "
+                          f"got {raw!r}")
+    return np.asarray(raw, dtype=float)
+
+
+def check_time(t) -> None:
+    """Refuse a time that is not finite and > 0 (nan and inf included)."""
+    if not (math.isfinite(t) and t > 0):
+        raise NonpositiveTime(f"t = {t} must be positive and finite")
 
 
 def default_time_grid(t0: float = 1.0, ratio: float = 0.5,

@@ -513,6 +513,8 @@ MUTANTS = [
     ("adm_gaussian.json", ["profile", "m"], 2.5),
     ("adm_gaussian.json", ["profile", "m"], 10 ** 400),
     ("torus_1d_zero.json", ["potential"], {"coefficients": [{"k": "a"}]}),
+    ("adm_gaussian.json", ["profile", "rule"],
+     {"rule": "table", "values": ["1", "2"]}),
 ]
 
 

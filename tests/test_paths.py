@@ -8,11 +8,12 @@ import pytest
 
 import heatlab as hl
 from heatlab import paths
-from heatlab.errors import NTruncationExceeded, VertexNotInK
+from heatlab.errors import NonpositiveTime, NTruncationExceeded, VertexNotInK
 from heatlab.kernels import heat_semigroup
-from heatlab.paths import (JumpPath, bridge_functional_mc, bridge_kernel,
-                           feynman_kac_trace_mc, no_jump_lower_bound,
-                           pnfb_probability, sample_bridge, sample_free_path,
+from heatlab.paths import (BridgeKernel, JumpPath, bridge_functional_mc,
+                           bridge_kernel, feynman_kac_trace_mc,
+                           no_jump_lower_bound, pnfb_probability,
+                           sample_bridge, sample_free_path,
                            stay_probability_exact)
 
 TWO_VERTEX_STAY = 0.6480542736638855   # 2 e^{-1} / (1 + e^{-2})
@@ -28,12 +29,6 @@ def test_path_mechanics():
     assert path.value_at(1.0) == 0
     assert path.final_state() == 0
     assert path.jump_count() == 2
-    assert path.segments() == [(0, 0.0, 0.25), (1, 0.25, 0.75),
-                               (0, 0.75, 1.0)]
-    # integral of f = (2, 4): 2*0.25 + 4*0.5 + 2*0.25 = 3
-    assert path.integrate([2.0, 4.0]) == pytest.approx(3.0)
-    occ = path.occupation(2)
-    assert occ == pytest.approx([0.5, 0.5])
 
 
 def test_path_validation():
@@ -57,6 +52,13 @@ def test_free_path_no_jump_frequency(two_vertex):
     p = math.exp(-t)            # degree 1
     se = math.sqrt(p * (1 - p) / n)
     assert abs(stuck - p) <= 3 * se + 3.0 / n
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), 0.0, -1.0])
+def test_free_path_rejects_invalid_time(p5, t):
+    # refused before the first holding time is drawn
+    with pytest.raises(NonpositiveTime):
+        sample_free_path(p5, 2, t, np.random.default_rng(0))
 
 
 def test_free_path_determinism(p5):
@@ -147,10 +149,21 @@ def test_bridge_count_mass_matches_expm(registry, t):
 
 
 def test_bridge_kernels_are_keyed_by_pinned_vertex(p5):
+    hl.clear_kernel_cache()     # kernels are cached by content, not object
     a = bridge_kernel(p5, 0.6, 1)
     assert bridge_kernel(p5, 0.6, 1) is a
     assert bridge_kernel(p5, 0.6, 3) is not a
     assert bridge_kernel(p5, 0.6, 3).y == 3
+    # kernels at every (t, y) share the graph's one R
+    assert bridge_kernel(p5, 1.1, 3).r is a.r is p5.jump_chain()[1]
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -0.5])
+def test_bridge_kernel_rejects_invalid_time(p5, t):
+    with pytest.raises(NonpositiveTime):
+        BridgeKernel(p5, t, 1)
+    with pytest.raises(NonpositiveTime):
+        sample_bridge(p5, 0, 1, t, np.random.default_rng(0))
 
 
 def test_bridge_time_reversal_symmetry():
@@ -217,18 +230,24 @@ def test_fk_trace_thread_invariant(p5):
 
 def test_fk_trace_builds_each_kernel_once_under_thread_stress(registry):
     # workers build the per-vertex kernels concurrently into one cache
-    g = registry["random20"][0]
-    w = np.linspace(-0.5, 1.0, g.n)
+    base = registry["random20"][0]
+    w = np.linspace(-0.5, 1.0, base.n)
     hl.clear_kernel_cache()
-    ref = feynman_kac_trace_mc(g, w, 0.7, 200, seed=3, threads=1)
+    ref = feynman_kac_trace_mc(base, w, 0.7, 200, seed=3, threads=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
             hl.clear_kernel_cache()
+            # a fresh copy, so the workers also race to build its R
+            g = hl.WeightedGraph(base.mu, base.edges, labels=base.labels)
             est = feynman_kac_trace_mc(g, w, 0.7, 200, seed=3, threads=g.n)
             assert (est.mean, est.std_error) == (ref.mean, ref.std_error)
-            assert len(paths._bridge_cache._data) == g.n
+            kernels = list(paths._bridge_cache._data.values())
+            assert len(kernels) == g.n
+            # every kernel references the graph's one read-only R
+            assert {id(bk.r) for bk in kernels} == {id(g.jump_chain()[1])}
+            assert not kernels[0].r.flags.writeable
     finally:
         sys.setswitchinterval(interval)
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
-from heatlab.errors import ConfigError, TruncationNotConverged
+from heatlab.errors import (ConfigError, NonpositiveTime,
+                            TruncationNotConverged)
 from heatlab.torus import (TorusModel, TorusPotential, constant_potential,
                            cosine_well, exact_heat_trace,
                            galerkin_schrodinger_trace, galerkin_trace,
@@ -57,6 +58,15 @@ def test_theta_trace_against_lattice_sum():
 def test_theta_trace_reference_value():
     assert exact_heat_trace(model_1d(), 1.0) == pytest.approx(
         1.772637204826652, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), 0.0])
+def test_traces_reject_invalid_time(t):
+    # a nan time never lets the theta sum reach its cutoff
+    with pytest.raises(NonpositiveTime):
+        exact_heat_trace(model_1d(), t)
+    with pytest.raises(NonpositiveTime):
+        galerkin_trace(model_1d(), t)
 
 
 def test_theta_trace_factorizes():

@@ -9,18 +9,19 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import heatlab as hl
-from heatlab.errors import EmptyGrid
+from heatlab.errors import EmptyGrid, NonpositiveTime
 from heatlab.traces import (AsymptoticControlPair, as_potential,
-                            graph_control_pair, schrodinger_operator,
-                            semiclassical_scan, trace_semigroup)
+                            graph_control_pair, semiclassical_scan,
+                            trace_semigroup)
 
 
 def test_operator_matrix_two_vertex(two_vertex):
-    op = schrodinger_operator(two_vertex, [0.0, 2.0])
-    assert np.allclose(op.matrix, [[1.0, -1.0], [-1.0, 3.0]], atol=1e-14)
-    w = op.eigenvalues()
-    assert w == pytest.approx([2 - math.sqrt(2), 2 + math.sqrt(2)],
-                              abs=1e-12)
+    # H + diag(0, 2) = [[1, -1], [-1, 3]] has eigenvalues 2 -+ sqrt(2)
+    for t in (0.4, 1.3):
+        expected = (math.exp(-t * (2 - math.sqrt(2)))
+                    + math.exp(-t * (2 + math.sqrt(2))))
+        assert trace_semigroup(two_vertex, [0.0, 2.0], t) == pytest.approx(
+            expected, abs=1e-13)
 
 
 def test_trace_against_expm_oracle():
@@ -49,12 +50,6 @@ def test_as_potential_coercions(two_vertex):
         as_potential([1.0], 2)
     with pytest.raises(ValueError):
         as_potential([np.nan, 0.0], 2)
-
-
-def test_potential_parts():
-    pot = as_potential([1.0, -2.0, 0.0], 3)
-    assert np.array_equal(pot.positive_part, [1.0, 0.0, 0.0])
-    assert np.array_equal(pot.negative_part, [0.0, 2.0, 0.0])
 
 
 def test_control_pair_validation(two_vertex):
@@ -132,6 +127,12 @@ def test_equality_for_constant_potential(two_vertex):
     # both reduce to e^{-c} tr e^{-tH}
     assert lhs == pytest.approx(
         math.exp(-1.3) * (1 + math.exp(-1.4)), abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, float("nan")])
+def test_trace_inequality_rejects_invalid_time(two_vertex, t):
+    with pytest.raises(NonpositiveTime):
+        hl.golden_thompson_check(two_vertex, [0.0, 2.0], t)
 
 
 def test_strict_inequality_for_varying_potential(two_vertex):
