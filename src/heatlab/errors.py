@@ -48,6 +48,10 @@ class NonpositiveTime(HeatLabError):
     """Heat kernels are defined for t > 0 only."""
 
 
+class InvalidRate(HeatLabError):
+    """A Poisson rate that is negative or not finite."""
+
+
 class VertexOutsideExhaustion(HeatLabError):
     """Requested vertex not contained in the first exhaustion member."""
 

@@ -5,10 +5,19 @@ With H the nonnegative generator and Lambda >= max_x Deg(x),
     e^{-tH} = e^{-Lambda t} * sum_{n>=0} (Lambda t)^n / n! * R^n,
     R = I - H / Lambda,
 
-where R is entrywise nonnegative, so truncating the Poisson series gives a
-certified-nonnegative approximation whose operator error is bounded by the
-Poisson tail. The kernel itself is p(t,x,y) = [e^{-tH}]_{x,y} / mu(y); it is
-symmetric, sub-Markov (mass <= 1) and bounded by 1/mu.
+where R is entrywise nonnegative with (sub)stochastic rows, so ||R||_inf <= 1.
+uniformized_exponential scales and squares: with j = ceil(log2(Lambda t))
+(j = 0 when Lambda t <= 1) it sums the series for e^{-(t/2^j) H} at rate
+Lambda t / 2^j <= 1, cut where the Poisson tail is below 1e-14 / 2^j, and
+squares the result j times. Every factor is entrywise nonnegative, so the
+result is certified nonnegative; the truncated step B and the exact step U
+both have ||.||_inf <= 1, so ||U^(2^j) - B^(2^j)||_inf <= 2^j times the step
+tail, which is the reported bound (at most 1e-14). The bound covers the cut
+series only: each squaring also doubles the rounding error of the row masses,
+which therefore drift from exact by up to about Lambda t * eps, the
+conditioning of e^{-tH} itself. The kernel itself is
+p(t,x,y) = [e^{-tH}]_{x,y} / mu(y); it is symmetric, sub-Markov (mass <= 1)
+and bounded by 1/mu.
 
 Killed (Dirichlet) kernels on a subset K use the principal submatrix of H,
 which keeps the full weighted degree on the diagonal: mass lost through
@@ -25,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GraphMismatch, VertexOutsideExhaustion
+from .errors import GraphMismatch, InvalidRate, VertexOutsideExhaustion
 from .graphs import WeightedGraph, require_connected, uniformize
 from .util import check_time, write_csv
 
@@ -33,33 +42,50 @@ DEFAULT_TAIL_CUTOFF = 1e-14
 
 
 def poisson_weights(lam_t: float):
-    """Poisson(lam_t) pmf truncated at an upper tail below the cutoff.
+    """Poisson(lam_t) pmf on 0..K, cut where the right tail is below 1e-14.
 
-    Returns (pmf, tail_bound) with tail_bound = P(N > len(pmf)-1) evaluated
-    from the high end for accuracy. Computed in log space so large rates do
-    not underflow term by term.
+    Returns (pmf, tail) with tail >= P(N > K); see _poisson_pmf.
     """
-    if lam_t < 0:
-        raise ValueError("Poisson rate must be nonnegative")
+    return _poisson_pmf(lam_t, DEFAULT_TAIL_CUTOFF)
+
+
+def _poisson_pmf(lam_t: float, cutoff: float):
+    """Poisson(lam_t) pmf on 0..K for the first K whose tail bound <= cutoff.
+
+    Weights are built outward from the mode m = floor(lam_t) by the ratios
+    w_{k-1} = w_k k / lam_t and w_{k+1} = w_k lam_t / (k+1) (Fox and Glynn,
+    CACM 31, 1988), so nothing overflows and far-left weights underflow to 0.
+    Once K + 2 > lam_t every later ratio is at most lam_t / (K+2) < 1, so the
+    weight beyond K is at most T = w_{K+1} / (1 - lam_t / (K+2)). The pmf is
+    w / (fsum(w) + T): in exact arithmetic each entry is at most p_k, and
+    tail = T / (fsum(w) + T) = 1 - sum(pmf) bounds both P(N > K) and
+    sum_k (p_k - pmf_k) + P(N > K), the full weight error of the cut series.
+    """
+    if not (math.isfinite(lam_t) and lam_t >= 0.0):
+        raise InvalidRate(f"Poisson rate {lam_t} must be finite and >= 0")
     if lam_t == 0.0:
         return np.array([1.0]), 0.0
-    nmax = jump_count_cap(lam_t)
-    k = np.arange(nmax + 1, dtype=float)
-    logfact = np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
-    pmf = np.exp(k * math.log(lam_t) - lam_t - logfact)
-    remainder = max(0.0, 1.0 - float(pmf.sum()))
-    # tail[n] = P(N > n); sum from the top so small tails keep precision
-    tail = np.cumsum(pmf[::-1])[::-1]
-    tail = np.concatenate((tail[1:], [0.0])) + remainder
-    keep = int(np.argmax(tail <= DEFAULT_TAIL_CUTOFF))
-    if tail[keep] > DEFAULT_TAIL_CUTOFF:
-        keep = nmax
-    return pmf[:keep + 1], float(tail[keep])
-
-
-def jump_count_cap(lam_t: float) -> int:
-    """N_max = ceil(Lambda t + 12 sqrt(Lambda t) + 30)."""
-    return int(math.ceil(lam_t + 12.0 * math.sqrt(lam_t) + 30.0))
+    mode = int(lam_t)
+    left = [1.0]
+    for k in range(mode, 0, -1):
+        left.append(left[-1] * k / lam_t)
+        if left[-1] == 0.0:
+            break
+    w = [0.0] * (mode + 1 - len(left)) + left[::-1]
+    running = math.fsum(w)
+    k = mode
+    while True:
+        nxt = w[-1] * lam_t / (k + 1)
+        if k + 2 > lam_t:
+            bound = nxt / (1.0 - lam_t / (k + 2))
+            # the running sum only screens; the cut is decided on fsum
+            if bound <= cutoff * running:
+                norm = math.fsum(w) + bound
+                if bound / norm <= cutoff:
+                    return np.array(w) / norm, bound / norm
+        w.append(nxt)
+        running += nxt
+        k += 1
 
 
 @dataclass
@@ -67,27 +93,36 @@ class UniformizationInfo:
     rate: float
     n_terms: int
     tail_bound: float
+    squarings: int
 
 
 def uniformized_exponential(h: np.ndarray, t: float):
     """e^{-t h} for a generator with nonnegative diagonal and <= 0 off-diagonal.
 
-    The rate and the jump chain R come from graphs.uniformize. Returns
-    (matrix, UniformizationInfo). All series terms are entrywise
-    nonnegative, so the result is certified >= 0 and its row sums certify the
-    sub-Markov property up to the reported tail bound.
+    The rate and the jump chain R come from graphs.uniformize. Scales and
+    squares as the module docstring describes; returns (matrix,
+    UniformizationInfo) with n_terms the per-step term count, squarings = j
+    and tail_bound = 2^j times the per-step tail (at most 1e-14).
     """
     check_time(t)
     h = np.asarray(h, dtype=float)
     n = h.shape[0]
     lam, r = uniformize(h)
-    pmf, tail = poisson_weights(lam * t)
-    out = pmf[0] * np.eye(n)
-    power = np.eye(n)
-    for w in pmf[1:]:
-        power = power @ r
-        out += w * power
-    return out, UniformizationInfo(lam, len(pmf), tail)
+    lam_t = lam * t
+    # j = ceil(log2(lam_t)), so that lam_t / 2^j <= 1
+    j = (math.ceil(lam_t) - 1).bit_length() if 1.0 < lam_t < math.inf else 0
+    pmf, tail = _poisson_pmf(math.ldexp(lam_t, -j),
+                             math.ldexp(DEFAULT_TAIL_CUTOFF, -j))
+    # Horner, B = p_0 I + R (p_1 I + R (p_2 I + ...)): every coefficient is
+    # >= 0, and the row masses round more tightly than a sum of powers
+    out = pmf[-1] * r if len(pmf) > 1 else np.zeros((n, n))
+    for w in pmf[-2:0:-1]:
+        out.flat[::n + 1] += w
+        out = out @ r
+    out.flat[::n + 1] += pmf[0]
+    for _ in range(j):
+        out = out @ out
+    return out, UniformizationInfo(lam, len(pmf), math.ldexp(tail, j), j)
 
 
 # --------------------------------------------------------------- the table

@@ -34,7 +34,6 @@ from .graphs import WeightedGraph
 from .kernels import (
     _KernelCache,
     heat_semigroup,
-    jump_count_cap,
     killed_kernel,
     poisson_weights,
 )
@@ -129,18 +128,13 @@ class BridgeKernel:
         self.t = float(t)
         self.y = int(y)
         self.lam, self.r = graph.jump_chain()
-        self.n_max = jump_count_cap(self.lam * self.t)
         # refuse before building the Poisson weights: enormous lam*t is out
         # of scope for the exact sampler
-        if min(self.n_max, MAX_BRIDGE_TERMS) < self.lam * self.t:
+        if self.lam * self.t > MAX_BRIDGE_TERMS:
             raise NTruncationExceeded(
                 f"lam*t = {self.lam * self.t:.3e} needs more jump-count "
-                f"terms than the cap {min(self.n_max, MAX_BRIDGE_TERMS)}")
+                f"terms than the cap {MAX_BRIDGE_TERMS}")
         self.pmf, self.tail = poisson_weights(self.lam * self.t)
-        if len(self.pmf) > self.n_max:
-            # fold the cut terms into the reported tail mass
-            self.tail += float(self.pmf[self.n_max:].sum())
-            self.pmf = self.pmf[:self.n_max]
         powers = np.zeros((len(self.pmf), graph.n))
         powers[0, self.y] = 1.0
         for k in range(1, len(self.pmf)):
@@ -156,8 +150,8 @@ class BridgeKernel:
                              f"{self.y} at t = {self.t}")
         if self.tail > _RELATIVE_TAIL_TOL * denom:
             raise NTruncationExceeded(
-                f"jump-count cap {self.n_max} leaves relative mass "
-                f"{self.tail / denom:.3e} unaccounted for")
+                f"cutting the jump count at {len(self.pmf)} terms leaves "
+                f"relative mass {self.tail / denom:.3e} unaccounted for")
         return probs, denom
 
 

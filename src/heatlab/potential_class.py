@@ -35,7 +35,7 @@ from .errors import ConfigError, InputError
 from .graphs import WeightedGraph
 from .kernels import heat_semigroup
 from .traces import as_potential
-from .util import floats, kahan_sum, number, require
+from .util import check_time, floats, kahan_sum, number, require
 
 KATO_QUADRATURE_POINTS = 32
 ADMISSIBLE_TAIL_TOL = 1e-9
@@ -50,8 +50,7 @@ def kato_modulus(graph: WeightedGraph, w, t: float) -> float:
     The integrand is smooth in s, so the fixed 32-point rule is accurate to
     well below 1e-8 at desk scale. Monotone and subadditive in t.
     """
-    if t <= 0:
-        raise ValueError(f"t = {t} must be positive")
+    check_time(t)
     pot = as_potential(w, graph.n)
     weighted = np.abs(pot.values) * graph.mu
     nodes, weights = np.polynomial.legendre.leggauss(KATO_QUADRATURE_POINTS)

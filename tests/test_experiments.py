@@ -443,8 +443,10 @@ def test_check_admissibility_is_the_admissibility_kind(tmp_path, capsys):
 def test_verify_kernel_failing_tolerance_names_the_check(tmp_path, capsys):
     gp = tmp_path / "p5.graph"
     hl.save_graph(hl.fixture_registry()["p5"][0], gp)
-    code = cli.main(["verify-kernel", "--graph", str(gp), "--ck-tol",
-                     "1e-30", "--out", str(tmp_path)])
+    # at s = t the table at 2s can be the exact square of the one at s,
+    # which leaves no defect at all; s = .3, t = .7 leaves a rounding-sized one
+    code = cli.main(["verify-kernel", "--graph", str(gp), "--s", ".3",
+                     "--t", ".7", "--ck-tol", "1e-30", "--out", str(tmp_path)])
     assert code == 1
     assert "FAILED chapman_kolmogorov:" in capsys.readouterr().err
     assert (tmp_path / "axioms.csv").exists()

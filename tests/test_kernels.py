@@ -1,21 +1,28 @@
 """Heat kernel tables: closed forms, axioms, killing, serialization."""
 
+import decimal
 import math
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatlab as hl
-from heatlab.errors import (DisconnectedGraph, GraphMismatch, NonpositiveTime,
+from heatlab import cli
+from heatlab.errors import (DisconnectedGraph, GraphMismatch, HeatLabError,
+                            InvalidRate, NonpositiveTime,
                             VertexOutsideExhaustion)
 from heatlab.graphs import WeightedGraph
-from heatlab.kernels import (Exhaustion, heat_semigroup, jump_count_cap,
-                             killed_kernel, minimal_heat_kernel,
-                             poisson_weights, uniformized_exponential,
-                             verify_axioms)
+from heatlab.kernels import (DEFAULT_TAIL_CUTOFF, Exhaustion, heat_semigroup,
+                             killed_generator, killed_kernel,
+                             minimal_heat_kernel, poisson_weights,
+                             uniformized_exponential, verify_axioms)
 
 
 def eigh_kernel_oracle(graph, t):
@@ -32,7 +39,7 @@ def eigh_kernel_oracle(graph, t):
 # ------------------------------------------------------------ closed forms
 
 
-@pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 2.5])
+@pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 2.5, 96.0, 480.0])
 def test_two_vertex_closed_form(two_vertex, t):
     tab = heat_semigroup(two_vertex, t)
     diag = 0.5 * (1 + math.exp(-2 * t))
@@ -135,9 +142,91 @@ def test_uniformized_exponential_against_numpy():
     assert info.tail_bound <= 1e-13
 
 
-def test_jump_count_cap_grows():
-    assert jump_count_cap(1.0) < jump_count_cap(100.0)
-    assert jump_count_cap(4.0) >= 4
+def exact_poisson_pmf(lam_t, size):
+    """Poisson(lam_t) pmf on 0..size-1 from 40-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        lam = decimal.Decimal(lam_t)
+        term = (-lam).exp()
+        out = [float(term)]
+        for k in range(1, size):
+            term = term * lam / k
+            out.append(float(term))
+    return np.array(out)
+
+
+def test_poisson_cut_is_stable_across_one_ulp():
+    # a cut on the rounding noise of 1 - sum(pmf) kept 71 and 114 terms here
+    assert len(poisson_weights(24.0)[0]) == \
+        len(poisson_weights(np.nextafter(24.0, 0))[0])
+
+
+@pytest.mark.parametrize("lam_t", [0.5, 1.0, 24.0, 192.0, 960.0])
+def test_poisson_tail_bounds_the_true_tail(lam_t):
+    pmf, tail = poisson_weights(lam_t)
+    assert scipy.stats.poisson.sf(len(pmf) - 1, lam_t) <= tail
+    assert tail <= DEFAULT_TAIL_CUTOFF
+    assert math.fsum(pmf) + tail == pytest.approx(1.0, abs=1e-15)
+    # scipy's log-space pmf is itself off by 1.1e-14 at lam_t = 960, so the
+    # reference is exact decimal arithmetic
+    assert np.max(np.abs(pmf - exact_poisson_pmf(lam_t, len(pmf)))) <= 1e-15
+    if lam_t <= 1.0:
+        assert np.allclose(pmf, scipy.stats.poisson.pmf(
+            np.arange(len(pmf)), lam_t), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("lam_t", [-1.0, -1e-300, math.nan, math.inf])
+def test_poisson_weights_reject_invalid_rate(lam_t):
+    assert issubclass(InvalidRate, HeatLabError)
+    with pytest.raises(InvalidRate):
+        poisson_weights(lam_t)
+
+
+LAM_TS = [0.0, 2.0 ** -20, 1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52, 192.0,
+          960.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=2, max_value=60),
+       seed=st.integers(min_value=0, max_value=10_000),
+       lam_t=st.sampled_from(LAM_TS), killed=st.booleans(), data=st.data())
+def test_property_uniformized_exponential_against_expm(n, seed, lam_t, killed,
+                                                       data):
+    g = hl.random_connected_graph(n, seed)
+    if killed:
+        subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                    max_size=n - 1, unique=True))
+        h, _ = killed_generator(g, subset)
+    else:
+        h = g.generator_matrix()
+    # rate 1 makes Lambda t exactly lam_t; rate 0 is a graph without edges
+    if lam_t:
+        h, t = h / np.max(np.diag(h)), lam_t
+    else:
+        h, t = np.zeros_like(h), 1.0
+    u, info = uniformized_exponential(h, t)
+    assert np.all(u >= 0)
+    assert info.tail_bound <= DEFAULT_TAIL_CUTOFF
+    # e^{-tH} has condition about ||tH|| <= 2 lam_t, so every double
+    # precision route, expm included, is accurate only to about lam_t * eps
+    # (expm alone is off by 9e-14 at lam_t = 960 on graphs of n <= 8)
+    assert np.max(np.abs(u - scipy.linalg.expm(-t * h))) <= \
+        info.tail_bound + 1e-13 + lam_t * np.finfo(float).eps
+    assert np.max(u.sum(axis=1)) <= 1.0 + 1e-12
+    # j = ceil(log2(lam_t)) squarings, none at lam_t <= 1
+    assert lam_t <= 2.0 ** info.squarings
+    assert info.squarings == 0 or lam_t > 2.0 ** (info.squarings - 1)
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.integers(min_value=2, max_value=60),
+       seed=st.integers(min_value=0, max_value=10_000))
+def test_property_verify_kernel_at_long_times(n, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        gp = Path(tmp) / "g.graph"
+        hl.save_graph(hl.random_connected_graph(n, seed), gp)
+        assert cli.main(["verify-kernel", "--graph", str(gp), "--s", "20",
+                         "--t", "40", "--out", tmp]) == 0
 
 
 def test_table_metadata(two_vertex):

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import heatlab as hl
-from heatlab.errors import ConfigError
+from heatlab.errors import ConfigError, NonpositiveTime
 from heatlab.potential_class import (AdmissibilityResult, GrowthProfile,
                                      constant_rule,
                                      growth_profile_from_config,
@@ -27,6 +27,12 @@ TWO_VERTEX_KATO = 0.7161661791908468
 def test_kato_two_vertex_frozen(two_vertex):
     val = kato_modulus(two_vertex, [1.0, 0.0], 1.0)
     assert val == pytest.approx(TWO_VERTEX_KATO, abs=1e-10)
+
+
+@pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")])
+def test_kato_rejects_invalid_time(two_vertex, t):
+    with pytest.raises(NonpositiveTime):
+        kato_modulus(two_vertex, [1.0, 0.0], t)
 
 
 def test_kato_against_quadrature_oracle(two_vertex):
@@ -61,7 +67,7 @@ def test_kato_zero_potential(two_vertex):
 
 
 def test_kato_rejects_nonpositive_time(two_vertex):
-    with pytest.raises(ValueError):
+    with pytest.raises(NonpositiveTime):
         kato_modulus(two_vertex, [1.0, 0.0], 0.0)
 
 
