@@ -14,6 +14,14 @@ Coefficients are obtained by direct quadrature at 4N+1 points per axis,
 which resolves every difference frequency |q_i| <= 2N without aliasing
 ambiguity.
 
+A potential that is a sum of one-dimensional potentials, one per axis (as
+cosine_well is), carries those parts. Its M is then the Kronecker sum of
+the one-dimensional Galerkin matrices, whose eigenvalues are the sums of
+theirs, so in dim >= 2 the trace is the product of one-dimensional traces
+on (L_i, N). That is exact, costs a (2N+1)-order eigensolve per axis, and
+is how both the scan and the N -> 2N doubling gate evaluate it. Callables
+without parts, and every 1D model, take the dense route above.
+
 The semiclassical scan multiplies the Galerkin trace by (c t)^{m/2} with
 c = 4 pi by default (the convention matching the generator normalization
 used here; the constant is exposed as the scaling_base knob) and compares
@@ -30,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, TruncationNotConverged
+from .errors import ConfigError, InputError, TruncationNotConverged
 from .traces import ConvergenceReport, assemble_report
 from .util import check_time, check_time_grid, default_time_grid
 
@@ -43,12 +51,17 @@ DEFAULT_SCALING_BASE = 4.0 * math.pi
 
 @dataclass
 class TorusPotential:
-    """A real potential: zero, a constant, or a vectorized callable."""
+    """A real potential: zero, a constant, or a vectorized callable.
+
+    A callable that is a sum of per-axis terms lists them in parts, one
+    one-dimensional potential per axis.
+    """
 
     kind: str                       # zero | constant | callable
     constant: float = 0.0
     fn: Callable | None = None
     label: str = ""
+    parts: tuple | None = None
 
     @property
     def diagonal_only(self) -> bool:
@@ -65,16 +78,23 @@ def constant_potential(c: float) -> TorusPotential:
 
 
 def cosine_well(lengths) -> TorusPotential:
-    """w(theta) = sum_i (1 - cos(2 pi theta_i / L_i)): a single smooth well."""
-    lengths = tuple(float(L) for L in lengths)
+    """w(theta) = sum_i (1 - cos(2 pi theta_i / L_i)): a single smooth well.
+
+    Its parts are the one-dimensional wells, one per axis.
+    """
+    parts = tuple(TorusPotential(
+        kind="callable", label="cosine-well",
+        fn=lambda c, L=float(L): 1.0 - np.cos(2.0 * np.pi * np.asarray(c) / L))
+        for L in lengths)
 
     def fn(*coords):
         acc = 0.0
-        for c, L in zip(coords, lengths):
-            acc = acc + (1.0 - np.cos(2.0 * np.pi * np.asarray(c) / L))
+        for c, part in zip(coords, parts):
+            acc = acc + part.fn(c)
         return acc
 
-    return TorusPotential(kind="callable", fn=fn, label="cosine-well")
+    return TorusPotential(kind="callable", fn=fn, label="cosine-well",
+                          parts=parts)
 
 
 def potential_from_spec(spec, lengths) -> TorusPotential:
@@ -106,25 +126,38 @@ class TorusModel:
     _lattice: np.ndarray | None = field(default=None, repr=False)
     _lambdas: np.ndarray | None = field(default=None, repr=False)
     _coeff: np.ndarray | None = field(default=None, repr=False)
+    _axes: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.dim = int(self.dim)
         if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
+            raise InputError("dimension must be >= 1")
         self.lengths = tuple(float(L) for L in (
             self.lengths if np.iterable(self.lengths) else [self.lengths]))
         if len(self.lengths) != self.dim:
-            raise ValueError(f"{len(self.lengths)} lengths for dim {self.dim}")
+            raise InputError(f"{len(self.lengths)} lengths for dim {self.dim}")
         # a non-finite side would never end the theta sums
         if not all(0 < L < math.inf for L in self.lengths):
-            raise ValueError("side lengths must be positive and finite")
+            raise InputError("side lengths must be positive and finite")
         self.truncation = int(self.truncation)
         if self.truncation < 1:
-            raise ValueError("truncation N must be >= 1")
+            raise InputError("truncation N must be >= 1")
+        parts = self.potential.parts
+        if parts is not None and len(parts) != self.dim:
+            raise InputError(f"{len(parts)} potential parts for dim {self.dim}")
 
     def with_truncation(self, n: int) -> "TorusModel":
         return TorusModel(dim=self.dim, lengths=self.lengths, truncation=n,
                           potential=self.potential)
+
+    def axis_models(self) -> tuple:
+        """One 1D model per axis when dim >= 2 and the potential has parts."""
+        if self._axes is None:
+            parts = self.potential.parts
+            self._axes = () if self.dim == 1 or parts is None else tuple(
+                TorusModel(1, (L,), self.truncation, part)
+                for L, part in zip(self.lengths, parts))
+        return self._axes
 
     @property
     def volume(self) -> float:
@@ -219,8 +252,16 @@ def exact_heat_trace(model: TorusModel, t: float) -> float:
 
 def galerkin_trace(model: TorusModel, t: float,
                    potential_scale: float = 1.0) -> float:
-    """sum_i e^{-t eig_i(M)} with M = diag(lambda) + potential_scale * W."""
+    """sum_i e^{-t eig_i(M)} with M = diag(lambda) + potential_scale * W.
+
+    A model with axis models takes the product of their traces: M is the
+    Kronecker sum of their matrices.
+    """
     check_time(t)
+    axes = model.axis_models()
+    if axes:
+        return math.prod(galerkin_trace(axis, t, potential_scale)
+                         for axis in axes)
     lam = model.eigenvalues()
     if model.potential.diagonal_only:
         eigs = lam + model.potential.constant * potential_scale

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import zeta
 
 import heatlab as hl
-from heatlab.errors import ConfigError, NonpositiveTime
-from heatlab.potential_class import (AdmissibilityResult, GrowthProfile,
+from heatlab.errors import ConfigError, InputError, NonpositiveTime
+from heatlab.potential_class import (_EM_HEAD, _EM_ORDER,
+                                     AdmissibilityResult, GrowthProfile,
                                      constant_rule,
                                      growth_profile_from_config,
                                      infinitesimal_class_witness,
@@ -114,20 +118,34 @@ def test_witness_lower_bound_weighted_mean():
 
 
 def test_witness_rejects_negative_eps(two_vertex):
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         infinitesimal_class_witness(two_vertex, [1.0, 0.0], -0.1)
+
+
+def test_witness_rejects_nan_eps(two_vertex):
+    with pytest.raises(InputError):
+        infinitesimal_class_witness(two_vertex, [1.0, 0.0], float("nan"))
 
 
 # ----------------------------------------------------------- admissibility
 
 
 def test_growth_profile_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         GrowthProfile(m=0, a=1.0, c_values=constant_rule(1.0), k_max=100)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         GrowthProfile(m=2, a=-1.0, c_values=constant_rule(1.0), k_max=100)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         GrowthProfile(m=2, a=1.0, c_values=constant_rule(1.0), k_max=2)
+    with pytest.raises(InputError):
+        GrowthProfile(m=1, a=0.0, c_values=power_rule(-3.0),
+                      k_max=2 ** 53 + 1)
+
+
+def test_profile_errors_from_config_are_config_errors():
+    with pytest.raises(ConfigError):
+        growth_profile_from_config({"m": 0, "A": 1.0, "k_max": 50,
+                                    "rule": {"rule": "constant"}})
 
 
 def test_growth_rate():
@@ -224,3 +242,123 @@ def test_result_dataclass_fields():
     assert isinstance(res, AdmissibilityResult)
     assert res.k_max == 100
     assert len(res.window_ratios) == len(res.window_terms)
+
+
+def test_diverging_series_past_one_chunk_is_infinite():
+    # the terms k^2 e^{2k} overflow long before the first chunk ends
+    p = GrowthProfile(m=2, a=1.0, c_values=constant_rule(1.0),
+                      k_max=2 ** 22 + 10)
+    res = ricci_admissibility(p)
+    assert res.partial_sum == math.inf
+    assert res.doubling_partial_sum == math.inf
+    assert res.verdict == "inadmissible"
+    assert [s for _, _, s in res.checkpoints][-2:] == [math.inf, math.inf]
+
+
+# ----------------------------------------------------- closed-form p-series
+
+
+def power_profile(p, k_max):
+    """a_k = k^p through the power rule (m = 1) or constant rule (p = m)."""
+    if float(p).is_integer() and 1 <= p <= 3:
+        return GrowthProfile(m=int(p), a=0.0, c_values=constant_rule(1.0),
+                             k_max=k_max)
+    return GrowthProfile(m=1, a=0.0, c_values=power_rule(p - 1.0),
+                         k_max=k_max)
+
+
+def direct_partials(p, ks):
+    """fsum of k^p, k = 2..K, for each K in ks (increasing)."""
+    out, segments, done = [], [], 1
+    for k in ks:
+        segments.append(math.fsum(np.arange(done + 1, k + 1,
+                                            dtype=float) ** p))
+        out.append(math.fsum(segments))
+        done = k
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(min_value=-6.0, max_value=4.0),
+       k_max=st.one_of(st.integers(min_value=3, max_value=100_000),
+                       st.sampled_from([_EM_HEAD - 1, _EM_HEAD, _EM_HEAD + 1,
+                                        _EM_HEAD + 2])))
+def test_property_power_sums_match_direct_sums(p, k_max):
+    res = ricci_admissibility(power_profile(p, k_max))
+    ks = [k for k, _, _ in res.checkpoints]
+    partials = [s for _, _, s in res.checkpoints]
+    assert ks[-1] == k_max and res.partial_sum == partials[-1]
+    np.testing.assert_allclose(partials, direct_partials(p, ks), rtol=1e-13)
+    assert all(a <= b for a, b in zip(partials, partials[1:]))
+
+
+@pytest.mark.parametrize("s", [1.5, 2.0, 2.5, 3.0])
+def test_power_sums_match_hurwitz_zeta(s):
+    res = ricci_admissibility(power_profile(-s, 600_000_000))
+    ks = np.array([k for k, _, _ in res.checkpoints], dtype=float)
+    partials = np.array([v for _, _, v in res.checkpoints])
+    np.testing.assert_allclose(partials, zeta(s, 2.0) - zeta(s, ks + 1.0),
+                               rtol=1e-13)
+    assert np.all(np.diff(partials) >= 0)
+
+
+@pytest.mark.parametrize("p", np.linspace(-6.0, 4.0, 21).tolist()
+                         + [-100.0, 40.0, 100.0])
+def test_euler_maclaurin_remainder_bound(p):
+    # 2 zeta(2J) / (2 pi)^{2J} |f^{(2J-1)}(K) - f^{(2J-1)}(K0 + 1)| for
+    # f(x) = x^p, against the sum it bounds, up to the largest k_max
+    order = 2 * _EM_ORDER - 1
+    falling = float(np.prod(p - np.arange(order)))
+    scale = 2.0 * zeta(2 * _EM_ORDER) / (2.0 * math.pi) ** (2 * _EM_ORDER)
+    with np.errstate(over="ignore"):
+        res = ricci_admissibility(power_profile(p, 2 ** 53))
+    for k, _, partial in res.checkpoints:
+        if k > _EM_HEAD and partial < math.inf:
+            bound = scale * abs(falling) * abs(
+                k ** (p - order) - (_EM_HEAD + 1.0) ** (p - order))
+            assert bound <= 1e-15 * partial
+
+
+@pytest.mark.parametrize("c, p", [(0.5, 2), (1.0, 5), (3.0, 12), (1.0, 20),
+                                  (1.0, 30)])
+def test_integer_power_sums_are_exact(c, p):
+    # c sum k^p in exact integer arithmetic: the Bernoulli corrections past
+    # the first are visible here, unlike for the decaying p-series
+    profile = GrowthProfile(m=p, a=0.0, c_values=constant_rule(c),
+                            k_max=5000)
+    assert profile.power_law == (c, float(p))
+    for k, _, partial in ricci_admissibility(profile).checkpoints:
+        exact = sum(j ** p for j in range(2, k + 1))
+        assert partial == pytest.approx(c * exact, rel=2e-15)
+
+
+def test_power_law_only_without_growth():
+    assert GrowthProfile(m=2, a=1.0, c_values=power_rule(-3.0),
+                         k_max=10).power_law is None
+    assert GrowthProfile(m=1, a=5.0, c_values=power_rule(-3.0),
+                         k_max=10).power_law == (1.0, -2.0)
+    assert GrowthProfile(m=2, a=0.0, c_values=quadratic_growth_rule(1.0),
+                         k_max=10).power_law is None
+
+
+@pytest.mark.parametrize("p", [150.0, 1000.0])
+def test_large_power_overflows_to_inf(p):
+    with np.errstate(over="ignore"):
+        res = ricci_admissibility(power_profile(p, 10 ** 6))
+    partials = [s for _, _, s in res.checkpoints]
+    assert not any(math.isnan(s) for s in partials)
+    assert res.partial_sum == math.inf
+    assert res.doubling_partial_sum == math.inf
+    assert all(a <= b for a, b in zip(partials, partials[1:]))
+    assert res.verdict == "inadmissible"
+
+
+def test_power_window_is_the_last_terms():
+    # the certificate reads the terms themselves, not the closed form
+    p = power_profile(-2.5, 1_000_123)
+    res = ricci_admissibility(p)
+    last = p.terms(np.arange(1_000_123 - 16, 1_000_124, dtype=float))
+    assert np.array_equal(res.window_terms, last[1:])
+    assert res.certified_ratio == float(np.max(last[1:] / last[:-1]))
+    terms = p.terms(np.array([k for k, _, _ in res.checkpoints], dtype=float))
+    assert [t for _, t, _ in res.checkpoints] == terms.tolist()

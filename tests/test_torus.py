@@ -1,12 +1,14 @@
 """Flat-torus spectral machinery: exact traces, Galerkin blocks, scans."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.special import iv
 
-from heatlab.errors import (ConfigError, NonpositiveTime,
+from heatlab import cli
+from heatlab.errors import (ConfigError, InputError, NonpositiveTime,
                             TruncationNotConverged)
 from heatlab.torus import (TorusModel, TorusPotential, constant_potential,
                            cosine_well, exact_heat_trace,
@@ -212,9 +214,56 @@ def test_potential_from_spec_rejects_unknown():
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         TorusModel(1, (TWO_PI,), 0, zero_potential())
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         TorusModel(2, (TWO_PI,), 4, zero_potential())  # length count
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         TorusModel(1, (-1.0,), 4, zero_potential())
+    with pytest.raises(InputError):
+        TorusModel(3, (TWO_PI,) * 3, 4, cosine_well((TWO_PI,) * 2))
+
+
+# ------------------------------------------------------- separable traces
+
+
+def without_parts(potential):
+    """The same callable, which only the dense route can evaluate."""
+    return TorusPotential(kind="callable", fn=potential.fn,
+                          label=potential.label)
+
+
+@pytest.mark.parametrize("dim, n_tr", [(2, 4), (2, 8), (3, 4)])
+@pytest.mark.parametrize("t", [1.0, 0.05])
+def test_factored_trace_matches_dense_route(dim, n_tr, t):
+    lengths = (TWO_PI, 5.0, 0.8 * TWO_PI)[:dim]
+    well = cosine_well(lengths)
+    factored = galerkin_schrodinger_trace(
+        TorusModel(dim, lengths, n_tr, well), t)
+    dense = galerkin_schrodinger_trace(
+        TorusModel(dim, lengths, n_tr, without_parts(well)), t)
+    assert factored == pytest.approx(dense, rel=1e-11)
+
+
+def test_torus_3d_run_is_the_product_of_1d_traces(tmp_path):
+    # the N -> 2N gate at N = 8 would need a dense matrix of order 33^3
+    lengths = [TWO_PI, TWO_PI, 5.0]
+    doc = {"kind": "torus-limit", "name": "torus_3d_cosine", "dim": 3,
+           "lengths": lengths, "truncation": 8, "potential": "cosine-well",
+           "t_grid": {"t0": 1.0, "ratio": 0.5, "points": 4},
+           "tolerances": {"final_rel_error": 0.02}}
+    cfg = tmp_path / "torus_3d_cosine.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "torus_3d_cosine.csv").read_text().split()
+    for line in lines[1:]:
+        t, scaled = (float(v) for v in line.split(",")[:2])
+        traces = [galerkin_schrodinger_trace(TorusModel(
+            1, (L,), 8, without_parts(cosine_well((L,)))), t)
+            for L in lengths]
+        assert scaled == pytest.approx(
+            (4 * math.pi * t) ** 1.5 * math.prod(traces), rel=1e-12)
+    # the gate runs: at N = 2 doubling still moves the trace
+    doc["truncation"] = 2
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out2")]) == 1
