@@ -13,10 +13,9 @@ from .kernels import (AxiomReport, Exhaustion, HeatKernelTable,
                       minimal_heat_kernel, uniformized_exponential,
                       verify_axioms)
 from .linalg import symmetric_eigh, symmetric_eigvals
-from .paths import (JumpPath, McEstimate, bridge_functional_mc,
-                    feynman_kac_trace_mc, no_jump_lower_bound,
-                    pnfb_probability, sample_bridge, sample_free_path,
-                    stay_probability_exact)
+from .paths import (JumpPath, McEstimate, feynman_kac_trace_mc,
+                    no_jump_lower_bound, pnfb_probability, sample_bridge,
+                    sample_free_path, stay_probability_exact)
 from .potential_class import (AdmissibilityResult, GrowthProfile,
                               infinitesimal_class_witness, kato_modulus,
                               ricci_admissibility)
@@ -24,8 +23,7 @@ from .torus import (TorusModel, TorusPotential, cosine_well,
                     exact_heat_trace, galerkin_schrodinger_trace,
                     potential_integral, torus_eigenvalues,
                     torus_semiclassical_scan)
-from .traces import (AsymptoticControlPair, ConvergenceReport, Potential,
-                     golden_thompson_check, graph_control_pair,
+from .traces import (ConvergenceReport, Potential, golden_thompson_check,
                      semiclassical_scan, trace_semigroup)
 
 __version__ = "0.1.0"

@@ -166,21 +166,28 @@ def _grid(spec, what: str) -> np.ndarray:
         raise ConfigError(f"bad {what} {spec!r}: {exc}") from None
 
 
+_GRID_KEYS = ("t0", "ratio", "points")
+
+
 def _time_grid(doc: dict) -> np.ndarray:
-    """t_grid as a list, {"values": list} or {t0, ratio, points}."""
+    """t_grid as a list of times or {t0, ratio, points}."""
     spec = doc.get("t_grid")
     if spec is None:
         return default_time_grid()
-    if isinstance(spec, dict) and "values" not in spec:
-        try:
-            return default_time_grid(
-                t0=number(spec, "t0", "t_grid", default=1.0),
-                ratio=number(spec, "ratio", "t_grid", default=0.5),
-                points=number(spec, "points", "t_grid", int, default=20,
-                              minimum=1))
-        except ValueError as exc:
-            raise ConfigError(f"bad t_grid {spec!r}: {exc}") from None
-    return _grid(spec["values"] if isinstance(spec, dict) else spec, "t_grid")
+    if not isinstance(spec, dict):
+        return _grid(spec, "t_grid")
+    unknown = sorted(set(spec) - set(_GRID_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown t_grid keys {unknown}; expected "
+                          f"{', '.join(_GRID_KEYS)}")
+    try:
+        return default_time_grid(
+            t0=number(spec, "t0", "t_grid", default=1.0),
+            ratio=number(spec, "ratio", "t_grid", default=0.5),
+            points=number(spec, "points", "t_grid", int, default=20,
+                          minimum=1))
+    except ValueError as exc:
+        raise ConfigError(f"bad t_grid {spec!r}: {exc}") from None
 
 
 def _tolerances(doc: dict) -> dict:
@@ -239,8 +246,6 @@ def _run_torus_limit(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
                        potential=potential)
     options = _options(_tolerances(doc), "tolerances", dict(
         _SCAN_TOLERANCES, truncation_doubling=("check_rel_tol", float)))
-    options.update(_options(doc, cfg.kind,
-                            {"scaling_base": ("scaling_base", float)}))
     try:
         report = torus_semiclassical_scan(model, _time_grid(doc), **options)
     except TruncationNotConverged as exc:

@@ -7,14 +7,17 @@ q_n = e^{-Lambda t} (Lambda t)^n / n!,
 
     P(N = n) ~ q_n [R^n]_{x,y},
 
-the skeleton is filled in backward, P(z_k = z | z_{k-1}) ~ R[z_{k-1}, z] *
-[R^{n-k}]_{z, y}, event times are sorted uniforms on (0,t), and self-jumps
-of R are dropped when materializing a path (they do not change any path
-functional). Every sampled bridge ends at y, and the convention here sets
-gamma(t) = y as well. Both steps read R^n only through its column
-R^n[:, y], so bridge_kernel keeps one (T, n) column table per (graph, t, y);
-R itself is the graph's one read-only jump chain, which every bridge kernel
-of that graph shares.
+the skeleton is filled forward, P(z_k = z | z_{k-1}) ~ R[z_{k-1}, z] *
+[R^{n-k}]_{z, y}, and the n + 1 holding times are exponential spacings
+normalized to sum to t, so the jump times are distributed as n sorted
+uniforms on (0,t). Self-jumps of R are dropped when materializing a path
+(they do not change any path functional). Every sampled bridge ends at y,
+and the convention here sets gamma(t) = y as well. Both steps read R^n only
+through its column R^n[:, y], so bridge_kernel keeps one (T, n) column
+table per (graph, t, y); R itself is the graph's one read-only jump chain,
+which every bridge kernel of that graph shares. One sampler,
+_bridge_skeletons, draws the bridges for sample_bridge and for both
+estimators, which evaluate their functionals on its skeletons.
 
 Reproducibility: estimators take an integer seed; one child stream per
 diagonal vertex is spawned via numpy SeedSequence in vertex order and
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NTruncationExceeded, VertexNotInK, ZeroKernel
+from .errors import InputError, NTruncationExceeded, VertexNotInK, ZeroKernel
 from .graphs import WeightedGraph
 from .kernels import (
     _KernelCache,
@@ -57,15 +60,15 @@ class JumpPath:
         prev_state = self.start
         for when, target in self.jumps:
             if not prev_t < when < self.horizon:
-                raise ValueError(
+                raise InputError(
                     f"jump time {when} outside (previous, horizon)")
             if target == prev_state:
-                raise ValueError("consecutive jump targets must differ")
+                raise InputError("consecutive jump targets must differ")
             prev_t, prev_state = when, target
 
     def value_at(self, s: float) -> int:
         if not 0.0 <= s <= self.horizon:
-            raise ValueError(f"s = {s} outside [0, {self.horizon}]")
+            raise InputError(f"s = {s} outside [0, {self.horizon}]")
         i = bisect.bisect_right([w for w, _ in self.jumps], s)
         return self.start if i == 0 else self.jumps[i - 1][1]
 
@@ -177,50 +180,20 @@ def _rows_categorical(prob_rows: np.ndarray, rng) -> np.ndarray:
     return np.minimum(idx, prob_rows.shape[1] - 1)
 
 
-def sample_bridge(graph: WeightedGraph, x, y, t: float, rng=None) -> JumpPath:
-    """One exact bridge path pinned at gamma(0) = x, gamma(t) = y."""
-    rng = np.random.default_rng(rng)
-    x = graph.resolve(x)
-    y = graph.resolve(y)
-    bk = bridge_kernel(graph, t, y)
-    probs, denom = bk.count_distribution(x)
-    cum = np.cumsum(probs)
-    u = rng.random() * denom
-    n = min(int(np.searchsorted(cum, u, side="right")), len(probs) - 1)
-    states = [x]
-    for k in range(1, n):
-        row = bk.r[states[-1], :] * bk.powers[n - k]
-        csum = np.cumsum(row)
-        uu = rng.random() * csum[-1]
-        states.append(min(int(np.searchsorted(csum, uu, side="right")),
-                          graph.n - 1))
-    if n >= 1:
-        states.append(y)
-    times = np.sort(rng.random(n)) * t
-    jumps = []
-    prev = x
-    for k in range(1, n + 1):
-        if states[k] != prev:
-            jumps.append((float(times[k - 1]), int(states[k])))
-            prev = states[k]
-    return JumpPath(start=x, jumps=jumps, horizon=float(t))
+def _bridge_skeletons(bk: BridgeKernel, x: int, n_samples: int, rng,
+                      with_gaps: bool = False):
+    """Exact bridges from x to bk.y, n_samples of them, by jump count.
 
-
-def _bridge_batch(bk: BridgeKernel, x: int, n_samples: int, rng,
-                  w_vals=None, stay_mask=None):
-    """Vectorized bridge functionals for n_samples paths from x to bk.y.
-
-    Returns (fk, stay): fk[i] = exp(-int w along path i) when w_vals is
-    given, stay[i] = 1{path i never leaves the masked set}. Jump counts are
-    processed in ascending order so the stream consumption is deterministic.
+    Yields (sel, z, gaps) per jump count nj in ascending order: sel indexes
+    the paths with that count, z is their (m, nj + 1) uniformized skeleton
+    from x to bk.y, and gaps (None unless with_gaps) their nj + 1 holding
+    times, exponential spacings normalized to sum to t. The stream is drawn
+    in that order: all counts, then per group its skeleton and its gaps.
     """
     probs, denom = bk.count_distribution(x)
     cum = np.cumsum(probs)
     u = rng.random(n_samples) * denom
     counts = np.minimum(np.searchsorted(cum, u, side="right"), len(probs) - 1)
-    fk = np.empty(n_samples) if w_vals is not None else None
-    stay = np.empty(n_samples, dtype=bool) if stay_mask is not None else None
-    t = bk.t
     for nj in np.unique(counts):
         sel = np.flatnonzero(counts == nj)
         m = sel.size
@@ -231,26 +204,27 @@ def _bridge_batch(bk: BridgeKernel, x: int, n_samples: int, rng,
         for k in range(1, nj):
             rows = bk.r[z[:, k - 1], :] * bk.powers[nj - k][None, :]
             z[:, k] = _rows_categorical(rows, rng)
-        if stay_mask is not None:
-            stay[sel] = stay_mask[z].all(axis=1)
-        if w_vals is not None:
+        gaps = None
+        if with_gaps:
             gaps = rng.standard_exponential((m, nj + 1))
-            gaps *= t / gaps.sum(axis=1, keepdims=True)
-            fk[sel] = np.exp(-(w_vals[z] * gaps).sum(axis=1))
-    return fk, stay
+            gaps *= bk.t / gaps.sum(axis=1, keepdims=True)
+        yield sel, z, gaps
 
 
-def bridge_functional_mc(graph: WeightedGraph, x, y, w, t: float,
-                         n_samples: int, seed: int) -> McEstimate:
-    """MC estimate of E^{x,y}[ exp(-int_0^t w(gamma(s)) ds) ]."""
-    pot = as_potential(w, graph.n)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+def sample_bridge(graph: WeightedGraph, x, y, t: float, rng=None) -> JumpPath:
+    """One exact bridge path pinned at gamma(0) = x, gamma(t) = y.
+
+    The jump times are the cumulative holding times, distributed as sorted
+    uniforms on (0, t); self-jumps of the skeleton are dropped.
+    """
+    rng = np.random.default_rng(rng)
+    x = graph.resolve(x)
     bk = bridge_kernel(graph, t, graph.resolve(y))
-    fk, _ = _bridge_batch(bk, graph.resolve(x), int(n_samples), rng,
-                          w_vals=pot.values)
-    se = float(fk.std(ddof=1) / np.sqrt(len(fk))) if len(fk) > 1 else 0.0
-    return McEstimate(mean=float(fk.mean()), std_error=se,
-                      n_samples=int(n_samples), seed=int(seed))
+    (_, z, gaps), = _bridge_skeletons(bk, x, 1, rng, with_gaps=True)
+    times = np.cumsum(gaps[0, :-1])
+    jumps = [(float(when), int(b))
+             for when, a, b in zip(times, z[0, :-1], z[0, 1:]) if a != b]
+    return JumpPath(start=x, jumps=jumps, horizon=float(t))
 
 
 # --------------------------------------------------------- trace estimator
@@ -273,8 +247,11 @@ def feynman_kac_trace_mc(graph: WeightedGraph, w, t: float, n_samples: int,
 
     def per_vertex(xi: int):
         rng = np.random.Generator(np.random.PCG64(children[xi]))
-        fk, _ = _bridge_batch(bridge_kernel(graph, t, xi), xi,
-                              int(n_samples), rng, w_vals=pot.values)
+        fk = np.empty(int(n_samples))
+        for sel, z, gaps in _bridge_skeletons(bridge_kernel(graph, t, xi), xi,
+                                              int(n_samples), rng,
+                                              with_gaps=True):
+            fk[sel] = np.exp(-(pot.values[z] * gaps).sum(axis=1))
         var = float(fk.var(ddof=1)) if len(fk) > 1 else 0.0
         return float(fk.mean()), var
 
@@ -303,9 +280,10 @@ def pnfb_probability(graph: WeightedGraph, x, subset, t: float,
     mask = np.zeros(graph.n, dtype=bool)
     mask[members] = True
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    _, stay = _bridge_batch(bridge_kernel(graph, t, xi), xi, int(n_samples),
-                            rng, stay_mask=mask)
-    vals = stay.astype(float)
+    vals = np.empty(int(n_samples))
+    for sel, z, _ in _bridge_skeletons(bridge_kernel(graph, t, xi), xi,
+                                       int(n_samples), rng):
+        vals[sel] = mask[z].all(axis=1)
     se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return McEstimate(mean=float(vals.mean()), std_error=se,
                       n_samples=int(n_samples), seed=int(seed))

@@ -144,7 +144,8 @@ class GrowthProfile:
         k = np.asarray(k, dtype=float)
         rate = self.growth_rate
         if rate == 0.0:
-            return np.asarray(self.c_values(k), dtype=float) * k ** self.m
+            with np.errstate(over="ignore"):
+                return np.asarray(self.c_values(k), dtype=float) * k ** self.m
         log_c = getattr(self.c_values, "log", None)
         if log_c is not None:
             with np.errstate(over="ignore"):

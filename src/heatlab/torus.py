@@ -22,10 +22,8 @@ on (L_i, N). That is exact, costs a (2N+1)-order eigensolve per axis, and
 is how both the scan and the N -> 2N doubling gate evaluate it. Callables
 without parts, and every 1D model, take the dense route above.
 
-The semiclassical scan multiplies the Galerkin trace by (c t)^{m/2} with
-c = 4 pi by default (the convention matching the generator normalization
-used here; the constant is exposed as the scaling_base knob) and compares
-against the quadrature value of int e^{-w}.
+The semiclassical scan multiplies the Galerkin trace by (4 pi t)^{m/2} and
+compares against the quadrature value of int e^{-w}.
 """
 
 from __future__ import annotations
@@ -43,7 +41,10 @@ from .traces import ConvergenceReport, assemble_report
 from .util import check_time, check_time_grid, default_time_grid
 
 _THETA_TERM_CUTOFF = 1e-16
-DEFAULT_SCALING_BASE = 4.0 * math.pi
+# psi(t) = (4 pi t)^{m/2} is fixed by the space: H is the nonnegative
+# Laplacian, whose kernel has p(t,x,x) (4 pi t)^{m/2} -> 1 as t -> 0+, so the
+# scaled trace tends to int e^{-w}; a base c would give (c/4pi)^{m/2} times it
+_SCALING_BASE = 4.0 * math.pi
 
 
 # --------------------------------------------------------------- potential
@@ -317,22 +318,19 @@ def potential_integral(model: TorusModel) -> float:
 
 
 def torus_semiclassical_scan(model: TorusModel, t_grid=None,
-                             scaling_base: float = DEFAULT_SCALING_BASE,
                              final_rel_tol: float = 0.01,
                              monotone_tail: int = 5,
                              require_monotone: bool = True,
-                             check: bool = True,
                              check_rel_tol: float = 1e-6
                              ) -> ConvergenceReport:
-    """(scaling_base * t)^{m/2} * tr e^{-t(H + w/t)} against int e^{-w}.
+    """(4 pi t)^{m/2} * tr e^{-t(H + w/t)} against int e^{-w}.
 
-    The doubling diagnostic runs once at the largest grid time unless
-    check=False. Each row carries the trace-inequality bound
-    (scaling) * (theta(t)/vol) * int e^{-w}, which dominates the scaled trace.
+    The doubling diagnostic runs once at the largest grid time. Each row
+    carries the trace-inequality bound (scaling) * (theta(t)/vol) * int e^{-w},
+    which dominates the scaled trace.
     """
     grid = check_time_grid(default_time_grid() if t_grid is None else t_grid)
-    if check:
-        check_truncation(model, float(grid[0]), rel_tol=check_rel_tol)
+    check_truncation(model, float(grid[0]), rel_tol=check_rel_tol)
     target = potential_integral(model)
     vol = model.volume
     half_m = 0.5 * model.dim
@@ -340,7 +338,7 @@ def torus_semiclassical_scan(model: TorusModel, t_grid=None,
     bounds = np.empty(grid.size)
     for i, t in enumerate(grid):
         t = float(t)
-        scale = (scaling_base * t) ** half_m
+        scale = (_SCALING_BASE * t) ** half_m
         scaled[i] = scale * galerkin_schrodinger_trace(model, t)
         bounds[i] = scale * (exact_heat_trace(model, t) / vol) * target
     return assemble_report(grid, scaled, target, bounds,

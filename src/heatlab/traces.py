@@ -8,21 +8,22 @@ inequality's right-hand side comes from the uniformized kernel instead, so
 each scan row carries a second route that shares no eigensolver.
 
 The semiclassical scan follows psi(t) * tr e^{-t(H + w/t)} down a decreasing
-time grid; on graphs the control pair is psi = 1 with on-diagonal limit
-density 1/mu, so the target is sum_x e^{-w(x)}. Each grid point also carries
-the trace-inequality bound psi(t) * sum_x p(t,x,x) e^{-w(x)} mu(x), which
-dominates the scaled trace, with equality exactly for constant w.
+time grid. The space fixes psi through the limit of p(t,x,x) psi(t): on a
+graph p(t,x,x) -> 1/mu(x), so psi = 1 and the target is
+sum_x e^{-w(x)} (1/mu(x)) mu(x). Each grid point also carries the
+trace-inequality bound sum_x p(t,x,x) e^{-w(x)} mu(x), which dominates the
+scaled trace, with equality exactly for constant w.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from . import linalg
+from .errors import InputError
 from .graphs import WeightedGraph
 from .kernels import heat_semigroup
 from .util import check_time, check_time_grid, default_time_grid, write_csv
@@ -35,11 +36,14 @@ class Potential:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        try:
+            vals = np.asarray(self.values, dtype=float)
+        except (TypeError, ValueError):
+            raise InputError("potential values must be numbers") from None
         if vals.ndim != 1:
-            raise ValueError("potential must be one-dimensional")
+            raise InputError("potential must be one-dimensional")
         if not np.all(np.isfinite(vals)):
-            raise ValueError("potential must be finite on all vertices")
+            raise InputError("potential must be finite on all vertices")
         self.values = vals
 
     def __len__(self):
@@ -51,42 +55,12 @@ def as_potential(w, n: int) -> Potential:
     if isinstance(w, Potential):
         pot = w
     elif np.isscalar(w):
-        pot = Potential(np.full(n, float(w)))
+        pot = Potential(np.full(n, w))
     else:
-        pot = Potential(np.asarray(w, dtype=float))
+        pot = Potential(w)
     if len(pot) != n:
-        raise ValueError(f"potential has {len(pot)} entries for {n} vertices")
+        raise InputError(f"potential has {len(pot)} entries for {n} vertices")
     return pot
-
-
-@dataclass
-class AsymptoticControlPair:
-    """Scaling function psi and on-diagonal limit density for the scan.
-
-    rho2 plays two roles: it is the envelope dominating psi(t) * p(t,x,x)
-    and, for every instance shipped here, also the limit of that product as
-    t -> 0+, which is what the scan target integrates. On graphs the pair is
-    psi = 1, rho2 = 1/mu.
-    """
-
-    psi: Callable[[float], float]
-    rho2: np.ndarray
-
-    def __post_init__(self):
-        self.rho2 = np.asarray(self.rho2, dtype=float)
-        if np.any(self.rho2 < 0):
-            raise ValueError("rho2 must be nonnegative")
-
-    def scale(self, t: float) -> float:
-        val = float(self.psi(t))
-        if val <= 0:
-            raise ValueError(f"psi({t}) = {val} must be positive")
-        return val
-
-
-def graph_control_pair(graph: WeightedGraph) -> AsymptoticControlPair:
-    """The canonical graph pair: psi = 1 and rho2 = 1/mu."""
-    return AsymptoticControlPair(psi=lambda t: 1.0, rho2=1.0 / graph.mu)
 
 
 # ------------------------------------------------------------ the operator
@@ -193,27 +167,27 @@ def semiclassical_scan(graph: WeightedGraph, w, t_grid=None,
                        final_rel_tol: float = 0.01,
                        monotone_tail: int = 5,
                        require_monotone: bool = True) -> ConvergenceReport:
-    """Follow psi(t) * tr e^{-t(H + w/t)} toward sum_x e^{-w} rho2(x) mu(x).
+    """Follow tr e^{-t(H + w/t)} toward sum_x e^{-w(x)} (1/mu(x)) mu(x).
 
-    The control pair is the graph's (graph_control_pair). The grid must be
-    strictly decreasing; the verdict is "pass" when the final error is
-    within final_rel_tol of the target and the error sequence is
-    nonincreasing over the last monotone_tail points.
+    psi = 1 on graphs (module docstring). The grid must be strictly
+    decreasing; the verdict is "pass" when the final error is within
+    final_rel_tol of the target and the error sequence is nonincreasing over
+    the last monotone_tail points.
     """
     pot = as_potential(w, graph.n)
     grid = check_time_grid(default_time_grid() if t_grid is None else t_grid)
-    pair = graph_control_pair(graph)
     base = linalg.similarity_symmetrize(graph.generator_matrix(), graph.mu)
-    target = float(np.sum(np.exp(-pot.values) * pair.rho2 * graph.mu))
+    boltz = np.exp(-pot.values)
+    # the limit density 1/mu times mu, kept as written: 1/mu * mu need not
+    # round to 1
+    target = float(np.sum(boltz * (1.0 / graph.mu) * graph.mu))
     scaled = np.empty(grid.size)
     bounds = np.empty(grid.size)
-    boltz = np.exp(-pot.values)
     for i, t in enumerate(grid):
         lam = linalg.symmetric_eigvals(base + np.diag(pot.values / t))
-        scale = pair.scale(float(t))
-        scaled[i] = scale * float(np.sum(np.exp(-t * lam)[::-1]))
+        scaled[i] = float(np.sum(np.exp(-t * lam)[::-1]))
         diag = heat_semigroup(graph, float(t)).diagonal()
-        bounds[i] = scale * float(np.sum(diag * boltz * graph.mu))
+        bounds[i] = float(np.sum(diag * boltz * graph.mu))
     return assemble_report(grid, scaled, target, bounds,
                            final_rel_tol, monotone_tail, require_monotone)
 

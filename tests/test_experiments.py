@@ -1,6 +1,7 @@
 """Config-driven experiment runner and the command-line entry point."""
 
 import json
+import math
 import re
 import shutil
 from pathlib import Path
@@ -350,6 +351,30 @@ def test_cli_sample_paths_fk(tmp_path, capsys):
     assert text.splitlines()[0].startswith("statistic,t,estimate")
 
 
+def test_cli_sample_paths_bridge(tmp_path, capsys):
+    # x = y on the two-vertex graph: the no-jump probability of the bridge
+    # is e^{-t Deg} / (p mu), the reference the CLI writes
+    gp = tmp_path / "g.graph"
+    hl.save_graph(hl.two_vertex(), gp)
+    n = 4000
+    texts = []
+    for run_dir in ("a", "b"):
+        code = cli.main(["sample-paths", "--graph", str(gp), "--t", "1",
+                         "--samples", str(n), "--mode", "bridge", "--x", "0",
+                         "--y", "0", "--seed", "5",
+                         "--out", str(tmp_path / run_dir)])
+        assert code == 0
+        texts.append((tmp_path / run_dir / "sample_paths.csv").read_bytes())
+    assert texts[0] == texts[1]
+    rows = {r.split(",")[0]: r.split(",")
+            for r in texts[0].decode().splitlines()[1:]}
+    assert set(rows) == {"jump_count_mean", "no_jump_probability"}
+    no_jump = rows["no_jump_probability"]
+    freq, ref = float(no_jump[2]), float(no_jump[6])
+    assert ref == pytest.approx(0.6480542736638855, abs=1e-13)
+    assert abs(freq - ref) <= 4 * math.sqrt(ref * (1 - ref) / n)
+
+
 def _exit_code(argv) -> int:
     """cli.main's exit code, also when argparse rejects a flag."""
     try:
@@ -517,6 +542,8 @@ MUTANTS = [
     ("torus_1d_zero.json", ["potential"], {"coefficients": [{"k": "a"}]}),
     ("adm_gaussian.json", ["profile", "rule"],
      {"rule": "table", "values": ["1", "2"]}),
+    ("graph_limit_k5.json", ["t_grid"], {"values": [1.0, 0.5]}),
+    ("graph_limit_k5.json", ["t_grid"], {"t0": 1, "ratio": 0.5, "point": 3}),
 ]
 
 
@@ -551,7 +578,9 @@ def test_malformed_value_exits_2(tmp_path, capsys, name, path, value):
                                                     "out"}
 
 
-@pytest.mark.parametrize("name,path,value", MUTANTS[::3])
+# every third mutant (the last is the misspelled t_grid key), plus the
+# deleted {"values": [...]} t_grid form
+@pytest.mark.parametrize("name,path,value", MUTANTS[::3] + MUTANTS[-2:-1])
 def test_malformed_value_gets_suite_error_row(tmp_path, name, path, value):
     p = _mutant(tmp_path, name, path, value)
     for other in ("axioms_random10.json", "graph_limit_two_vertex.json"):

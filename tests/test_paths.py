@@ -8,12 +8,12 @@ import pytest
 
 import heatlab as hl
 from heatlab import paths
-from heatlab.errors import NonpositiveTime, NTruncationExceeded, VertexNotInK
+from heatlab.errors import (InputError, NonpositiveTime, NTruncationExceeded,
+                            VertexNotInK)
 from heatlab.kernels import heat_semigroup
-from heatlab.paths import (BridgeKernel, JumpPath, bridge_functional_mc,
-                           bridge_kernel, feynman_kac_trace_mc,
-                           no_jump_lower_bound, pnfb_probability,
-                           sample_bridge, sample_free_path,
+from heatlab.paths import (BridgeKernel, JumpPath, bridge_kernel,
+                           feynman_kac_trace_mc, no_jump_lower_bound,
+                           pnfb_probability, sample_bridge, sample_free_path,
                            stay_probability_exact)
 
 TWO_VERTEX_STAY = 0.6480542736638855   # 2 e^{-1} / (1 + e^{-2})
@@ -32,12 +32,14 @@ def test_path_mechanics():
 
 
 def test_path_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         JumpPath(start=0, jumps=[(1.5, 1)], horizon=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         JumpPath(start=0, jumps=[(0.5, 1), (0.25, 0)], horizon=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         JumpPath(start=0, jumps=[(0.25, 0)], horizon=1.0)  # no-op jump
+    with pytest.raises(InputError):
+        JumpPath(start=0, jumps=[], horizon=1.0).value_at(1.5)
 
 
 # -------------------------------------------------------------- free paths
@@ -111,6 +113,22 @@ def test_bridge_no_jump_probability(two_vertex):
     assert abs(stuck - TWO_VERTEX_STAY) <= 3 * se
 
 
+def test_sample_bridge_is_one_path_of_the_estimators_sampler(p5):
+    # the same stream gives the same bridge: the jump times are the
+    # cumulative holding times, and self-jumps of the skeleton are dropped
+    t = 0.9
+    bk = bridge_kernel(p5, t, 4)
+    for seed in range(20):
+        path = sample_bridge(p5, 0, 4, t, np.random.default_rng(seed))
+        (sel, z, gaps), = paths._bridge_skeletons(
+            bk, 0, 1, np.random.default_rng(seed), with_gaps=True)
+        assert sel.tolist() == [0]
+        assert gaps.sum() == pytest.approx(t, rel=1e-15)
+        times = np.cumsum(gaps[0, :-1])
+        assert path.jumps == [(float(when), int(b)) for when, a, b in
+                              zip(times, z[0, :-1], z[0, 1:]) if a != b]
+
+
 def test_bridge_count_distribution_matches_kernel(two_vertex):
     bk = bridge_kernel(two_vertex, 1.0, 1)
     probs, denom = bk.count_distribution(0)
@@ -179,11 +197,23 @@ def test_bridge_time_reversal_symmetry():
     assert abs(fwd - bwd) <= 0.15
 
 
+def bridge_functional_mc(graph, x, y, w, t, n, seed):
+    """Mean and standard error of exp(-int_0^t w(gamma(s)) ds) over n exact
+    (x, y) bridges, evaluated on the estimators' skeletons and gaps."""
+    w = np.broadcast_to(np.asarray(w, dtype=float), graph.n)
+    fk = np.empty(n)
+    for sel, z, gaps in paths._bridge_skeletons(
+            bridge_kernel(graph, t, y), x, n, np.random.default_rng(seed),
+            with_gaps=True):
+        fk[sel] = np.exp(-(w[z] * gaps).sum(axis=1))
+    return fk.mean(), fk.std(ddof=1) / math.sqrt(n)
+
+
 def test_bridge_functional_constant_potential(two_vertex):
     # constant w makes the integrand deterministic: exp(-c t), zero variance
-    est = bridge_functional_mc(two_vertex, 0, 1, 0.5, 1.0, 200, seed=1)
-    assert est.mean == pytest.approx(math.exp(-0.5), abs=1e-14)
-    assert est.std_error <= 1e-15
+    mean, se = bridge_functional_mc(two_vertex, 0, 1, 0.5, 1.0, 200, seed=1)
+    assert mean == pytest.approx(math.exp(-0.5), abs=1e-14)
+    assert se <= 1e-15
 
 
 def test_bridge_functional_against_kernel_ratio(two_vertex):
@@ -195,8 +225,8 @@ def test_bridge_functional_against_kernel_ratio(two_vertex):
     h = two_vertex.generator_matrix()
     num = expm(-t * (h + np.diag(w)))[0, 0]
     den = expm(-t * h)[0, 0]
-    est = bridge_functional_mc(two_vertex, 0, 0, w, t, 40_000, seed=9)
-    assert abs(est.mean - num / den) <= 3 * est.std_error
+    mean, se = bridge_functional_mc(two_vertex, 0, 0, w, t, 40_000, seed=9)
+    assert abs(mean - num / den) <= 3 * se
 
 
 # --------------------------------------------------------- trace estimator

@@ -1,6 +1,8 @@
 """Kato modulus, form-boundedness witness and admissibility verdicts."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from scipy.integrate import quad
 from scipy.special import zeta
 
 import heatlab as hl
+from heatlab import cli
 from heatlab.errors import ConfigError, InputError, NonpositiveTime
 from heatlab.potential_class import (_EM_HEAD, _EM_ORDER,
                                      AdmissibilityResult, GrowthProfile,
@@ -351,6 +354,22 @@ def test_large_power_overflows_to_inf(p):
     assert res.doubling_partial_sum == math.inf
     assert all(a <= b for a, b in zip(partials, partials[1:]))
     assert res.verdict == "inadmissible"
+
+
+def test_overflowing_power_profile_warns_nothing(tmp_path, capsys):
+    # a diverging power rule overflows to inf on the L = 0 path, silently
+    prof = {"m": 1, "A": 0.0, "k_max": 100000,
+            "rule": {"rule": "power", "exponent": 200.0}}
+    p = tmp_path / "prof.json"
+    p.write_text(json.dumps(prof))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["check-admissibility", str(p),
+                         "--out", str(tmp_path)]) == 0
+        assert power_profile(201.0, 10).terms(np.array([1e3])) == math.inf
+    captured = capsys.readouterr()
+    assert "verdict: inadmissible" in captured.out
+    assert captured.err == ""
 
 
 def test_power_window_is_the_last_terms():

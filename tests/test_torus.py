@@ -174,20 +174,11 @@ def test_scan_rows_dominated_by_theta_bound():
     assert np.all(rep.gt_bounds >= rep.scaled_traces - 1e-10)
 
 
-def test_scan_scaling_base_knob():
-    m = model_1d(truncation=16)
-    a = torus_semiclassical_scan(m, [1.0, 0.5], check=False)
-    b = torus_semiclassical_scan(m, [1.0, 0.5], scaling_base=2 * math.pi,
-                                 check=False)
-    assert np.allclose(a.scaled_traces, b.scaled_traces * math.sqrt(2),
-                       rtol=1e-13)
-
-
 def test_truncation_doubling_gate():
     # N = 4 at t = 0.01 misses most of the short-time heat trace
     m = model_1d(truncation=4)
     with pytest.raises(TruncationNotConverged):
-        torus_semiclassical_scan(m, [0.01], check=True)
+        torus_semiclassical_scan(m, [0.01])
 
 
 # --------------------------------------------------------------- parsing

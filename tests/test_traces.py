@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import heatlab as hl
-from heatlab.errors import EmptyGrid, NonpositiveTime
-from heatlab.traces import (AsymptoticControlPair, as_potential,
-                            graph_control_pair, semiclassical_scan,
-                            trace_semigroup)
+from heatlab.errors import EmptyGrid, InputError, NonpositiveTime
+from heatlab.traces import as_potential, semiclassical_scan, trace_semigroup
 
 
 def test_operator_matrix_two_vertex(two_vertex):
@@ -46,18 +44,14 @@ def test_as_potential_coercions(two_vertex):
     assert np.array_equal(as_potential([1.0, 2.0], 2).values, [1.0, 2.0])
     pot = as_potential(np.array([0.0, -1.0]), 2)
     assert np.array_equal(as_potential(pot, 2).values, pot.values)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         as_potential([1.0], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         as_potential([np.nan, 0.0], 2)
-
-
-def test_control_pair_validation(two_vertex):
-    with pytest.raises(ValueError):
-        AsymptoticControlPair(psi=lambda t: 1.0, rho2=np.array([-1.0, 1.0]))
-    pair = graph_control_pair(two_vertex)
-    assert np.array_equal(pair.rho2, 1.0 / two_vertex.mu)
-    assert pair.scale(0.5) == 1.0
+    with pytest.raises(InputError):
+        as_potential(["a", 0.0], 2)
+    with pytest.raises(InputError):
+        as_potential("a", 2)
 
 
 # ---------------------------------------------------------------- the scan
