@@ -22,8 +22,8 @@ import numpy as np
 from . import experiments
 from .errors import AssertionFailed, HeatLabError
 from .graphs import load_graph
-from .paths import (feynman_kac_trace_mc, no_jump_lower_bound,
-                    pnfb_probability, sample_bridge, sample_free_path,
+from .paths import (_bridge_skeletons, bridge_kernel, feynman_kac_trace_mc,
+                    no_jump_lower_bound, pnfb_probability, sample_free_path,
                     stay_probability_exact)
 from .traces import trace_semigroup
 from .util import write_csv
@@ -168,16 +168,11 @@ def _cmd_verify_kernel(args) -> int:
         doc, ".", "axioms", "verify-kernel"))
 
 
-def _path_statistics(paths_iter, t, n, seed, reference):
-    counts = []
-    no_jump = 0
-    for path in paths_iter:
-        counts.append(path.jump_count())
-        if path.jump_count() == 0:
-            no_jump += 1
+def _path_statistics(counts, t, n, seed, reference):
+    """Rows for the jump counts of n sampled paths."""
     counts = np.asarray(counts, dtype=float)
     se_counts = float(counts.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    freq = no_jump / n
+    freq = int(np.count_nonzero(counts == 0)) / n
     se_freq = float(np.sqrt(freq * (1.0 - freq) / n))
     return [
         ("jump_count_mean", t, float(counts.mean()), se_counts, n, seed,
@@ -196,15 +191,19 @@ def _cmd_sample_paths(args) -> int:
         x = _vertex(graph, args.x, "--x")
         ref = float(np.exp(-t * graph.degree(x)))
         rows = _path_statistics(
-            (sample_free_path(graph, x, t, rng) for _ in range(n)),
-            t, n, seed, ref)
+            [sample_free_path(graph, x, t, rng).jump_count()
+             for _ in range(n)], t, n, seed, ref)
     elif args.mode == "bridge":
         x = _vertex(graph, args.x, "--x")
         y = _vertex(graph, args.y, "--y")
         ref = no_jump_lower_bound(graph, x, t) if x == y else ""
-        rows = _path_statistics(
-            (sample_bridge(graph, x, y, t, rng) for _ in range(n)),
-            t, n, seed, ref)
+        # all n bridges from one sampler call; a path's jumps are the
+        # skeleton's moves, self-jumps excluded
+        counts = np.empty(n)
+        for sel, z, _ in _bridge_skeletons(bridge_kernel(graph, t, y), x, n,
+                                           rng):
+            counts[sel] = (z[:, 1:] != z[:, :-1]).sum(axis=1)
+        rows = _path_statistics(counts, t, n, seed, ref)
     elif args.mode == "fk-trace":
         if args.potential is not None:
             if len(args.potential) != graph.n:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (AssertionFailed, ConfigError, HeatLabError,
+from .errors import (AssertionFailed, ConfigError, HeatLabError, InputError,
                      TruncationNotConverged)
 from .fixtures import fixture_registry
 from .graphs import WeightedGraph, load_graph
@@ -162,7 +162,7 @@ def _grid(spec, what: str) -> np.ndarray:
     """A list of times as a strictly decreasing positive grid."""
     try:
         return check_time_grid(floats(spec, what))
-    except ValueError as exc:
+    except InputError as exc:
         raise ConfigError(f"bad {what} {spec!r}: {exc}") from None
 
 
@@ -186,7 +186,7 @@ def _time_grid(doc: dict) -> np.ndarray:
             ratio=number(spec, "ratio", "t_grid", default=0.5),
             points=number(spec, "points", "t_grid", int, default=20,
                           minimum=1))
-    except ValueError as exc:
+    except InputError as exc:
         raise ConfigError(f"bad t_grid {spec!r}: {exc}") from None
 
 

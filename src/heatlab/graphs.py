@@ -10,7 +10,8 @@ and the (nonnegative) generator used everywhere else in the package is
 H = -L, with matrix entries H[x,x] = Deg(x) and H[x,y] = -b(x,y)/mu(x),
 where Deg(x) = (1/mu(x)) * sum_y b(x,y) is the weighted degree. Its
 uniformization at the rate Lambda = max_x Deg(x) is the jump chain
-R = I - H/Lambda, which each graph builds once (jump_chain).
+R = I - H/Lambda, which each graph builds once (jump_chain), together with
+the padded table of each row's nonzeros that the bridge sampler steps on.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
 
 
 # serializes the first build of a graph's jump chain, so concurrent bridge
-# builds all share one R
+# builds all share one R and one row-support table
 _chain_lock = threading.Lock()
 
 
@@ -50,6 +51,29 @@ def uniformize(h: np.ndarray) -> tuple[float, np.ndarray]:
     r = np.eye(n) - h / lam if lam else np.eye(n)
     r.setflags(write=False)
     return lam, r
+
+
+def _row_support(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Padded table (cols, vals) of the nonzeros of each row of r.
+
+    Row z lists the columns with r[z, c] != 0 in ascending order and their
+    values, then pads with column n - 1 (where a search over all n columns
+    clamps) and value 0.0 up to one more than the longest row, so every row
+    ends in at least one pad. Both arrays are returned read-only.
+    """
+    n = r.shape[0]
+    rows, cs = np.nonzero(r)
+    per_row = np.bincount(rows, minlength=n)
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(per_row) - per_row,
+                                            per_row)
+    width = int(per_row.max(initial=0)) + 1
+    cols = np.full((n, width), n - 1, dtype=np.intp)
+    vals = np.zeros((n, width))
+    cols[rows, slot] = cs
+    vals[rows, slot] = r[rows, cs]
+    cols.setflags(write=False)
+    vals.setflags(write=False)
+    return cols, vals
 
 
 class WeightedGraph:
@@ -176,11 +200,13 @@ class WeightedGraph:
             self._generator = h
         return self._generator
 
-    def jump_chain(self) -> tuple[float, np.ndarray]:
-        """(Lambda, R) of uniformize(H), built once and shared read-only."""
+    def jump_chain(self) -> tuple:
+        """(Lambda, R, cols, vals): uniformize(H) and _row_support(R), built
+        once and shared read-only."""
         with _chain_lock:
             if self._chain is None:
-                self._chain = uniformize(self.generator_matrix())
+                lam, r = uniformize(self.generator_matrix())
+                self._chain = (lam, r) + _row_support(r)
         return self._chain
 
     # ----------------------------------------------------------- structure

@@ -34,7 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GraphMismatch, InvalidRate, VertexOutsideExhaustion
+from .errors import (GraphMismatch, InputError, InvalidRate,
+                     VertexOutsideExhaustion)
 from .graphs import WeightedGraph, require_connected, uniformize
 from .util import check_time, write_csv
 
@@ -359,7 +360,7 @@ def verify_axioms(table_s: HeatKernelTable, table_t: HeatKernelTable,
     if len(keys) != 1:
         raise GraphMismatch("kernel tables come from different graphs")
     if abs((table_s.t + table_t.t) - table_st.t) > 1e-12 * max(1.0, table_st.t):
-        raise ValueError(
+        raise InputError(
             f"times do not compose: {table_s.t} + {table_t.t} != {table_st.t}")
     mu = table_s.mu
     composed = table_s.values @ (mu[:, None] * table_t.values)

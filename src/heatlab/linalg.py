@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EigensolverNoConvergence
+from .errors import EigensolverNoConvergence, InputError
 
 
 def _checked_symmetric(a) -> np.ndarray:
@@ -22,11 +22,11 @@ def _checked_symmetric(a) -> np.ndarray:
     if not np.iscomplexobj(a):
         a = a.astype(float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        raise InputError(f"expected a square matrix, got shape {a.shape}")
     sym_gap = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     if sym_gap > 1e-10 * max(scale, 1.0):
-        raise ValueError(f"matrix is not symmetric (defect {sym_gap:.3e})")
+        raise InputError(f"matrix is not symmetric (defect {sym_gap:.3e})")
     return a
 
 

@@ -16,8 +16,13 @@ and the convention here sets gamma(t) = y as well. Both steps read R^n only
 through its column R^n[:, y], so bridge_kernel keeps one (T, n) column
 table per (graph, t, y); R itself is the graph's one read-only jump chain,
 which every bridge kernel of that graph shares. One sampler,
-_bridge_skeletons, draws the bridges for sample_bridge and for both
-estimators, which evaluate their functionals on its skeletons.
+_bridge_skeletons, draws the bridges for sample_bridge, the CLI's bridge
+mode and both estimators, which evaluate their functionals on its
+skeletons. It groups the paths by jump count and steps consecutive groups
+together, one step index at a time over all of them, in batches of a
+bounded number of cells; each step reads only the nonzeros of R's rows
+(a padded table the graph builds once with R), and still draws the same
+bits as a dense search over all n columns would.
 
 Reproducibility: estimators take an integer seed; one child stream per
 diagonal vertex is spawned via numpy SeedSequence in vertex order and
@@ -123,14 +128,16 @@ class BridgeKernel:
 
     A bridge pinned at y reads R^k only through its column R^k[:, y], so
     powers[k] holds just that column: a (T, n) table built by
-    v_k = R v_{k-1}, with T = len(pmf). r is the graph's shared jump chain.
+    v_k = R v_{k-1}, with T = len(pmf). r is the graph's shared jump chain
+    and (cols, vals) the shared padded table of its row support, which the
+    sampler steps on.
     """
 
     def __init__(self, graph: WeightedGraph, t: float, y: int):
         check_time(t)
         self.t = float(t)
         self.y = int(y)
-        self.lam, self.r = graph.jump_chain()
+        self.lam, self.r, self.cols, self.vals = graph.jump_chain()
         # refuse before building the Poisson weights: enormous lam*t is out
         # of scope for the exact sampler
         if self.lam * self.t > MAX_BRIDGE_TERMS:
@@ -158,8 +165,8 @@ class BridgeKernel:
         return probs, denom
 
 
-# worst case 129 (T, n) column tables, plus the one n x n R of each graph
-# whose kernels they are
+# worst case 129 (T, n) column tables, plus the one n x n R (and its
+# row-support table) of each graph whose kernels they are
 _bridge_cache = _KernelCache(capacity=129)
 
 
@@ -172,12 +179,10 @@ def bridge_kernel(graph: WeightedGraph, t: float, y: int) -> BridgeKernel:
     return _bridge_cache.insert(key, BridgeKernel(graph, t, y))
 
 
-def _rows_categorical(prob_rows: np.ndarray, rng) -> np.ndarray:
-    """One draw per row with probabilities proportional to the row entries."""
-    cum = np.cumsum(prob_rows, axis=1)
-    u = rng.random(prob_rows.shape[0]) * cum[:, -1]
-    idx = (cum <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, prob_rows.shape[1] - 1)
+# cells of the step-major skeleton table a batch of jump-count groups is
+# stepped in: (paths in the batch) x (largest count + 1). Bounds the
+# sampler's working set; a single group larger than this is one batch.
+_BATCH_CELLS = 1 << 16
 
 
 def _bridge_skeletons(bk: BridgeKernel, x: int, n_samples: int, rng,
@@ -188,27 +193,72 @@ def _bridge_skeletons(bk: BridgeKernel, x: int, n_samples: int, rng,
     the paths with that count, z is their (m, nj + 1) uniformized skeleton
     from x to bk.y, and gaps (None unless with_gaps) their nj + 1 holding
     times, exponential spacings normalized to sum to t. The stream is drawn
-    in that order: all counts, then per group its skeleton and its gaps.
+    in that order: all counts, then per group one block of m (nj - 1)
+    uniforms, step-major, and its gaps. Consecutive groups are drawn and
+    stepped together in batches, so the generator runs ahead of the yields:
+    callers must not draw from rng while iterating.
     """
     probs, denom = bk.count_distribution(x)
     cum = np.cumsum(probs)
     u = rng.random(n_samples) * denom
     counts = np.minimum(np.searchsorted(cum, u, side="right"), len(probs) - 1)
-    for nj in np.unique(counts):
-        sel = np.flatnonzero(counts == nj)
-        m = sel.size
-        z = np.empty((m, nj + 1), dtype=np.intp)
-        z[:, 0] = x
-        if nj >= 1:
-            z[:, nj] = bk.y
-        for k in range(1, nj):
-            rows = bk.r[z[:, k - 1], :] * bk.powers[nj - k][None, :]
-            z[:, k] = _rows_categorical(rows, rng)
-        gaps = None
+    order = np.argsort(counts, kind="stable")
+    njs, sizes = np.unique(counts, return_counts=True)
+    first = np.concatenate(([0], np.cumsum(sizes)))
+    g = 0
+    while g < njs.size:
+        stop = g + 1
+        while (stop < njs.size and (first[stop + 1] - first[g])
+               * (njs[stop] + 1) <= _BATCH_CELLS):
+            stop += 1
+        yield from _skeleton_batch(bk, x, rng, njs[g:stop], sizes[g:stop],
+                                   order[first[g]:first[stop]], with_gaps)
+        g = stop
+
+
+def _skeleton_batch(bk: BridgeKernel, x: int, rng, njs, sizes, sel,
+                    with_gaps: bool):
+    """Draw and step consecutive count groups together, then yield each.
+
+    Column j of the step-major tables is the j-th path of sel, whose count
+    steps[j] ascends, so the paths still stepping at step k (count > k) are
+    a suffix. P(z_k = c | z_{k-1}) ~ R[z_{k-1}, c] R^{nj-k}[c, y] is read
+    on R's row support only: over the support the running sum equals the
+    dense one over all n columns (zero entries add +0.0), and the first
+    column whose sum exceeds u has positive weight, so it is in the support.
+    A u at or above the row total lands on the pad, column n - 1, as the
+    dense search's clamp does: the draws are the dense sampler's bits.
+    """
+    steps = np.repeat(njs, sizes)
+    starts = np.cumsum(sizes) - sizes
+    top = int(njs[-1])
+    z = np.empty((top + 1, steps.size), dtype=np.intp)
+    z[0] = x
+    unif = np.empty((max(top - 1, 0), steps.size))
+    gaps = []
+    for nj, m, lo in zip(njs, sizes, starts):
+        if nj >= 2:
+            unif[:nj - 1, lo:lo + m] = rng.random(m * (nj - 1)).reshape(
+                nj - 1, m)
+        g = None
         if with_gaps:
-            gaps = rng.standard_exponential((m, nj + 1))
-            gaps *= bk.t / gaps.sum(axis=1, keepdims=True)
-        yield sel, z, gaps
+            g = rng.standard_exponential((m, nj + 1))
+            g *= bk.t / g.sum(axis=1, keepdims=True)
+        gaps.append(g)
+    for k, lo in enumerate(np.searchsorted(steps, np.arange(1, top),
+                                           side="right"), start=1):
+        prev = z[k - 1, lo:]
+        cols = bk.cols[prev]
+        cum = np.cumsum(bk.vals[prev] * bk.powers[steps[lo:, None] - k, cols],
+                        axis=1)
+        draw = unif[k - 1, lo:] * cum[:, -1]
+        pick = (cum[:, :-1] <= draw[:, None]).sum(axis=1)
+        z[k, lo:] = cols[np.arange(cols.shape[0]), pick]
+    for nj, m, lo, g in zip(njs, sizes, starts, gaps):
+        zg = z[:nj + 1, lo:lo + m].T.copy()
+        if nj >= 1:
+            zg[:, nj] = bk.y
+        yield sel[lo:lo + m], zg, g
 
 
 def sample_bridge(graph: WeightedGraph, x, y, t: float, rng=None) -> JumpPath:

@@ -188,7 +188,7 @@ def table_rule(values) -> Callable:
     def rule(k):
         idx = np.asarray(k, dtype=int) - 2
         if idx.size and (idx.min() < 0 or idx.max() >= table.size):
-            raise ValueError(
+            raise InputError(
                 f"table rule covers k = 2..{table.size + 1} only")
         return table[idx]
 

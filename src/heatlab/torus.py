@@ -202,7 +202,7 @@ class TorusModel:
                             indexing="ij")
         vals = np.asarray(self.potential.fn(*grids), dtype=float)
         if vals.shape != (p,) * self.dim:
-            raise ValueError("potential evaluator must preserve grid shape")
+            raise InputError("potential evaluator must preserve grid shape")
         out = vals.astype(complex)
         q = np.arange(-(p // 2), p // 2 + 1)
         j = np.arange(p)

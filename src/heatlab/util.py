@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EmptyGrid, NonpositiveTime
+from .errors import ConfigError, EmptyGrid, InputError, NonpositiveTime
 
 _REQUIRED = object()
 
@@ -71,7 +71,7 @@ def default_time_grid(t0: float = 1.0, ratio: float = 0.5,
     if points <= 0:
         raise EmptyGrid("time grid needs at least one point")
     if t0 <= 0 or not 0 < ratio < 1:
-        raise ValueError("need t0 > 0 and 0 < ratio < 1")
+        raise InputError("need t0 > 0 and 0 < ratio < 1")
     return t0 * ratio ** np.arange(points)
 
 
@@ -81,9 +81,9 @@ def check_time_grid(t_grid) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise EmptyGrid("empty time grid")
     if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise ValueError("time grid must be positive and finite")
+        raise InputError("time grid must be positive and finite")
     if arr.size > 1 and not np.all(np.diff(arr) < 0):
-        raise ValueError("time grid must be strictly decreasing")
+        raise InputError("time grid must be strictly decreasing")
     return arr
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import heatlab as hl
 from heatlab import cli
 from heatlab.errors import (DisconnectedGraph, GraphMismatch, HeatLabError,
-                            InvalidRate, NonpositiveTime,
+                            InputError, InvalidRate, NonpositiveTime,
                             VertexOutsideExhaustion)
 from heatlab.graphs import WeightedGraph
 from heatlab.kernels import (DEFAULT_TAIL_CUTOFF, Exhaustion, heat_semigroup,
@@ -260,7 +260,7 @@ def test_axioms_reject_mismatched_graphs():
 
 def test_axioms_reject_wrong_times(two_vertex):
     a = heat_semigroup(two_vertex, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         verify_axioms(a, a, heat_semigroup(two_vertex, 1.5))
 
 

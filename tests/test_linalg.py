@@ -14,7 +14,7 @@ from scipy.linalg import expm
 
 import heatlab as hl
 from heatlab import cli, linalg
-from heatlab.errors import EigensolverNoConvergence
+from heatlab.errors import EigensolverNoConvergence, InputError
 from heatlab.graphs import WeightedGraph
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -93,9 +93,9 @@ def test_path_closed_form(n):
 
 
 def test_rejects_asymmetric():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         linalg.symmetric_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         linalg.symmetric_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
@@ -113,14 +113,14 @@ def test_hermitian_keeps_imaginary_parts():
     w, v = linalg.symmetric_eigh(h)
     assert np.max(np.abs(h @ v - v * w)) <= 1e-10
     # complex symmetric but not Hermitian
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         linalg.symmetric_eigvals(np.array([[1.0, 1j], [1j, 1.0]]))
 
 
 def test_rejects_nonsquare():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         linalg.symmetric_eigh(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         linalg.symmetric_eigvals(np.zeros((2, 3)))
 
 

@@ -2,14 +2,18 @@
 
 import math
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 import heatlab as hl
 from heatlab import paths
 from heatlab.errors import (InputError, NonpositiveTime, NTruncationExceeded,
-                            VertexNotInK)
+                            VertexNotInK, ZeroKernel)
 from heatlab.kernels import heat_semigroup
 from heatlab.paths import (BridgeKernel, JumpPath, bridge_kernel,
                            feynman_kac_trace_mc, no_jump_lower_bound,
@@ -127,6 +131,117 @@ def test_sample_bridge_is_one_path_of_the_estimators_sampler(p5):
         times = np.cumsum(gaps[0, :-1])
         assert path.jumps == [(float(when), int(b)) for when, a, b in
                               zip(times, z[0, :-1], z[0, 1:]) if a != b]
+
+
+def dense_bridge_skeletons(bk, x, n_samples, rng, with_gaps=False):
+    """Reference for paths._bridge_skeletons: each jump-count group on its
+    own, one categorical draw per step over all n columns of the dense
+    rows R[z_{k-1}, :] * R^{nj-k}[:, y]."""
+    probs, denom = bk.count_distribution(x)
+    cum = np.cumsum(probs)
+    u = rng.random(n_samples) * denom
+    counts = np.minimum(np.searchsorted(cum, u, side="right"), len(probs) - 1)
+    for nj in np.unique(counts):
+        sel = np.flatnonzero(counts == nj)
+        m = sel.size
+        z = np.empty((m, nj + 1), dtype=np.intp)
+        z[:, 0] = x
+        if nj >= 1:
+            z[:, nj] = bk.y
+        for k in range(1, nj):
+            rows = bk.r[z[:, k - 1], :] * bk.powers[nj - k][None, :]
+            row_cum = np.cumsum(rows, axis=1)
+            draw = rng.random(m) * row_cum[:, -1]
+            z[:, k] = np.minimum((row_cum <= draw[:, None]).sum(axis=1),
+                                 bk.r.shape[1] - 1)
+        gaps = None
+        if with_gaps:
+            gaps = rng.standard_exponential((m, nj + 1))
+            gaps *= bk.t / gaps.sum(axis=1, keepdims=True)
+        yield sel, z, gaps
+
+
+def _balanced_path(n):
+    # end measures halved: every vertex has degree 2, so R has a zero
+    # diagonal and a jump count of the parity of the endpoints' distance
+    mu = np.ones(n)
+    mu[[0, -1]] = 0.5
+    return hl.WeightedGraph(mu, [(i, i + 1, 1.0) for i in range(n - 1)])
+
+
+def _sampler_graph(kind, size, seed):
+    if kind == "bipartite":
+        return _balanced_path(size)
+    if kind == "two":
+        return hl.two_vertex()
+    return hl.random_connected_graph(size, seed, edge_prob=0.4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["random", "bipartite", "two"]),
+       size=st.integers(min_value=2, max_value=9),
+       seed=st.integers(min_value=0, max_value=10_000),
+       lam_t=st.floats(min_value=0.05, max_value=200.0),
+       ends=st.tuples(st.integers(min_value=0, max_value=8),
+                      st.integers(min_value=0, max_value=8)),
+       n_samples=st.integers(min_value=1, max_value=120),
+       cells=st.sampled_from([1, 5, 64, 700, paths._BATCH_CELLS]),
+       with_gaps=st.booleans())
+# x == y through the vertex with R[x, x] = 0, batches of one group each
+@example(kind="random", size=6, seed=3, lam_t=40.0, ends=(0, 0),
+         n_samples=50, cells=1, with_gaps=True)
+# parity on a bipartite path, several groups per batch
+@example(kind="bipartite", size=5, seed=0, lam_t=12.0, ends=(0, 3),
+         n_samples=120, cells=700, with_gaps=False)
+# nj in {0, 1} only, with and without self-jumps
+@example(kind="two", size=2, seed=0, lam_t=0.05, ends=(0, 1),
+         n_samples=100, cells=64, with_gaps=True)
+@example(kind="random", size=4, seed=8, lam_t=0.05, ends=(2, 2),
+         n_samples=100, cells=5, with_gaps=False)
+# lambda t ~ 200, many samples, crossing several batches of the real size
+@example(kind="random", size=9, seed=17, lam_t=200.0, ends=(1, 4),
+         n_samples=1500, cells=paths._BATCH_CELLS, with_gaps=True)
+def test_batched_sampler_draws_the_dense_samplers_bits(
+        kind, size, seed, lam_t, ends, n_samples, cells, with_gaps):
+    g = _sampler_graph(kind, size, seed)
+    x, y = (v % g.n for v in ends)
+    bk = bridge_kernel(g, lam_t / g.jump_chain()[0], y)
+    try:
+        bk.count_distribution(x)
+    except (NTruncationExceeded, ZeroKernel):
+        reject()
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref = list(dense_bridge_skeletons(bk, x, n_samples, ref_rng, with_gaps))
+    with mock.patch.object(paths, "_BATCH_CELLS", cells):
+        got = list(paths._bridge_skeletons(bk, x, n_samples, rng, with_gaps))
+    assert len(got) == len(ref)
+    for (sel, z, gaps), (ref_sel, ref_z, ref_gaps) in zip(got, ref):
+        assert sel.tolist() == ref_sel.tolist()
+        assert z.dtype == ref_z.dtype and z.flags.c_contiguous
+        assert np.array_equal(z, ref_z)
+        if with_gaps:
+            assert gaps.tobytes() == ref_gaps.tobytes()
+        else:
+            assert gaps is None
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_sampler_working_memory_is_bounded():
+    # n = 150, lambda = 64, t = 3: about 190 steps for each of 20000 paths.
+    # Holding every skeleton and its uniforms at once peaks near 90 MB;
+    # batches of _BATCH_CELLS cells keep the sampler's peak a few MB.
+    base = hl.random_connected_graph(150, 5, edge_prob=0.04)
+    g = hl.WeightedGraph(base.mu * base.jump_chain()[0] / 64.0, base.edges)
+    assert g.jump_chain()[0] == pytest.approx(64.0, rel=1e-12)
+    bridge_kernel(g, 3.0, 0)
+    tracemalloc.start()
+    try:
+        est = pnfb_probability(g, 0, range(g.n), 3.0, 20_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.mean == 1.0
+    assert peak < 16e6
 
 
 def test_bridge_count_distribution_matches_kernel(two_vertex):
@@ -275,8 +390,10 @@ def test_fk_trace_builds_each_kernel_once_under_thread_stress(registry):
             assert (est.mean, est.std_error) == (ref.mean, ref.std_error)
             kernels = list(paths._bridge_cache._data.values())
             assert len(kernels) == g.n
-            # every kernel references the graph's one read-only R
+            # every kernel references the graph's one read-only R and its
+            # one row-support table
             assert {id(bk.r) for bk in kernels} == {id(g.jump_chain()[1])}
+            assert {id(bk.cols) for bk in kernels} == {id(g.jump_chain()[2])}
             assert not kernels[0].r.flags.writeable
     finally:
         sys.setswitchinterval(interval)

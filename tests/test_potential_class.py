@@ -214,7 +214,7 @@ def test_checkpoints_trace():
 def test_table_rule_bounds():
     rule = table_rule([1.0, 0.5, 0.25])
     assert np.allclose(rule(np.array([2, 3, 4])), [1.0, 0.5, 0.25])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         rule(np.array([5]))
 
 

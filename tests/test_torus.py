@@ -113,6 +113,13 @@ def test_constant_matches_coefficient_route():
     assert a == pytest.approx(math.exp(-0.5 * 0.7) * theta, abs=1e-13)
 
 
+def test_shape_changing_potential_is_input_error():
+    # an evaluator that does not return one value per quadrature point
+    bad = TorusPotential(kind="callable", fn=lambda theta: np.zeros(3))
+    with pytest.raises(InputError):
+        model_1d(potential=bad).coefficient_table()
+
+
 def test_galerkin_against_dense_oracle():
     # independent route: assemble the truncated block by brute force with
     # numpy fft coefficients and diagonalize with numpy

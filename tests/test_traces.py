@@ -80,7 +80,7 @@ def test_scan_respects_weighted_measure():
 
 
 def test_scan_requires_decreasing_grid(two_vertex):
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         semiclassical_scan(two_vertex, 0.0, [0.1, 0.5])
     with pytest.raises(EmptyGrid):
         semiclassical_scan(two_vertex, 0.0, [])
