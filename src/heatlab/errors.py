@@ -83,7 +83,8 @@ class TruncationNotConverged(HeatLabError):
 
 
 class NTruncationExceeded(HeatLabError):
-    """Bridge jump-count distribution needs more terms than the cap allows."""
+    """A series taken one jump-chain step per term (the bridge jump-count
+    distribution, a semigroup action) needs more terms than the cap allows."""
 
 
 class VertexNotInK(HeatLabError):

@@ -19,10 +19,28 @@ conditioning of e^{-tH} itself. The kernel itself is
 p(t,x,y) = [e^{-tH}]_{x,y} / mu(y); it is symmetric, sub-Markov (mass <= 1)
 and bounded by 1/mu.
 
+Where only a few columns or entries of e^{-tH} are read, no table is built:
+_chain_action applies sum_k c_k R_K^k to a block of vectors V >= 0 on the
+graph's shared jump chain, one matrix-vector product per term (Horner), with
+R_K the principal submatrix of R on a vertex mask K (zero outside K). With
+the weights c_k = pmf_k of the Poisson(Lambda t) series, cut where its tail
+bound is below 1e-14 (Fox and Glynn, as above), the result for e^{-tH_K} V
+is, before rounding, entrywise at most the exact one and below it by at
+most tail * max V: pmf_k <= p_k, the cut weights miss at most tail in all,
+and R_K^k has row sums <= 1. The bound is absolute, like the table's. The
+series is not squared, so it takes about Lambda t terms: Lambda t above
+MAX_BRIDGE_TERMS is refused with NTruncationExceeded, as the bridge sampler
+refuses it. potential_class.kato_modulus integrates the same series in time
+with other weights.
+
 Killed (Dirichlet) kernels on a subset K use the principal submatrix of H,
 which keeps the full weighted degree on the diagonal: mass lost through
 edges leaving K is absorbed, and the killed kernels increase monotonically
-along any exhaustion toward the kernel of the full graph.
+along any exhaustion toward the kernel of the full graph. minimal_heat_kernel
+masks one ambient (Lambda, R) to each member, one stack item per member, so
+every member goes through the same monotone operations on nonnegative
+operands, and the computed killed values are nondecreasing along an
+exhaustion exactly, not just up to rounding.
 """
 
 from __future__ import annotations
@@ -35,11 +53,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (GraphMismatch, InputError, InvalidRate,
-                     VertexOutsideExhaustion)
+                     NTruncationExceeded, VertexOutsideExhaustion)
 from .graphs import WeightedGraph, require_connected, uniformize
 from .util import check_time, write_csv
 
 DEFAULT_TAIL_CUTOFF = 1e-14
+# largest Lambda t of a series summed one jump-chain step per term
+MAX_BRIDGE_TERMS = 100_000
 
 
 def poisson_weights(lam_t: float):
@@ -87,6 +107,50 @@ def _poisson_pmf(lam_t: float, cutoff: float):
         w.append(nxt)
         running += nxt
         k += 1
+
+
+def _stepwise_weights(lam_t: float, cutoff: float = DEFAULT_TAIL_CUTOFF):
+    """Poisson weights (pmf, tail) for a series taken one jump-chain step
+    per term, cut at cutoff as _poisson_pmf describes.
+
+    Refuses lam_t above MAX_BRIDGE_TERMS with NTruncationExceeded before any
+    weight is built: the exact bridge sampler and _chain_action cannot square
+    the series down, so their cost grows with lam_t.
+    """
+    if lam_t > MAX_BRIDGE_TERMS:
+        raise NTruncationExceeded(
+            f"lam*t = {lam_t:.3e} needs more jump-count terms than the cap "
+            f"{MAX_BRIDGE_TERMS}")
+    return _poisson_pmf(lam_t, cutoff)
+
+
+def _chain_action(graph: WeightedGraph, coeffs, v: np.ndarray,
+                  mask=None) -> np.ndarray:
+    """sum_k coeffs[k] R_K^k v on the graph's jump chain, without a table.
+
+    v is (n,), (n, m) or a stack (s, n, m); mask, if given, broadcasts
+    against v and marks the vertex set K of each column, where R_K is R's
+    principal submatrix on K, zero outside it (no mask: R itself). With
+    coeffs >= 0 and v >= 0 every operation is monotone in its nonnegative
+    operands, and every item of a stack goes through the same products as
+    every other, so a smaller mask or v in one item gives a result no larger
+    than the matching column of another, bit for bit. (BLAS may round the
+    columns of one product differently, so columns of one item are not
+    comparable that way.)
+    """
+    r = graph.jump_chain()[1]
+    if mask is not None:
+        v = v * mask
+    # Horner, c_0 v + R_K (c_1 v + R_K (c_2 v + ...)), as in
+    # uniformized_exponential: at Lambda t ~ 10^3 it rounds several times
+    # less than a running sum of the terms c_k R_K^k v
+    out = coeffs[-1] * v
+    for c in coeffs[-2::-1]:
+        out = r @ out
+        if mask is not None:
+            out *= mask
+        out += c * v
+    return out
 
 
 @dataclass
@@ -296,8 +360,13 @@ def minimal_heat_kernel(graph: WeightedGraph, exhaustion: Exhaustion,
                         t: float, x, y) -> MinimalKernelSequence:
     """p_{K_n}(t,x,y) for each member of the exhaustion.
 
-    The sequence is nondecreasing in n; the gap between the last two values
-    is reported as the convergence proxy for the minimal kernel.
+    One stacked action of the ambient series on [e_x, e_y], one stack item
+    per member masked to it, gives the entries of every killed kernel (as
+    killed_kernel symmetrizes them) without building a table. The sequence
+    is nondecreasing in n exactly (see the module docstring); the gap
+    between the last two values is reported as the convergence proxy for
+    the minimal kernel. Lambda t above MAX_BRIDGE_TERMS raises
+    NTruncationExceeded.
     """
     if not isinstance(exhaustion, Exhaustion):
         exhaustion = Exhaustion(list(exhaustion))
@@ -307,11 +376,17 @@ def minimal_heat_kernel(graph: WeightedGraph, exhaustion: Exhaustion,
     if x not in first or y not in first:
         raise VertexOutsideExhaustion(
             f"vertices ({x},{y}) must lie in the first member {first}")
-    vals = np.empty(len(exhaustion))
-    for n, subset in enumerate(exhaustion.subsets):
-        p, idx = killed_kernel(graph, subset, t)
-        pos = {v: i for i, v in enumerate(idx)}
-        vals[n] = p[pos[x], pos[y]]
+    check_time(t)
+    # one stack item [e_x, e_y] per member, masked to it
+    mask = np.zeros((len(exhaustion), graph.n, 1), dtype=bool)
+    for j, subset in enumerate(exhaustion.subsets):
+        mask[j, [graph.resolve(v) for v in subset]] = True
+    v = np.zeros((len(exhaustion), graph.n, 2))
+    v[:, x, 0] = 1.0
+    v[:, y, 1] = 1.0
+    pmf, _ = _stepwise_weights(graph.jump_chain()[0] * t)
+    e = _chain_action(graph, pmf, v, mask)
+    vals = 0.5 * (e[:, x, 1] / graph.mu[y] + e[:, y, 0] / graph.mu[x])
     gap = float(vals[-1] - vals[-2]) if len(vals) > 1 else float("nan")
     return MinimalKernelSequence(t=float(t), x=x, y=y, values=vals,
                                  last_gap=gap)

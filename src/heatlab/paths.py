@@ -38,18 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NTruncationExceeded, VertexNotInK, ZeroKernel
-from .graphs import WeightedGraph
-from .kernels import (
-    _KernelCache,
-    heat_semigroup,
-    killed_kernel,
-    poisson_weights,
-)
+from .graphs import WeightedGraph, require_connected
+from .kernels import _chain_action, _KernelCache, _stepwise_weights
 from .traces import as_potential
 from .util import check_time, kahan_sum, parallel_map
 
 _RELATIVE_TAIL_TOL = 1e-10
-MAX_BRIDGE_TERMS = 100_000
 
 
 @dataclass
@@ -138,13 +132,7 @@ class BridgeKernel:
         self.t = float(t)
         self.y = int(y)
         self.lam, self.r, self.cols, self.vals = graph.jump_chain()
-        # refuse before building the Poisson weights: enormous lam*t is out
-        # of scope for the exact sampler
-        if self.lam * self.t > MAX_BRIDGE_TERMS:
-            raise NTruncationExceeded(
-                f"lam*t = {self.lam * self.t:.3e} needs more jump-count "
-                f"terms than the cap {MAX_BRIDGE_TERMS}")
-        self.pmf, self.tail = poisson_weights(self.lam * self.t)
+        self.pmf, self.tail = _stepwise_weights(self.lam * self.t)
         powers = np.zeros((len(self.pmf), graph.n))
         powers[0, self.y] = 1.0
         for k in range(1, len(self.pmf)):
@@ -152,7 +140,11 @@ class BridgeKernel:
         self.powers = powers
 
     def count_distribution(self, x: int):
-        """Unnormalized P(N = n) for the (x, y) bridge, plus its mass."""
+        """Unnormalized P(N = n) for the (x, y) bridge, plus its mass.
+
+        The mass sum_n pmf_n R^n[x, y] is [e^{-tH}]_{x,y} = p(t,x,y) mu(y),
+        cut as the module docstring of kernels describes.
+        """
         probs = self.pmf * self.powers[:, x]
         denom = float(probs.sum())
         if denom <= 0.0:
@@ -286,28 +278,30 @@ def feynman_kac_trace_mc(graph: WeightedGraph, w, t: float, n_samples: int,
 
         sum_x mu(x) p(t,x,x) E^{x,x}[ exp(-int_0^t w(gamma(s)) ds) ].
 
-    One child stream per vertex (SeedSequence spawn in vertex order); the
-    weighted means are combined with Kahan summation, so the estimate does
-    not depend on the number of worker threads.
+    The weight mu(x) p(t,x,x) is the diagonal bridge kernel's count mass,
+    so no heat table is built. One child stream per vertex (SeedSequence
+    spawn in vertex order); the weighted means are combined with Kahan
+    summation, so the estimate does not depend on the number of worker
+    threads.
     """
     pot = as_potential(w, graph.n)
-    table = heat_semigroup(graph, t)
+    check_time(t)
+    require_connected(graph)
     children = np.random.SeedSequence(seed).spawn(graph.n)
-    coeff = graph.mu * table.diagonal()
 
     def per_vertex(xi: int):
         rng = np.random.Generator(np.random.PCG64(children[xi]))
+        bk = bridge_kernel(graph, t, xi)
         fk = np.empty(int(n_samples))
-        for sel, z, gaps in _bridge_skeletons(bridge_kernel(graph, t, xi), xi,
-                                              int(n_samples), rng,
+        for sel, z, gaps in _bridge_skeletons(bk, xi, int(n_samples), rng,
                                               with_gaps=True):
             fk[sel] = np.exp(-(pot.values[z] * gaps).sum(axis=1))
         var = float(fk.var(ddof=1)) if len(fk) > 1 else 0.0
-        return float(fk.mean()), var
+        return bk.count_distribution(xi)[1], float(fk.mean()), var
 
     stats = parallel_map(per_vertex, range(graph.n), threads)
-    mean = kahan_sum(c * m for c, (m, _) in zip(coeff, stats))
-    var = kahan_sum(c * c * v / n_samples for c, (_, v) in zip(coeff, stats))
+    mean = kahan_sum(c * m for c, m, _ in stats)
+    var = kahan_sum(c * c * v / n_samples for c, _, v in stats)
     return McEstimate(mean=mean, std_error=float(np.sqrt(var)),
                       n_samples=int(n_samples), seed=int(seed))
 
@@ -339,18 +333,35 @@ def pnfb_probability(graph: WeightedGraph, x, subset, t: float,
                       n_samples=int(n_samples), seed=int(seed))
 
 
+def _return_masses(graph: WeightedGraph, xi: int, t: float,
+                   subsets) -> np.ndarray:
+    """[e^{-tH_K}]_{x,x} = p_K(t,x,x) mu(x) for each K in subsets (None is
+    the whole graph), from one block action on e_x; raises DisconnectedGraph
+    as heat_semigroup does."""
+    check_time(t)
+    require_connected(graph)
+    mask = np.ones((graph.n, len(subsets)), dtype=bool)
+    for j, members in enumerate(subsets):
+        if members is not None:
+            mask[:, j] = False
+            mask[members, j] = True
+    v = np.zeros((graph.n, len(subsets)))
+    v[xi] = 1.0
+    pmf, _ = _stepwise_weights(graph.jump_chain()[0] * t)
+    return _chain_action(graph, pmf, v, mask)[xi]
+
+
 def stay_probability_exact(graph: WeightedGraph, x, subset, t: float) -> float:
-    """Exact staying probability p_K(t,x,x) / p(t,x,x) via killed kernels."""
+    """Exact staying probability p_K(t,x,x) / p(t,x,x) via killed kernels,
+    both read from one action on e_x (masked to K, and unmasked)."""
     xi = graph.resolve(x)
     members = sorted({graph.resolve(v) for v in subset})
     if xi not in members:
         raise VertexNotInK(f"vertex {xi} not in K = {members}")
-    p_killed, idx = killed_kernel(graph, members, t)
-    pos = idx.index(xi)
-    full = heat_semigroup(graph, t).values[xi, xi]
+    killed, full = _return_masses(graph, xi, t, [members, None])
     if full <= 0.0:
         raise ZeroKernel(f"p({t},{xi},{xi}) vanishes")
-    return float(p_killed[pos, pos] / full)
+    return float(killed / full)
 
 
 def no_jump_lower_bound(graph: WeightedGraph, x, t: float) -> float:
@@ -360,7 +371,7 @@ def no_jump_lower_bound(graph: WeightedGraph, x, t: float) -> float:
     an identity for K = {x}.
     """
     xi = graph.resolve(x)
-    p = heat_semigroup(graph, t).values[xi, xi]
-    if p <= 0.0:
+    full, = _return_masses(graph, xi, t, [None])
+    if full <= 0.0:
         raise ZeroKernel(f"p({t},{xi},{xi}) vanishes")
-    return float(np.exp(-t * graph.degree(xi)) / (p * graph.mu[xi]))
+    return float(np.exp(-t * graph.degree(xi)) / full)

@@ -4,7 +4,13 @@ Three probes, all reported as numbers or verdicts rather than gates:
 
 * Kato-type smallness: the modulus
       kato(t) = sup_x int_0^t sum_y p(s,x,y) |w(y)| mu(y) ds,
-  evaluated by fixed 32-point Gauss-Legendre quadrature in s.
+  integrated in closed form over the uniformized series,
+      int_0^t e^{-sH} v ds = (1/Lambda) sum_k P(N > k) R^k v,
+  N ~ Poisson(Lambda t) (Reibman and Trivedi, Stochastic Models 5, 1989),
+  and applied to v = |w| without building any heat table. Every weight is
+  >= 0, so the value is nonnegative and monotone in t by construction, and
+  it is a lower bound of the integral within a certified remainder (see
+  kato_modulus).
 
 * Infinitesimal form-boundedness: the smallest constant C with
       <|w| f, f>_mu <= eps Q(f,f) + C <f,f>_mu,
@@ -40,12 +46,13 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigError, InputError
-from .graphs import WeightedGraph
-from .kernels import heat_semigroup
+from .graphs import WeightedGraph, require_connected
+from .kernels import _chain_action, _stepwise_weights
 from .traces import as_potential
 from .util import check_time, floats, kahan_sum, number, require
 
-KATO_QUADRATURE_POINTS = 32
+# the Kato weights are cut where the Poisson tail is below rounding
+_KATO_TAIL_CUTOFF = 2.0 ** -64
 ADMISSIBLE_TAIL_TOL = 1e-9
 _WINDOW = 16
 _CHUNK = 1 << 22
@@ -61,20 +68,35 @@ _EM_COEFFS = tuple(b / math.factorial(2 * j) for j, b in enumerate(
 
 
 def kato_modulus(graph: WeightedGraph, w, t: float) -> float:
-    """sup_x int_0^t sum_y p(s,x,y)|w(y)| mu(y) ds by Gauss-Legendre.
+    """sup_x int_0^t sum_y p(s,x,y)|w(y)| mu(y) ds, exactly up to a cut.
 
-    The integrand is smooth in s, so the fixed 32-point rule is accurate to
-    well below 1e-8 at desk scale. Monotone and subadditive in t.
+    The inner sum is [e^{-sH} |w|]_x. Integrating the uniformized series
+    term by term, int_0^t e^{-Lambda s} (Lambda s)^k / k! ds equals
+    P(N > k) / Lambda with N ~ Poisson(Lambda t), so the integral is
+    sum_k c_k R^k |w| with c_k = P(N > k) / Lambda >= 0. Each c_k is summed
+    from the right of Poisson weights pmf_0..pmf_K cut at a tail bound
+    tail <= 2^-64 min(1, Lambda t), so it is at most the exact one and the
+    cut stays below rounding even when Lambda t is small.
+
+    Certificate: the value is at most the exact modulus and below it by at
+    most max|w| * tail * (K + 1 + r / (1 - r)^2) / Lambda, r =
+    Lambda t / (K + 2) < 1: each c_k, k <= K, misses at most tail / Lambda,
+    and sum_{k > K} P(N > k) <= tail r / (1 - r)^2. That is below 1e-18
+    t max|w| for every Lambda t the cap admits, so rounding, about
+    sqrt(K) eps relative, decides the accuracy. Nonnegative, monotone and
+    subadditive in t. Lambda t above MAX_BRIDGE_TERMS raises
+    NTruncationExceeded; a disconnected graph raises DisconnectedGraph.
     """
     check_time(t)
+    require_connected(graph)
     pot = as_potential(w, graph.n)
-    weighted = np.abs(pot.values) * graph.mu
-    nodes, weights = np.polynomial.legendre.leggauss(KATO_QUADRATURE_POINTS)
-    s_vals = 0.5 * t * (nodes + 1.0)
-    per_vertex = np.zeros(graph.n)
-    for s, quad_w in zip(s_vals, weights):
-        table = heat_semigroup(graph, float(s))
-        per_vertex += (0.5 * t * quad_w) * (table.values @ weighted)
+    lam = graph.jump_chain()[0]
+    lam_t = lam * t
+    pmf, _ = _stepwise_weights(lam_t, _KATO_TAIL_CUTOFF * min(1.0, lam_t))
+    # c_k = P(N > k) / Lambda for k < K (c_K, below the tail, is dropped);
+    # with Lambda t = 0, e^{-sH} = I on [0, t] and the integral is t |w|
+    coeffs = np.cumsum(pmf[:0:-1])[::-1] / lam if lam_t else np.array([t])
+    per_vertex = _chain_action(graph, coeffs, np.abs(pot.values))
     return float(per_vertex.max())
 
 
@@ -175,10 +197,15 @@ def power_rule(exponent: float) -> Callable:
 
 
 def quadratic_growth_rule(rate: float) -> Callable:
-    """c_k = exp(-rate (k-1)^2): the profile of w(x) >= rate * d(x)^2."""
+    """c_k = exp(-rate (k-1)^2): the profile of w(x) >= rate * d(x)^2.
+
+    For rate >= 0 log c_k is concave, so the series terms are log-concave
+    (marked log_concave) and the direct sum may stop where they vanish.
+    """
     rate = float(rate)
     rule = lambda k: np.exp(-rate * (np.asarray(k, dtype=float) - 1.0) ** 2)
     rule.log = lambda k: -rate * (np.asarray(k, dtype=float) - 1.0) ** 2
+    rule.log_concave = rate >= 0
     return rule
 
 
@@ -304,20 +331,48 @@ def _direct_sums(profile: GrowthProfile, ks: list) -> tuple:
     """Partial sums at ks and the total, by chunks combined with Kahan.
 
     Once the running total is +inf every later partial sum is too, so the
-    remaining chunks are not evaluated.
+    remaining chunks are not evaluated. Neither are they once a log-concave
+    profile's terms have vanished (_vanished): every later chunk then sums
+    to +0.0, which only applies Kahan's pending compensation, so those
+    chunks are replayed as zeros until one leaves the total unchanged, a
+    fixed point of the compensation. The results are bit-identical to
+    evaluating every chunk.
     """
     partials, chunk_sums, total = [], [], 0.0
-    start = 2
+    start, vanished = 2, False
     while start <= profile.k_max and total != math.inf:
         stop = min(start + _CHUNK - 1, profile.k_max)
-        terms = _nonnegative(profile.terms(np.arange(start, stop + 1,
-                                                     dtype=float)))
-        partials += [total + float(np.sum(terms[:k - start + 1]))
-                     for k in ks if start <= k <= stop]
-        chunk_sums.append(float(np.sum(terms)))
-        total = kahan_sum(chunk_sums)
+        if vanished:
+            partials += [total for k in ks if start <= k <= stop]
+            chunk_sums.append(0.0)
+            before, total = total, kahan_sum(chunk_sums)
+            if total == before:
+                break
+        else:
+            terms = _nonnegative(profile.terms(np.arange(start, stop + 1,
+                                                         dtype=float)))
+            partials += [total + float(np.sum(terms[:k - start + 1]))
+                         for k in ks if start <= k <= stop]
+            chunk_sums.append(float(np.sum(terms)))
+            total = kahan_sum(chunk_sums)
+            vanished = _vanished(profile, terms, stop)
         start = stop + 1
-    return partials + [math.inf] * (len(ks) - len(partials)), total
+    return partials + [total] * (len(ks) - len(partials)), total
+
+
+def _vanished(profile: GrowthProfile, terms: np.ndarray, stop: int) -> bool:
+    """Whether every term past stop is 0.0, for a log-concave profile.
+
+    log a_k = log c_k + m log k + 2 L k is concave, so once it decreases
+    from stop - 1 to stop it decreases from there on, and a term at stop
+    that has underflowed to 0.0 stays 0.0.
+    """
+    if not getattr(profile.c_values, "log_concave", False) or terms[-1]:
+        return False
+    k = np.array([stop - 1, stop], dtype=float)
+    log_terms = (profile.c_values.log(k) + profile.m * np.log(k)
+                 + 2.0 * profile.growth_rate * k)
+    return bool(log_terms[1] < log_terms[0])
 
 
 def _fsum(values) -> float:

@@ -15,14 +15,19 @@ from hypothesis import strategies as st
 
 import heatlab as hl
 from heatlab import cli
+from heatlab import kernels
 from heatlab.errors import (DisconnectedGraph, GraphMismatch, HeatLabError,
                             InputError, InvalidRate, NonpositiveTime,
-                            VertexOutsideExhaustion)
+                            NTruncationExceeded, VertexOutsideExhaustion)
 from heatlab.graphs import WeightedGraph
-from heatlab.kernels import (DEFAULT_TAIL_CUTOFF, Exhaustion, heat_semigroup,
-                             killed_generator, killed_kernel,
-                             minimal_heat_kernel, poisson_weights,
-                             uniformized_exponential, verify_axioms)
+from heatlab.kernels import (DEFAULT_TAIL_CUTOFF, MAX_BRIDGE_TERMS,
+                             Exhaustion, heat_semigroup, killed_generator,
+                             killed_kernel, minimal_heat_kernel,
+                             poisson_weights, uniformized_exponential,
+                             verify_axioms)
+from heatlab.paths import (feynman_kac_trace_mc, no_jump_lower_bound,
+                           pnfb_probability, stay_probability_exact)
+from heatlab.potential_class import kato_modulus
 
 
 def eigh_kernel_oracle(graph, t):
@@ -305,6 +310,21 @@ def test_exhaustion_monotone_to_full():
     assert seq.values[-1] == pytest.approx(full, abs=1e-10)
 
 
+@pytest.mark.parametrize("n, seed, order, x, lam_t", [
+    (25, 154261, [24, 7, 0, 5, 19, 23, 11, 3, 8, 10, 6], 24, 8.0),
+    (54, 523183, [23, 44, 45, 13, 32, 39, 51, 30, 52, 11], 23, 64.0),
+])
+def test_exhaustion_nondecreasing_bit_for_bit(n, seed, order, x, lam_t):
+    # members growing one vertex at a time from five: BLAS may round the
+    # last columns of one product differently, and with every member a
+    # column of one block these sequences dip by an ulp
+    g = hl.random_connected_graph(n, seed)
+    subsets = [sorted(order[:k]) for k in range(5, len(order))]
+    seq = minimal_heat_kernel(g, Exhaustion(subsets),
+                              lam_t / g.jump_chain()[0], x, x)
+    assert np.all(np.diff(seq.values) >= 0)
+
+
 def test_exhaustion_requires_nesting():
     with pytest.raises(VertexOutsideExhaustion):
         Exhaustion([[0, 1], [1, 2]])
@@ -314,6 +334,95 @@ def test_exhaustion_requires_vertices_in_first_member(p5):
     ex = Exhaustion([[0, 1], [0, 1, 2, 3, 4]])
     with pytest.raises(VertexOutsideExhaustion):
         minimal_heat_kernel(p5, ex, 0.5, 4, 4)
+
+
+@st.composite
+def exhaustions(draw):
+    """A random connected graph, a nested exhaustion ending anywhere, two
+    vertices of its first member, and a rate-scaled time."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    g = hl.random_connected_graph(n, draw(st.integers(0, 10_000)))
+    order = draw(st.permutations(range(n)))
+    sizes = sorted(set(draw(st.lists(st.integers(1, n), min_size=1,
+                                     max_size=5))))
+    x, y = draw(st.sampled_from(order[:sizes[0]])), \
+        draw(st.sampled_from(order[:sizes[0]]))
+    lam_t = draw(st.sampled_from([2.0 ** -20, 0.5, 8.0, 192.0, 960.0]))
+    return g, [sorted(order[:k]) for k in sizes], x, y, lam_t
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=exhaustions())
+def test_property_matrix_free_entries_against_expm(case):
+    g, subsets, x, y, lam_t = case
+    h = g.generator_matrix()
+    t = lam_t / float(np.max(np.diag(h)))
+    # rounding: expm and the series both carry about lam_t * eps. The cut
+    # is certified in absolute terms: every entry of e^{-tH_K} is within
+    # the Poisson tail, which decides only entries far below it, such as
+    # those of vertices several steps apart at tiny lam_t.
+    rel = 1e-12 + lam_t * np.finfo(float).eps
+    _, tail = poisson_weights(g.jump_chain()[0] * t)
+    refs = []
+    for subset in subsets:
+        e = scipy.linalg.expm(-t * h[np.ix_(subset, subset)])
+        i, j = subset.index(x), subset.index(y)
+        refs.append(0.5 * (e[i, j] / g.mu[y] + e[j, i] / g.mu[x]))
+    seq = minimal_heat_kernel(g, Exhaustion(subsets), t, x, y)
+    np.testing.assert_allclose(
+        seq.values, refs, rtol=rel,
+        atol=0.5 * tail * (1 / g.mu[x] + 1 / g.mu[y]))
+    assert np.all(np.diff(seq.values) >= 0)
+    full = scipy.linalg.expm(-t * h)[x, x]
+    killed = scipy.linalg.expm(-t * h[np.ix_(subsets[0], subsets[0])])
+    pos = subsets[0].index(x)
+    assert stay_probability_exact(g, x, subsets[0], t) == pytest.approx(
+        killed[pos, pos] / full, rel=rel + 2 * tail / full)
+    # exp(-t Deg(x)) underflows at long times; the quotient is then denormal
+    assert no_jump_lower_bound(g, x, t) == pytest.approx(
+        math.exp(-t * g.degree(x)) / full, rel=rel + tail / full,
+        abs=1e-300)
+
+
+def test_matrix_free_callers_build_no_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a dense heat table was built")
+
+    hl.clear_kernel_cache()
+    monkeypatch.setattr(kernels, "uniformized_exponential", no_table)
+    g = hl.random_connected_graph(12, 4)
+    w = np.linspace(-1.0, 2.0, g.n)
+    assert kato_modulus(g, w, 0.7) > 0
+    seq = minimal_heat_kernel(g, Exhaustion([[0, 1, 2], list(range(12))]),
+                              0.7, 0, 1)
+    assert seq.values[-1] >= seq.values[0] > 0
+    assert 0 < stay_probability_exact(g, 0, [0, 1, 2], 0.7) <= 1
+    assert no_jump_lower_bound(g, 0, 0.7) > 0
+    assert feynman_kac_trace_mc(g, w, 0.7, 50, seed=1).mean > 0
+    assert 0 <= pnfb_probability(g, 0, [0, 1, 2], 0.7, 50, seed=1).mean <= 1
+
+
+def test_matrix_free_callers_refuse_lam_t_above_cap():
+    g = hl.WeightedGraph([1e-6, 1e-6], [(0, 1, 1.0)])    # degree 1e6
+    t = 2 * MAX_BRIDGE_TERMS / 1e6
+    for call in (lambda: minimal_heat_kernel(g, [[0, 1]], t, 0, 1),
+                 lambda: stay_probability_exact(g, 0, [0], t),
+                 lambda: no_jump_lower_bound(g, 0, t)):
+        with pytest.raises(NTruncationExceeded):
+            call()
+
+
+def test_matrix_free_callers_reject_disconnected():
+    g = WeightedGraph([1.0] * 4, [(0, 1, 1.0), (2, 3, 1.0)])
+    for call in (lambda: stay_probability_exact(g, 0, [0, 1], 1.0),
+                 lambda: no_jump_lower_bound(g, 0, 1.0),
+                 lambda: feynman_kac_trace_mc(g, 0.0, 1.0, 10, seed=0)):
+        with pytest.raises(DisconnectedGraph):
+            call()
+    # killing needs no connected ambient graph, as before
+    seq = minimal_heat_kernel(g, [[0, 1]], 1.0, 0, 1)
+    assert seq.values[0] == pytest.approx(0.5 * (1 - math.exp(-2.0)),
+                                          rel=1e-13)
 
 
 # ------------------------------------------------------------ serialization

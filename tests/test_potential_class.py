@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -9,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import expm
 from scipy.special import zeta
 
 import heatlab as hl
 from heatlab import cli
-from heatlab.errors import ConfigError, InputError, NonpositiveTime
+from heatlab.errors import (ConfigError, DisconnectedGraph, InputError,
+                            NonpositiveTime, NTruncationExceeded)
+from heatlab.kernels import MAX_BRIDGE_TERMS
 from heatlab.potential_class import (_EM_HEAD, _EM_ORDER,
                                      AdmissibilityResult, GrowthProfile,
                                      constant_rule,
@@ -84,6 +88,41 @@ def test_kato_small_time_vanishes(two_vertex):
             for t in (1.0, 0.1, 0.01, 0.001)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 2e-3
+
+
+@pytest.mark.parametrize("lam_t", [8.0, 64.0, 256.0, 1024.0])
+def test_kato_against_van_loan_block_exponential(lam_t):
+    # independent route: expm([[-H, I], [0, 0]] t) has int_0^t e^{-sH} ds
+    # as its upper right block (Van Loan, IEEE TAC 23, 1978)
+    g = hl.random_connected_graph(40, 3)
+    h = g.generator_matrix()
+    t = lam_t / float(np.max(np.diag(h)))
+    w = np.zeros(g.n)
+    w[7] = 2.0
+    block = np.zeros((2 * g.n, 2 * g.n))
+    block[:g.n, :g.n] = -t * h
+    block[:g.n, g.n:] = t * np.eye(g.n)
+    ref = float(np.max(expm(block)[:g.n, g.n:] @ np.abs(w)))
+    assert kato_modulus(g, w, t) == pytest.approx(ref, rel=1e-12)
+
+
+def test_kato_refuses_lam_t_above_cap_promptly():
+    g = hl.WeightedGraph([1e-6, 1e-6], [(0, 1, 1.0)])    # degree 1e6
+    start = time.monotonic()
+    with pytest.raises(NTruncationExceeded):
+        kato_modulus(g, [1.0, 0.0], 2 * MAX_BRIDGE_TERMS / 1e6)
+    assert time.monotonic() - start < 0.1
+
+
+def test_kato_rejects_disconnected_graph():
+    g = hl.WeightedGraph([1.0] * 4, [(0, 1, 1.0), (2, 3, 1.0)])
+    with pytest.raises(DisconnectedGraph):
+        kato_modulus(g, [1.0, 0.0, 0.0, 0.0], 1.0)
+
+
+def test_kato_without_edges_is_t_max_w():
+    g = hl.WeightedGraph([2.0], [])
+    assert kato_modulus(g, [-3.0], 0.25) == 0.75
 
 
 # ----------------------------------------------------------------- witness
@@ -256,6 +295,39 @@ def test_diverging_series_past_one_chunk_is_infinite():
     assert res.doubling_partial_sum == math.inf
     assert res.verdict == "inadmissible"
     assert [s for _, _, s in res.checkpoints][-2:] == [math.inf, math.inf]
+
+
+def test_vanished_terms_stop_the_direct_sum():
+    # the terms k^2 e^{2k - (k-1)^2} underflow near k = 30; without the
+    # stop every one of 2^31 chunks would be evaluated
+    p = GrowthProfile(m=2, a=1.0, c_values=quadratic_growth_rule(1.0),
+                      k_max=2 ** 53)
+    start = time.monotonic()
+    res = ricci_admissibility(p)
+    assert time.monotonic() - start < 1.0
+    assert res.verdict == "admissible"
+    assert [s for _, _, s in res.checkpoints][-1] == res.partial_sum
+
+
+@pytest.mark.parametrize("m, a, rate", [(2, 1.0, 1.0), (2, 0.0, 2e-11)])
+def test_stopped_direct_sum_is_bit_identical(m, a, rate):
+    # rate 2e-11 keeps terms past the first chunk and vanishes before 1e7,
+    # so the last chunk is skipped with a Kahan compensation pending
+    def run(mark):
+        rule = quadratic_growth_rule(rate)
+        rule.log_concave = mark
+        return ricci_admissibility(GrowthProfile(m=m, a=a, c_values=rule,
+                                                 k_max=10 ** 7))
+
+    stopped, full = run(True), run(False)
+    assert stopped.partial_sum.hex() == full.partial_sum.hex()
+    assert [s.hex() for _, _, s in stopped.checkpoints] == \
+        [s.hex() for _, _, s in full.checkpoints]
+
+
+def test_negative_rate_is_not_log_concave():
+    assert not quadratic_growth_rule(-0.5).log_concave
+    assert quadratic_growth_rule(0.0).log_concave
 
 
 # ----------------------------------------------------- closed-form p-series
