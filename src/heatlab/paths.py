@@ -19,10 +19,14 @@ which every bridge kernel of that graph shares. One sampler,
 _bridge_skeletons, draws the bridges for sample_bridge, the CLI's bridge
 mode and both estimators, which evaluate their functionals on its
 skeletons. It groups the paths by jump count and steps consecutive groups
-together, one step index at a time over all of them, in batches of a
-bounded number of cells; each step reads only the nonzeros of R's rows
-(a padded table the graph builds once with R), and still draws the same
-bits as a dense search over all n columns would.
+together, in batches of a bounded number of cells, sweeping the remaining
+jump count j down from the largest: every path with more than j jumps
+takes its step with j jumps left, and all of them read the same column
+R^j[:, y], so one (n, width) table of cumulative row weights serves the
+sweep and is dropped after it. Each step reads only the nonzeros of R's
+rows (a padded table of width entries per row, which the graph builds once
+with R), and still draws the same bits as a dense search over all n
+columns would.
 
 Reproducibility: estimators take an integer seed; one child stream per
 diagonal vertex is spawned via numpy SeedSequence in vertex order and
@@ -171,9 +175,9 @@ def bridge_kernel(graph: WeightedGraph, t: float, y: int) -> BridgeKernel:
     return _bridge_cache.insert(key, BridgeKernel(graph, t, y))
 
 
-# cells of the step-major skeleton table a batch of jump-count groups is
-# stepped in: (paths in the batch) x (largest count + 1). Bounds the
-# sampler's working set; a single group larger than this is one batch.
+# cells of the skeleton table a batch of jump-count groups is stepped in:
+# (paths in the batch) x (largest count + 1). Bounds the sampler's working
+# set; a single group larger than this is one batch.
 _BATCH_CELLS = 1 << 16
 
 
@@ -212,45 +216,55 @@ def _skeleton_batch(bk: BridgeKernel, x: int, rng, njs, sizes, sel,
                     with_gaps: bool):
     """Draw and step consecutive count groups together, then yield each.
 
-    Column j of the step-major tables is the j-th path of sel, whose count
-    steps[j] ascends, so the paths still stepping at step k (count > k) are
-    a suffix. P(z_k = c | z_{k-1}) ~ R[z_{k-1}, c] R^{nj-k}[c, y] is read
-    on R's row support only: over the support the running sum equals the
-    dense one over all n columns (zero entries add +0.0), and the first
-    column whose sum exceeds u has positive weight, so it is in the support.
-    A u at or above the row total lands on the pad, column n - 1, as the
-    dense search's clamp does: the draws are the dense sampler's bits.
+    Column i of the tables is the i-th path of sel, whose count steps[i]
+    ascends, and row j holds what a path needs when j jumps remain: z[j]
+    its vertex there (x at j = nj, y at j = 0), unif[j - 1] the uniform of
+    its step k = nj - j. The sweep runs j from top - 1 down to 1; the paths
+    with nj > j are a suffix, and every one of them reads the same column
+    R^j[:, y]: P(z_k = c | z_{k-1}) ~ R[z_{k-1}, c] R^j[c, y]. So the
+    cumulative row weights of sweep j are one (n, width) table,
+    cumsum(vals * powers[j, cols]), built once and dropped after the sweep;
+    with fewer active paths than rows, the same rows are computed per path.
+    They are read on R's row support only: over the support the running sum
+    equals the dense one over all n columns (zero entries add +0.0), and
+    the first column whose sum exceeds u has positive weight, so it is in
+    the support. A u at or above the row total lands on the pad, column
+    n - 1, as the dense search's clamp does: the draws are the dense
+    sampler's bits.
     """
     steps = np.repeat(njs, sizes)
     starts = np.cumsum(sizes) - sizes
     top = int(njs[-1])
     z = np.empty((top + 1, steps.size), dtype=np.intp)
-    z[0] = x
+    z[0] = bk.y
     unif = np.empty((max(top - 1, 0), steps.size))
     gaps = []
     for nj, m, lo in zip(njs, sizes, starts):
+        z[nj, lo:lo + m] = x
         if nj >= 2:
             unif[:nj - 1, lo:lo + m] = rng.random(m * (nj - 1)).reshape(
-                nj - 1, m)
+                nj - 1, m)[::-1]
         g = None
         if with_gaps:
             g = rng.standard_exponential((m, nj + 1))
             g *= bk.t / g.sum(axis=1, keepdims=True)
         gaps.append(g)
-    for k, lo in enumerate(np.searchsorted(steps, np.arange(1, top),
-                                           side="right"), start=1):
-        prev = z[k - 1, lo:]
-        cols = bk.cols[prev]
-        cum = np.cumsum(bk.vals[prev] * bk.powers[steps[lo:, None] - k, cols],
-                        axis=1)
-        draw = unif[k - 1, lo:] * cum[:, -1]
+    cols, vals, powers = bk.cols, bk.vals, bk.powers
+    n, width = cols.shape
+    flat_cols = cols.ravel()
+    remaining = range(top - 1, 0, -1)
+    suffixes = np.searchsorted(steps, remaining, side="right").tolist()
+    for j, lo in zip(remaining, suffixes):
+        prev = z[j + 1, lo:]
+        if prev.size < n:
+            cum = np.cumsum(vals[prev] * powers[j][cols[prev]], axis=1)
+        else:
+            cum = np.cumsum(vals * powers[j][cols], axis=1)[prev]
+        draw = unif[j - 1, lo:] * cum[:, -1]
         pick = (cum[:, :-1] <= draw[:, None]).sum(axis=1)
-        z[k, lo:] = cols[np.arange(cols.shape[0]), pick]
+        z[j, lo:] = flat_cols[prev * width + pick]
     for nj, m, lo, g in zip(njs, sizes, starts, gaps):
-        zg = z[:nj + 1, lo:lo + m].T.copy()
-        if nj >= 1:
-            zg[:, nj] = bk.y
-        yield sel[lo:lo + m], zg, g
+        yield sel[lo:lo + m], z[nj::-1, lo:lo + m].T.copy(), g
 
 
 def sample_bridge(graph: WeightedGraph, x, y, t: float, rng=None) -> JumpPath:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -125,11 +126,13 @@ def write_csv(path, header, rows) -> Path:
 def parallel_map(fn, items, threads: int = 1) -> list:
     """Order-preserving map, optionally over a thread pool.
 
-    Each call must be pure; results are collected by position so the output
-    does not depend on scheduling.
+    The pool has at most one worker per item and per CPU, however many
+    threads are asked for. Each call must be pure; results are collected by
+    position so the output does not depend on scheduling.
     """
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    workers = min(threads, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

@@ -1,5 +1,7 @@
 """Config-driven experiment runner and the command-line entry point."""
 
+import contextlib
+import io
 import json
 import math
 import re
@@ -626,3 +628,68 @@ def test_property_mutant_keeps_exit_contract(tmp_path_factory, data):
     assert code in (0, 1, 2)
     rows = (tmp_path / "out" / "suite_summary.csv").read_text().splitlines()
     assert len(rows) == 2
+
+
+# flag texts: small and edge-case numbers, and arbitrary text; each flag
+# also draws from its own valid values, thread counts far above the CPUs'
+FLAG_TEXT = st.one_of(
+    st.integers(min_value=-3, max_value=12).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", " 3 ", "1_0", "0x10", "1e3", "-0", "+inf", "2.",
+                     "1e-320", "٣", "99999999999999999999"]),
+    st.text(max_size=8))
+VALID_FLAG_TEXT = {
+    "--t": st.floats(min_value=1e-6, max_value=5.0).map(repr),
+    "--samples": st.integers(min_value=1, max_value=300).map(str),
+    "--threads": st.integers(min_value=1, max_value=10**6).map(str),
+    "--seed": st.integers(min_value=0, max_value=2**70).map(str)}
+TWO_VERTEX_GRAPH = str(CONFIGS / "graphs" / "two_vertex.graph")
+SAMPLE_MODES = {"free": ["--x", "0"], "bridge": ["--x", "0", "--y", "1"],
+                "fk-trace": ["--potential=0.5,-1"],
+                "pnfb": ["--x", "0", "--K", "0,1"]}
+
+
+def _affordable(flag, text):
+    """Whether a value the flag may accept keeps the run short: a sample
+    count or a time (about t jumps per path on the two-vertex graph) too
+    large would run for minutes, not fail."""
+    try:
+        if flag == "--samples":
+            return int(text) <= 300
+        if flag == "--t":
+            return not float(text) > 5.0
+    except ValueError:
+        pass
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_property_cli_flags_keep_exit_contract(tmp_path_factory, data):
+    tmp_path = tmp_path_factory.mktemp("flags")
+    if data.draw(st.booleans()):
+        cfg = write_config(tmp_path / "fk.json", {
+            "kind": "fk-crosscheck", "graph": "fixture:two_vertex",
+            "potential": [0.0, 2.0], "t": 1.0, "samples": 200, "seed": 5,
+            "tolerances": {"k_sigma": 3.0, "max_rel_se": 0.2}})
+        argv, required = ["run", str(cfg)], []
+    else:
+        mode = data.draw(st.sampled_from(sorted(SAMPLE_MODES)))
+        argv = ["sample-paths", "--graph", TWO_VERTEX_GRAPH, "--mode", mode,
+                *SAMPLE_MODES[mode]]
+        required = ["--t", "--samples"]
+    for flag in required + ["--threads", "--seed"]:
+        if flag in required or data.draw(st.booleans()):
+            text = data.draw(st.one_of(
+                VALID_FLAG_TEXT[flag],
+                FLAG_TEXT.filter(lambda v, flag=flag: _affordable(flag, v))),
+                label=flag)
+            argv.append(f"{flag}={text}")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        # any exception escaping main fails the test: it would print a
+        # traceback on the console
+        code = _exit_code(argv + ["--out", str(tmp_path / "out")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

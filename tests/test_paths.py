@@ -11,7 +11,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import heatlab as hl
-from heatlab import paths
+from heatlab import paths, util
 from heatlab.errors import (InputError, NonpositiveTime, NTruncationExceeded,
                             VertexNotInK, ZeroKernel)
 from heatlab.kernels import heat_semigroup
@@ -201,6 +201,15 @@ def _sampler_graph(kind, size, seed):
 # lambda t ~ 200, many samples, crossing several batches of the real size
 @example(kind="random", size=9, seed=17, lam_t=200.0, ends=(1, 4),
          n_samples=1500, cells=paths._BATCH_CELLS, with_gaps=True)
+# one path at lambda t = 200: fewer active paths than rows on every sweep,
+# so each row is computed per path
+@example(kind="random", size=9, seed=29, lam_t=200.0, ends=(0, 5),
+         n_samples=1, cells=paths._BATCH_CELLS, with_gaps=True)
+# 1500 paths in batches of a few groups: the low counts of each batch sweep
+# with more active paths than rows (one row table per count), the top of
+# the last batch with fewer
+@example(kind="bipartite", size=9, seed=4, lam_t=60.0, ends=(2, 6),
+         n_samples=1500, cells=4096, with_gaps=False)
 def test_batched_sampler_draws_the_dense_samplers_bits(
         kind, size, seed, lam_t, ends, n_samples, cells, with_gaps):
     g = _sampler_graph(kind, size, seed)
@@ -226,22 +235,40 @@ def test_batched_sampler_draws_the_dense_samplers_bits(
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_sampler_working_memory_is_bounded():
-    # n = 150, lambda = 64, t = 3: about 190 steps for each of 20000 paths.
-    # Holding every skeleton and its uniforms at once peaks near 90 MB;
-    # batches of _BATCH_CELLS cells keep the sampler's peak a few MB.
+def _rate64_graph():
     base = hl.random_connected_graph(150, 5, edge_prob=0.04)
     g = hl.WeightedGraph(base.mu * base.jump_chain()[0] / 64.0, base.edges)
     assert g.jump_chain()[0] == pytest.approx(64.0, rel=1e-12)
+    return g
+
+
+def _pnfb_peak_bytes(g, n_samples):
+    """tracemalloc peak of a pnfb estimate on the whole vertex set at t = 3,
+    with the bridge kernel built beforehand."""
     bridge_kernel(g, 3.0, 0)
     tracemalloc.start()
     try:
-        est = pnfb_probability(g, 0, range(g.n), 3.0, 20_000, seed=1)
+        est = pnfb_probability(g, 0, range(g.n), 3.0, n_samples, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert est.mean == 1.0
-    assert peak < 16e6
+    return peak
+
+
+def test_sampler_working_memory_is_bounded():
+    # n = 150, lambda = 64, t = 3: about 190 steps for each of 20000 paths.
+    # Holding every skeleton and its uniforms at once peaks near 90 MB;
+    # batches of _BATCH_CELLS cells keep the sampler's peak a few MB.
+    assert _pnfb_peak_bytes(_rate64_graph(), 20_000) < 16e6
+
+
+def test_sampler_builds_no_count_indexed_table():
+    # 10 paths at lambda t = 192: a table indexed by remaining count, vertex
+    # and row slot would hold ~7 MB, the kernel's (T, n) column table
+    # ~370 KB; the sampler keeps one count's rows at a time
+    g = _rate64_graph()
+    assert _pnfb_peak_bytes(g, 10) < bridge_kernel(g, 3.0, 0).powers.nbytes
 
 
 def test_bridge_count_distribution_matches_kernel(two_vertex):
@@ -386,7 +413,10 @@ def test_fk_trace_builds_each_kernel_once_under_thread_stress(registry):
             hl.clear_kernel_cache()
             # a fresh copy, so the workers also race to build its R
             g = hl.WeightedGraph(base.mu, base.edges, labels=base.labels)
-            est = feynman_kac_trace_mc(g, w, 0.7, 200, seed=3, threads=g.n)
+            # one worker per vertex, more than this host's CPUs
+            with mock.patch.object(util.os, "cpu_count", return_value=g.n):
+                est = feynman_kac_trace_mc(g, w, 0.7, 200, seed=3,
+                                           threads=g.n)
             assert (est.mean, est.std_error) == (ref.mean, ref.std_error)
             kernels = list(paths._bridge_cache._data.values())
             assert len(kernels) == g.n
@@ -397,6 +427,50 @@ def test_fk_trace_builds_each_kernel_once_under_thread_stress(registry):
             assert not kernels[0].r.flags.writeable
     finally:
         sys.setswitchinterval(interval)
+
+
+def _pool_recorder(asked):
+    """A stand-in for ThreadPoolExecutor that appends its max_workers to
+    asked and maps in the calling thread, so no thread is started."""
+    class Pool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+    return Pool
+
+
+@pytest.mark.parametrize("threads,items,cpus,workers", [
+    (100_000, 10, 4, 4), (3, 10, 4, 3), (100_000, 2, 4, 2),
+    (100_000, 10, None, None), (1, 10, 4, None), (8, 1, 4, None)])
+def test_parallel_map_caps_workers(threads, items, cpus, workers):
+    # at most one worker per item and per CPU; None: no pool at all
+    asked = []
+    pool = _pool_recorder(asked)
+    with mock.patch.object(util, "ThreadPoolExecutor", pool), \
+            mock.patch.object(util.os, "cpu_count", return_value=cpus):
+        got = util.parallel_map(lambda v: v * v, range(items), threads)
+    assert got == [v * v for v in range(items)]
+    assert asked == ([] if workers is None else [workers])
+
+
+def test_fk_trace_with_huge_thread_count_is_capped_and_invariant(p5):
+    w = np.array([1.0, -0.5, 0.0, 0.5, 2.0])
+    ref = feynman_kac_trace_mc(p5, w, 1.0, 500, seed=7, threads=1)
+    asked = []
+    pool = _pool_recorder(asked)
+    with mock.patch.object(util, "ThreadPoolExecutor", pool), \
+            mock.patch.object(util.os, "cpu_count", return_value=2):
+        est = feynman_kac_trace_mc(p5, w, 1.0, 500, seed=7, threads=100_000)
+    assert asked == [2]
+    assert (est.mean, est.std_error) == (ref.mean, ref.std_error)
 
 
 def test_fk_trace_seed_determinism(two_vertex):
