@@ -30,8 +30,11 @@ most tail * max V: pmf_k <= p_k, the cut weights miss at most tail in all,
 and R_K^k has row sums <= 1. The bound is absolute, like the table's. The
 series is not squared, so it takes about Lambda t terms: Lambda t above
 MAX_BRIDGE_TERMS is refused with NTruncationExceeded, as the bridge sampler
-refuses it. potential_class.kato_modulus integrates the same series in time
-with other weights.
+refuses it. _killed_columns is the one place that masks it: it turns vertex
+subsets and unit columns into one stacked action, which gives the killed
+entries of minimal_heat_kernel and of paths.stay_probability_exact.
+potential_class.kato_modulus integrates the same series in time with other
+weights, unmasked.
 
 Killed (Dirichlet) kernels on a subset K use the principal submatrix of H,
 which keeps the full weighted degree on the diagonal: mass lost through
@@ -60,14 +63,6 @@ from .util import check_time, write_csv
 DEFAULT_TAIL_CUTOFF = 1e-14
 # largest Lambda t of a series summed one jump-chain step per term
 MAX_BRIDGE_TERMS = 100_000
-
-
-def poisson_weights(lam_t: float):
-    """Poisson(lam_t) pmf on 0..K, cut where the right tail is below 1e-14.
-
-    Returns (pmf, tail) with tail >= P(N > K); see _poisson_pmf.
-    """
-    return _poisson_pmf(lam_t, DEFAULT_TAIL_CUTOFF)
 
 
 def _poisson_pmf(lam_t: float, cutoff: float):
@@ -301,28 +296,43 @@ def heat_semigroup(graph: WeightedGraph, t: float) -> HeatKernelTable:
 # ------------------------------------------------------- killed kernels
 
 
-def killed_generator(graph: WeightedGraph, subset) -> tuple[np.ndarray, list[int]]:
-    """Principal submatrix of H on sorted(subset).
+def killed_kernel(graph: WeightedGraph, subset, t: float):
+    """Killed kernel table values p_K(t,x,y) for x,y in sorted(subset).
 
-    The diagonal keeps the full ambient weighted degree, so edges leaving the
-    subset act as absorption (Dirichlet condition).
+    H_K is the principal submatrix of H on sorted(subset): its diagonal
+    keeps the full ambient weighted degree, so edges leaving the subset act
+    as absorption (Dirichlet condition).
     """
+    check_time(t)
     idx = sorted({graph.resolve(v) for v in subset})
     if not idx:
         raise VertexOutsideExhaustion("empty subset")
-    h = graph.generator_matrix()
-    sub = np.ix_(idx, idx)
-    return h[sub].copy(), idx
-
-
-def killed_kernel(graph: WeightedGraph, subset, t: float):
-    """Killed kernel table values p_K(t,x,y) for x,y in sorted(subset)."""
-    check_time(t)
-    h_k, idx = killed_generator(graph, subset)
+    h_k = graph.generator_matrix()[np.ix_(idx, idx)]
     e, _ = uniformized_exponential(h_k, t)
     mu_k = graph.mu[idx]
     p_raw = e / mu_k[None, :]
     return 0.5 * (p_raw + p_raw.T), idx
+
+
+def _killed_columns(graph: WeightedGraph, t: float, subsets,
+                    cols) -> np.ndarray:
+    """Columns cols of e^{-tH_K} for each K in subsets, matrix-free.
+
+    Returns the (len(subsets), n, len(cols)) stack of one _chain_action of
+    the Poisson(Lambda t) series on the unit columns, one stack item per K
+    masked to it, so every item goes through the same monotone operations
+    (see the module docstring). Rows outside K are zero. Lambda t above
+    MAX_BRIDGE_TERMS raises NTruncationExceeded.
+    """
+    check_time(t)
+    mask = np.zeros((len(subsets), graph.n, 1), dtype=bool)
+    for j, subset in enumerate(subsets):
+        mask[j, [graph.resolve(v) for v in subset]] = True
+    v = np.zeros((len(subsets), graph.n, len(cols)))
+    for j, c in enumerate(cols):
+        v[:, c, j] = 1.0
+    pmf, _ = _stepwise_weights(graph.jump_chain()[0] * t)
+    return _chain_action(graph, pmf, v, mask)
 
 
 @dataclass
@@ -376,16 +386,7 @@ def minimal_heat_kernel(graph: WeightedGraph, exhaustion: Exhaustion,
     if x not in first or y not in first:
         raise VertexOutsideExhaustion(
             f"vertices ({x},{y}) must lie in the first member {first}")
-    check_time(t)
-    # one stack item [e_x, e_y] per member, masked to it
-    mask = np.zeros((len(exhaustion), graph.n, 1), dtype=bool)
-    for j, subset in enumerate(exhaustion.subsets):
-        mask[j, [graph.resolve(v) for v in subset]] = True
-    v = np.zeros((len(exhaustion), graph.n, 2))
-    v[:, x, 0] = 1.0
-    v[:, y, 1] = 1.0
-    pmf, _ = _stepwise_weights(graph.jump_chain()[0] * t)
-    e = _chain_action(graph, pmf, v, mask)
+    e = _killed_columns(graph, t, exhaustion.subsets, [x, y])
     vals = 0.5 * (e[:, x, 1] / graph.mu[y] + e[:, y, 0] / graph.mu[x])
     gap = float(vals[-1] - vals[-2]) if len(vals) > 1 else float("nan")
     return MinimalKernelSequence(t=float(t), x=x, y=y, values=vals,

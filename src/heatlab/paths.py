@@ -28,6 +28,12 @@ rows (a padded table of width entries per row, which the graph builds once
 with R), and still draws the same bits as a dense search over all n
 columns would.
 
+p(t,x,x) mu(x) has one source, the count mass of the diagonal bridge kernel
+bridge_kernel(graph, t, x): the FK weights, the sampler, the denominator of
+stay_probability_exact and no_jump_lower_bound all read it there, so a pnfb
+time builds that kernel once. The killed entry p_K(t,x,x) mu(x) comes from
+one masked action, kernels._killed_columns.
+
 Reproducibility: estimators take an integer seed; one child stream per
 diagonal vertex is spawned via numpy SeedSequence in vertex order and
 results are combined with Kahan summation in that order, so estimates are
@@ -43,7 +49,7 @@ import numpy as np
 
 from .errors import InputError, NTruncationExceeded, VertexNotInK, ZeroKernel
 from .graphs import WeightedGraph, require_connected
-from .kernels import _chain_action, _KernelCache, _stepwise_weights
+from .kernels import _KernelCache, _killed_columns, _stepwise_weights
 from .traces import as_potential
 from .util import check_time, kahan_sum, parallel_map
 
@@ -182,8 +188,11 @@ _BATCH_CELLS = 1 << 16
 
 
 def _bridge_skeletons(bk: BridgeKernel, x: int, n_samples: int, rng,
-                      with_gaps: bool = False):
+                      with_gaps: bool = False, dist=None):
     """Exact bridges from x to bk.y, n_samples of them, by jump count.
+
+    dist is bk.count_distribution(x), computed here unless the caller
+    already holds it.
 
     Yields (sel, z, gaps) per jump count nj in ascending order: sel indexes
     the paths with that count, z is their (m, nj + 1) uniformized skeleton
@@ -194,7 +203,7 @@ def _bridge_skeletons(bk: BridgeKernel, x: int, n_samples: int, rng,
     stepped together in batches, so the generator runs ahead of the yields:
     callers must not draw from rng while iterating.
     """
-    probs, denom = bk.count_distribution(x)
+    probs, denom = bk.count_distribution(x) if dist is None else dist
     cum = np.cumsum(probs)
     u = rng.random(n_samples) * denom
     counts = np.minimum(np.searchsorted(cum, u, side="right"), len(probs) - 1)
@@ -306,12 +315,13 @@ def feynman_kac_trace_mc(graph: WeightedGraph, w, t: float, n_samples: int,
     def per_vertex(xi: int):
         rng = np.random.Generator(np.random.PCG64(children[xi]))
         bk = bridge_kernel(graph, t, xi)
+        dist = bk.count_distribution(xi)
         fk = np.empty(int(n_samples))
         for sel, z, gaps in _bridge_skeletons(bk, xi, int(n_samples), rng,
-                                              with_gaps=True):
+                                              with_gaps=True, dist=dist):
             fk[sel] = np.exp(-(pot.values[z] * gaps).sum(axis=1))
         var = float(fk.var(ddof=1)) if len(fk) > 1 else 0.0
-        return bk.count_distribution(xi)[1], float(fk.mean()), var
+        return dist[1], float(fk.mean()), var
 
     stats = parallel_map(per_vertex, range(graph.n), threads)
     mean = kahan_sum(c * m for c, m, _ in stats)
@@ -323,6 +333,15 @@ def feynman_kac_trace_mc(graph: WeightedGraph, w, t: float, n_samples: int,
 # ----------------------------------------------------- boundary detection
 
 
+def _vertex_in(graph: WeightedGraph, x, subset):
+    """(x, sorted K) as vertex indices; raises VertexNotInK unless x in K."""
+    xi = graph.resolve(x)
+    members = sorted({graph.resolve(v) for v in subset})
+    if xi not in members:
+        raise VertexNotInK(f"vertex {xi} not in K = {members}")
+    return xi, members
+
+
 def pnfb_probability(graph: WeightedGraph, x, subset, t: float,
                      n_samples: int, seed: int) -> McEstimate:
     """MC estimate of P^{x,x}_t{ gamma(s) in K for all s in [0, t) }.
@@ -331,10 +350,7 @@ def pnfb_probability(graph: WeightedGraph, x, subset, t: float,
     estimate is exact. Shrinking t drives the probability to 1: the process
     does not feel the boundary of K in short time.
     """
-    xi = graph.resolve(x)
-    members = sorted({graph.resolve(v) for v in subset})
-    if xi not in members:
-        raise VertexNotInK(f"vertex {xi} not in K = {members}")
+    xi, members = _vertex_in(graph, x, subset)
     mask = np.zeros(graph.n, dtype=bool)
     mask[members] = True
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -347,34 +363,19 @@ def pnfb_probability(graph: WeightedGraph, x, subset, t: float,
                       n_samples=int(n_samples), seed=int(seed))
 
 
-def _return_masses(graph: WeightedGraph, xi: int, t: float,
-                   subsets) -> np.ndarray:
-    """[e^{-tH_K}]_{x,x} = p_K(t,x,x) mu(x) for each K in subsets (None is
-    the whole graph), from one block action on e_x; raises DisconnectedGraph
-    as heat_semigroup does."""
+def stay_probability_exact(graph: WeightedGraph, x, subset, t: float) -> float:
+    """Exact staying probability p_K(t,x,x) / p(t,x,x).
+
+    The numerator is one masked action on e_x (kernels._killed_columns),
+    the denominator the diagonal bridge kernel's count mass. Raises
+    DisconnectedGraph as heat_semigroup does, and NTruncationExceeded when
+    the cut series leaves p(t,x,x) unresolved to 1e-10 relative.
+    """
+    xi, members = _vertex_in(graph, x, subset)
     check_time(t)
     require_connected(graph)
-    mask = np.ones((graph.n, len(subsets)), dtype=bool)
-    for j, members in enumerate(subsets):
-        if members is not None:
-            mask[:, j] = False
-            mask[members, j] = True
-    v = np.zeros((graph.n, len(subsets)))
-    v[xi] = 1.0
-    pmf, _ = _stepwise_weights(graph.jump_chain()[0] * t)
-    return _chain_action(graph, pmf, v, mask)[xi]
-
-
-def stay_probability_exact(graph: WeightedGraph, x, subset, t: float) -> float:
-    """Exact staying probability p_K(t,x,x) / p(t,x,x) via killed kernels,
-    both read from one action on e_x (masked to K, and unmasked)."""
-    xi = graph.resolve(x)
-    members = sorted({graph.resolve(v) for v in subset})
-    if xi not in members:
-        raise VertexNotInK(f"vertex {xi} not in K = {members}")
-    killed, full = _return_masses(graph, xi, t, [members, None])
-    if full <= 0.0:
-        raise ZeroKernel(f"p({t},{xi},{xi}) vanishes")
+    full = bridge_kernel(graph, t, xi).count_distribution(xi)[1]
+    killed = _killed_columns(graph, t, [members], [xi])[0, xi, 0]
     return float(killed / full)
 
 
@@ -382,10 +383,11 @@ def no_jump_lower_bound(graph: WeightedGraph, x, t: float) -> float:
     """exp(-t Deg(x)) / (p(t,x,x) mu(x)): P^{x,x}{no jump before t}.
 
     This lower-bounds every staying probability with x in K; on graphs it is
-    an identity for K = {x}.
+    an identity for K = {x}. The denominator is the diagonal bridge kernel's
+    count mass, as in stay_probability_exact.
     """
     xi = graph.resolve(x)
-    full, = _return_masses(graph, xi, t, [None])
-    if full <= 0.0:
-        raise ZeroKernel(f"p({t},{xi},{xi}) vanishes")
+    check_time(t)
+    require_connected(graph)
+    full = bridge_kernel(graph, t, xi).count_distribution(xi)[1]
     return float(np.exp(-t * graph.degree(xi)) / full)

@@ -129,7 +129,6 @@ class GrowthProfile:
     a: float
     c_values: Callable[[np.ndarray], np.ndarray]
     k_max: int
-    label: str = ""
 
     def __post_init__(self):
         self.m = int(self.m)
@@ -242,8 +241,7 @@ def growth_profile_from_config(doc: dict) -> GrowthProfile:
             k_max = min(k_max, values.size + 1)
         else:
             raise ConfigError(f"unknown c_k rule {kind!r}")
-        return GrowthProfile(m=m, a=a, c_values=c, k_max=k_max,
-                             label=rule.get("label", kind))
+        return GrowthProfile(m=m, a=a, c_values=c, k_max=k_max)
     except (AttributeError, InputError, KeyError, OverflowError, TypeError,
             ValueError) as exc:
         raise ConfigError(f"bad growth profile: {exc!r}") from None

@@ -61,7 +61,6 @@ class TorusPotential:
     kind: str                       # zero | constant | callable
     constant: float = 0.0
     fn: Callable | None = None
-    label: str = ""
     parts: tuple | None = None
 
     @property
@@ -70,12 +69,11 @@ class TorusPotential:
 
 
 def zero_potential() -> TorusPotential:
-    return TorusPotential(kind="zero", label="zero")
+    return TorusPotential(kind="zero")
 
 
 def constant_potential(c: float) -> TorusPotential:
-    return TorusPotential(kind="constant", constant=float(c),
-                          label=f"constant:{c}")
+    return TorusPotential(kind="constant", constant=float(c))
 
 
 def cosine_well(lengths) -> TorusPotential:
@@ -84,7 +82,7 @@ def cosine_well(lengths) -> TorusPotential:
     Its parts are the one-dimensional wells, one per axis.
     """
     parts = tuple(TorusPotential(
-        kind="callable", label="cosine-well",
+        kind="callable",
         fn=lambda c, L=float(L): 1.0 - np.cos(2.0 * np.pi * np.asarray(c) / L))
         for L in lengths)
 
@@ -94,8 +92,7 @@ def cosine_well(lengths) -> TorusPotential:
             acc = acc + part.fn(c)
         return acc
 
-    return TorusPotential(kind="callable", fn=fn, label="cosine-well",
-                          parts=parts)
+    return TorusPotential(kind="callable", fn=fn, parts=parts)
 
 
 def potential_from_spec(spec, lengths) -> TorusPotential:
@@ -124,10 +121,10 @@ class TorusModel:
     lengths: tuple
     truncation: int
     potential: TorusPotential = field(default_factory=zero_potential)
-    _lattice: np.ndarray | None = field(default=None, repr=False)
-    _lambdas: np.ndarray | None = field(default=None, repr=False)
-    _coeff: np.ndarray | None = field(default=None, repr=False)
-    _axes: tuple | None = field(default=None, repr=False)
+    _lattice: np.ndarray | None = field(default=None, init=False, repr=False)
+    _lambdas: np.ndarray | None = field(default=None, init=False, repr=False)
+    _coeff: np.ndarray | None = field(default=None, init=False, repr=False)
+    _axes: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.dim = int(self.dim)
@@ -182,17 +179,13 @@ class TorusModel:
     # ------------------------------------------------------- coefficients
 
     def coefficient_table(self) -> np.ndarray:
-        """w_hat(q) on the difference band |q_i| <= 2N, shape (4N+1,)^dim."""
+        """w_hat(q) on the difference band |q_i| <= 2N, shape (4N+1,)^dim.
+
+        Only a callable potential has one: galerkin_trace takes a zero or
+        constant potential on the diagonal.
+        """
         if self._coeff is None:
-            n2 = 2 * self.truncation
-            p = 4 * self.truncation + 1
-            shape = (p,) * self.dim
-            pot = self.potential
-            if pot.diagonal_only:
-                table = np.zeros(shape, dtype=complex)
-                table[(n2,) * self.dim] = pot.constant
-            else:
-                table = self._quadrature_coefficients(p)
+            table = self._quadrature_coefficients(4 * self.truncation + 1)
             table.setflags(write=False)
             self._coeff = table
         return self._coeff

@@ -21,10 +21,9 @@ from heatlab.errors import (DisconnectedGraph, GraphMismatch, HeatLabError,
                             NTruncationExceeded, VertexOutsideExhaustion)
 from heatlab.graphs import WeightedGraph
 from heatlab.kernels import (DEFAULT_TAIL_CUTOFF, MAX_BRIDGE_TERMS,
-                             Exhaustion, heat_semigroup, killed_generator,
+                             Exhaustion, _poisson_pmf, heat_semigroup,
                              killed_kernel, minimal_heat_kernel,
-                             poisson_weights, uniformized_exponential,
-                             verify_axioms)
+                             uniformized_exponential, verify_axioms)
 from heatlab.paths import (feynman_kac_trace_mc, no_jump_lower_bound,
                            pnfb_probability, stay_probability_exact)
 from heatlab.potential_class import kato_modulus
@@ -128,7 +127,7 @@ def test_rejects_disconnected():
 
 def test_poisson_weights_match_pmf():
     lam_t = 3.7
-    pmf, tail = poisson_weights(lam_t)
+    pmf, tail = _poisson_pmf(lam_t, DEFAULT_TAIL_CUTOFF)
     direct = [math.exp(-lam_t) * lam_t ** n / math.factorial(n)
               for n in range(len(pmf))]
     assert np.allclose(pmf, direct, atol=1e-15)
@@ -162,13 +161,13 @@ def exact_poisson_pmf(lam_t, size):
 
 def test_poisson_cut_is_stable_across_one_ulp():
     # a cut on the rounding noise of 1 - sum(pmf) kept 71 and 114 terms here
-    assert len(poisson_weights(24.0)[0]) == \
-        len(poisson_weights(np.nextafter(24.0, 0))[0])
+    assert len(_poisson_pmf(24.0, DEFAULT_TAIL_CUTOFF)[0]) == \
+        len(_poisson_pmf(np.nextafter(24.0, 0), DEFAULT_TAIL_CUTOFF)[0])
 
 
 @pytest.mark.parametrize("lam_t", [0.5, 1.0, 24.0, 192.0, 960.0])
 def test_poisson_tail_bounds_the_true_tail(lam_t):
-    pmf, tail = poisson_weights(lam_t)
+    pmf, tail = _poisson_pmf(lam_t, DEFAULT_TAIL_CUTOFF)
     assert scipy.stats.poisson.sf(len(pmf) - 1, lam_t) <= tail
     assert tail <= DEFAULT_TAIL_CUTOFF
     assert math.fsum(pmf) + tail == pytest.approx(1.0, abs=1e-15)
@@ -184,7 +183,7 @@ def test_poisson_tail_bounds_the_true_tail(lam_t):
 def test_poisson_weights_reject_invalid_rate(lam_t):
     assert issubclass(InvalidRate, HeatLabError)
     with pytest.raises(InvalidRate):
-        poisson_weights(lam_t)
+        _poisson_pmf(lam_t, DEFAULT_TAIL_CUTOFF)
 
 
 LAM_TS = [0.0, 2.0 ** -20, 1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52, 192.0,
@@ -201,7 +200,8 @@ def test_property_uniformized_exponential_against_expm(n, seed, lam_t, killed,
     if killed:
         subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
                                     max_size=n - 1, unique=True))
-        h, _ = killed_generator(g, subset)
+        idx = sorted(subset)
+        h = g.generator_matrix()[np.ix_(idx, idx)]
     else:
         h = g.generator_matrix()
     # rate 1 makes Lambda t exactly lam_t; rate 0 is a graph without edges
@@ -362,7 +362,7 @@ def test_property_matrix_free_entries_against_expm(case):
     # the Poisson tail, which decides only entries far below it, such as
     # those of vertices several steps apart at tiny lam_t.
     rel = 1e-12 + lam_t * np.finfo(float).eps
-    _, tail = poisson_weights(g.jump_chain()[0] * t)
+    _, tail = _poisson_pmf(g.jump_chain()[0] * t, DEFAULT_TAIL_CUTOFF)
     refs = []
     for subset in subsets:
         e = scipy.linalg.expm(-t * h[np.ix_(subset, subset)])

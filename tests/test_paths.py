@@ -1,5 +1,6 @@
 """Jump paths, bridge sampling and the Monte Carlo estimators."""
 
+import json
 import math
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import heatlab as hl
-from heatlab import paths, util
+from heatlab import cli, kernels, paths, util
 from heatlab.errors import (InputError, NonpositiveTime, NTruncationExceeded,
                             VertexNotInK, ZeroKernel)
 from heatlab.kernels import heat_semigroup
@@ -508,6 +509,54 @@ def test_pnfb_requires_membership(p5):
         pnfb_probability(p5, 0, [1, 2, 3], 1.0, 100, seed=0)
     with pytest.raises(VertexNotInK):
         stay_probability_exact(p5, 0, [1, 2, 3], 1.0)
+
+
+def test_exact_ratio_and_bound_read_the_pnfb_kernels_count_mass(
+        p5, monkeypatch):
+    # p(t,x,x) mu(x) has one source: the diagonal bridge kernel that
+    # pnfb_probability builds, whose count mass the exact functions reuse
+    x, members, t = 2, [1, 2, 3], 0.7
+    pnfb_probability(p5, x, members, t, 100, seed=5)
+    mass = bridge_kernel(p5, t, x).count_distribution(x)[1]
+    builds, actions = [], []
+    init, action = BridgeKernel.__init__, kernels._chain_action
+
+    def record_build(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    def record_action(*args, **kwargs):
+        actions.append(args)
+        return action(*args, **kwargs)
+
+    monkeypatch.setattr(BridgeKernel, "__init__", record_build)
+    monkeypatch.setattr(kernels, "_chain_action", record_action)
+    bound = no_jump_lower_bound(p5, x, t)
+    assert bound == np.exp(-t * p5.degree(x)) / mass
+    assert builds == [] and actions == []
+    ratio = stay_probability_exact(p5, x, members, t)
+    assert builds == [] and len(actions) == 1
+    killed = kernels._killed_columns(p5, t, [members], [x])[0, x, 0]
+    assert ratio == killed / mass
+
+
+def test_exact_functions_refuse_an_unresolved_return_mass(tmp_path):
+    # mu(0) = 1e-6 makes p(20,0,0) mu(0) ~ 5e-7, which the Poisson cut
+    # (tail ~4e-15) resolves only to ~9e-9 relative: the ratio would rest
+    # on it
+    g = hl.WeightedGraph([1e-6, 1.0, 1.0], [(0, 1, 1e-6), (1, 2, 1.0)])
+    t = 20.0
+    for call in (lambda: stay_probability_exact(g, 0, [0, 1], t),
+                 lambda: no_jump_lower_bound(g, 0, t),
+                 lambda: pnfb_probability(g, 0, [0, 1], t, 10, seed=0)):
+        with pytest.raises(NTruncationExceeded):
+            call()
+    hl.save_graph(g, tmp_path / "g.graph")
+    cfg = tmp_path / "pnfb.json"
+    cfg.write_text(json.dumps({
+        "kind": "pnfb", "name": "pnfb", "graph": "g.graph", "x": 0,
+        "K": [0, 1], "t_list": [t], "samples": 10, "seed": 0}))
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
 def test_pnfb_against_exact_ratio(p5):

@@ -227,8 +227,7 @@ def test_model_validation():
 
 def without_parts(potential):
     """The same callable, which only the dense route can evaluate."""
-    return TorusPotential(kind="callable", fn=potential.fn,
-                          label=potential.label)
+    return TorusPotential(kind="callable", fn=potential.fn)
 
 
 @pytest.mark.parametrize("dim, n_tr", [(2, 4), (2, 8), (3, 4)])
