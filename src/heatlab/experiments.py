@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (AssertionFailed, ConfigError, HeatLabError, InputError,
                      TruncationNotConverged)
-from .fixtures import fixture_registry
+from .fixtures import FIXTURES
 from .graphs import WeightedGraph, load_graph
 from .kernels import heat_semigroup, verify_axioms
 from .paths import feynman_kac_trace_mc, no_jump_lower_bound, \
@@ -118,10 +118,9 @@ def _options(doc: dict, kind: str, spec: dict) -> dict:
 def _fixture(ref: str, what: str):
     """(graph, potential) of the fixture named in "fixture:<name>"."""
     name = ref.split(":", 1)[1]
-    registry = fixture_registry()
-    if name not in registry:
+    if name not in FIXTURES:
         raise ConfigError(f"unknown fixture {what} {name!r}")
-    return registry[name]
+    return FIXTURES[name]()
 
 
 def _resolve_graph(ref, base_dir: Path) -> WeightedGraph:

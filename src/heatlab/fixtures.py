@@ -58,14 +58,18 @@ RANDOM10_SEED = 7
 RANDOM20_SEED = 2024
 
 
+# name -> builder of (graph, potential), one per shipped fixture
+FIXTURES = {
+    "two_vertex": lambda: (two_vertex(), np.array([0.0, 2.0])),
+    "p5": lambda: (path_graph(5), np.array([1.0, -0.5, 0.0, 0.5, 2.0])),
+    "k5": lambda: (complete_graph(5), np.array([0.0, 0.5, 1.0, 1.5, 2.0])),
+    "random10": lambda: (random_connected_graph(10, RANDOM10_SEED),
+                         random_potential(10, RANDOM10_SEED)),
+    "random20": lambda: (random_connected_graph(20, RANDOM20_SEED),
+                         random_potential(20, RANDOM20_SEED)),
+}
+
+
 def fixture_registry() -> dict:
     """name -> (graph, potential) for every shipped fixture."""
-    return {
-        "two_vertex": (two_vertex(), np.array([0.0, 2.0])),
-        "p5": (path_graph(5), np.array([1.0, -0.5, 0.0, 0.5, 2.0])),
-        "k5": (complete_graph(5), np.array([0.0, 0.5, 1.0, 1.5, 2.0])),
-        "random10": (random_connected_graph(10, RANDOM10_SEED),
-                     random_potential(10, RANDOM10_SEED)),
-        "random20": (random_connected_graph(20, RANDOM20_SEED),
-                     random_potential(20, RANDOM20_SEED)),
-    }
+    return {name: build() for name, build in FIXTURES.items()}

@@ -12,14 +12,30 @@ where Deg(x) = (1/mu(x)) * sum_y b(x,y) is the weighted degree. Its
 uniformization at the rate Lambda = max_x Deg(x) is the jump chain
 R = I - H/Lambda, which each graph builds once (jump_chain), together with
 the padded table of each row's nonzeros that the bridge sampler steps on.
+
+Storage. A WeightedGraph keeps its edges as numpy arrays, built once by the
+constructor, and derives everything else from them without a per-edge
+Python loop:
+
+- ``_upper``: the (m, 3) int64 table of stored edges (i, j, bits of b),
+  i < j, sorted ascending, b > 0 only. Its bytes are what the fingerprint
+  hashes after n and mu; ``edges`` is the same table as Python triples.
+- ``_rows``, ``_cols``, ``_vals``, ``_indptr``: the symmetric matrix b in
+  CSR form, each edge once in row i and once in row j, entries sorted by
+  (row, column). ``neighbors(x)`` is one row slice; the generator is one
+  fancy-index assignment; the weighted degrees are one ``bincount`` over
+  the rows, which adds each row's weights in ascending column order from 0.
+
+The constructor validates the raw edge list in one vectorized pass
+(``_check_edges``), which reports the first invalid edge in input order.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import threading
-from collections import deque
 
 import numpy as np
 
@@ -32,6 +48,7 @@ from .errors import (
     SelfLoop,
     UnknownVertex,
 )
+from .util import is_finite_real
 
 
 # serializes the first build of a graph's jump chain, so concurrent bridge
@@ -76,11 +93,115 @@ def _row_support(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols, vals
 
 
+def _edge_table(edges) -> np.ndarray:
+    """An edge list of (u, v, b) triples as an (m, 3) float array."""
+    try:
+        if not isinstance(edges, (list, tuple, np.ndarray)):
+            edges = list(edges)
+        table = np.array(edges)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"edges must be (u, v, b) triples: {exc}") from None
+    if table.dtype.kind not in "biuf":
+        raise InputError("edges must be (u, v, b) triples of numbers, got "
+                         f"entries of type {table.dtype}")
+    table = table.astype(float, copy=False)
+    if table.ndim == 1 and table.size == 0:
+        table = table.reshape(0, 3)
+    if table.ndim != 2 or table.shape[1] != 3:
+        raise InputError(f"edges must be (u, v, b) triples, got an array of "
+                         f"shape {table.shape}")
+    return table
+
+
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the positions that begin a run of equal sorted keys."""
+    starts = np.ones(sorted_keys.size, dtype=bool)
+    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return starts
+
+
+def _first_in_group(keys: np.ndarray, rank=0) -> np.ndarray:
+    """For each entry, the index of the entry of least rank (0 or 1) among
+    those with the same key, ties going to the lower index.
+
+    Every sort here is numpy's stable argsort: one sort kernel keeps the
+    code the process touches, and so its resident size, small.
+    """
+    order = np.argsort(keys * 2 + rank, kind="stable")
+    starts = _run_starts(keys[order])
+    first = np.empty(keys.size, dtype=np.intp)
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    return first
+
+
+def _vertex_label(x: float) -> str:
+    return str(int(x)) if x.is_integer() else repr(x)
+
+
+def _check_edges(u, v, b, n: int) -> None:
+    """Raise for the first invalid edge in input order, or return.
+
+    The checks of one edge run in this order: both ids are integers in
+    0..n-1 (u first), b is finite, a self-loop has b = 0, an earlier edge
+    of the same direction has the same b, b >= 0, and an earlier stored
+    (b > 0) edge of either direction has the same b. Zero weights are not
+    stored, so (0,1,0.0),(1,0,1.0) is accepted while (0,1,1.0),(1,0,0.0)
+    is not. Flags are computed for every edge at once; the edges before the
+    first flagged one are all valid, which is what the conflict checks
+    compare against.
+    """
+    good_u = (u >= 0) & (u < n) & (np.floor(u) == u)
+    good_v = (v >= 0) & (v < n) & (np.floor(v) == v)
+    finite = np.isfinite(b)
+    loop = u == v
+    ok = good_u & good_v & finite
+    bad = ~ok | (loop & (b != 0.0))
+    # candidates: edges that reach the conflict checks
+    cand = np.flatnonzero(ok & ~loop)
+    i = u[cand].astype(np.int64)
+    j = v[cand].astype(np.int64)
+    w = b[cand]
+    directed = w != w[_first_in_group(i * n + j)]
+    # b of the pair's first stored edge; with none stored, every b of the
+    # pair is <= 0 and any difference is a negative b, flagged anyway
+    ref = _first_in_group(np.minimum(i, j) * n + np.maximum(i, j), w <= 0.0)
+    undirected = (ref < np.arange(cand.size)) & (w != w[ref])
+    bad[cand] |= directed | (w < 0.0) | undirected
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    x, y, w = float(u[k]), float(v[k]), float(b[k])
+    if not (good_u[k] and good_v[k]):
+        z = y if good_u[k] else x
+        raise UnknownVertex(
+            f"edge ({_vertex_label(x)},{_vertex_label(y)}) references vertex "
+            f"{_vertex_label(z)}"
+            + ("" if z.is_integer() else ", which is not an integer"))
+    x, y = int(x), int(y)
+    if not finite[k]:
+        raise NegativeWeight(f"edge ({x},{y}) has non-finite weight {w}")
+    if x == y:
+        raise SelfLoop(f"b({x},{x}) = {w} must be zero")
+    same = np.flatnonzero((u[:k] == u[k]) & (v[:k] == v[k]))
+    if same.size and b[same[-1]] != w:
+        raise AsymmetricWeights(f"conflicting weights for edge ({x},{y}): "
+                                f"{float(b[same[-1]])} vs {w}")
+    if w < 0.0:
+        raise NegativeWeight(f"b({x},{y}) = {w} must be nonnegative")
+    c = int(np.searchsorted(cand, k))
+    raise AsymmetricWeights(
+        f"b{(x, y)} = {w} but b{(y, x)} = {float(b[cand[ref[c]]])}")
+
+
 class WeightedGraph:
     """Immutable weighted graph over vertices 0..n-1 with optional labels."""
 
     def __init__(self, mu, edges, labels=None, name: str = ""):
-        mu = np.asarray(mu, dtype=float).copy()
+        try:
+            mu = np.array(mu, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"mu must be an array of numbers: {exc}") \
+                from None
         if mu.ndim != 1 or mu.size == 0:
             raise NonpositiveMeasure("mu must be a nonempty 1-d array")
         n = mu.size
@@ -88,32 +209,28 @@ class WeightedGraph:
             bad = int(np.argmin(np.where(np.isfinite(mu), mu, -np.inf)))
             raise NonpositiveMeasure(f"mu({bad}) = {mu[bad]} must be positive and finite")
 
-        merged: dict[tuple[int, int], float] = {}
-        seen: dict[tuple[int, int], float] = {}
-        for i, j, b in edges:
-            i, j = int(i), int(j)
-            b = float(b)
-            for v in (i, j):
-                if not 0 <= v < n:
-                    raise UnknownVertex(f"edge ({i},{j}) references vertex {v}")
-            if not np.isfinite(b):
-                raise NegativeWeight(f"edge ({i},{j}) has non-finite weight {b}")
-            if i == j:
-                if b != 0.0:
-                    raise SelfLoop(f"b({i},{i}) = {b} must be zero")
-                continue
-            if (i, j) in seen and seen[(i, j)] != b:
-                raise AsymmetricWeights(
-                    f"conflicting weights for edge ({i},{j}): {seen[(i, j)]} vs {b}")
-            seen[(i, j)] = b
-            if b < 0.0:
-                raise NegativeWeight(f"b({i},{j}) = {b} must be nonnegative")
-            key = (min(i, j), max(i, j))
-            if key in merged and merged[key] != b:
-                raise AsymmetricWeights(
-                    f"b{(i, j)} = {b} but b{(j, i)} = {merged[key]}")
-            if b > 0.0:
-                merged[key] = b
+        u, v, b = _edge_table(edges).T
+        _check_edges(u, v, b, n)
+        # store each b > 0 once, as the triple (i < j, b), ascending; valid
+        # self-loops have b = 0
+        keep = b > 0.0
+        lo = np.minimum(u[keep], v[keep]).astype(np.int64)
+        hi = np.maximum(u[keep], v[keep]).astype(np.int64)
+        pairs = lo * n + hi
+        order = np.argsort(pairs, kind="stable")
+        first = order[_run_starts(pairs[order])]
+        iu, ju, bu = lo[first], hi[first], b[keep][first]
+        self._upper = np.column_stack((iu, ju, bu.view(np.int64)))
+        # symmetric CSR: each triple in rows i and j, each row by column
+        rows, cols = np.concatenate((iu, ju)), np.concatenate((ju, iu))
+        order = np.argsort(rows * n + cols, kind="stable")
+        self._rows, self._cols = rows[order], cols[order]
+        self._vals = np.concatenate((bu, bu))[order]
+        self._indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self._rows, minlength=n), out=self._indptr[1:])
+        for a in (self._upper, self._rows, self._cols, self._vals,
+                  self._indptr):
+            a.setflags(write=False)
 
         self.n = n
         self.name = name
@@ -124,23 +241,28 @@ class WeightedGraph:
         if len(labels) != n:
             raise InputError(f"{len(labels)} labels for {n} vertices")
         self.labels = tuple(str(l) for l in labels)
-        self.edges = tuple(sorted((i, j, merged[(i, j)]) for (i, j) in merged))
 
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for i, j, b in self.edges:
-            adj[i].append((j, b))
-            adj[j].append((i, b))
-        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        # summability witness: per-vertex sum_y b(x,y) must be finite
-        self._weight_sums = np.array(
-            [sum(b for _, b in nbrs) for nbrs in self._adj])
-        if not np.all(np.isfinite(self._weight_sums)):
-            raise NegativeWeight("non-finite weight sum")
-        self._weight_sums.setflags(write=False)
+        # summability: Deg(x) = sum_y b(x,y) / mu(x) must be finite; the sum
+        # runs over the neighbours of x in ascending order, from 0
+        sums = np.bincount(self._rows, weights=self._vals, minlength=n)
+        with np.errstate(over="ignore"):
+            self._degrees = sums / mu
+        if not np.all(np.isfinite(self._degrees)):
+            x = int(np.argmin(np.isfinite(self._degrees)))
+            raise InputError(f"weighted degree Deg({x}) = {sums[x]} / "
+                             f"{mu[x]} is not finite")
+        self._degrees.setflags(write=False)
         self._generator = None
         self._chain = None
         self._components = None
         self._fingerprint = None
+
+    @functools.cached_property
+    def edges(self) -> tuple:
+        """The stored edges as (i, j, b) triples, i < j, ascending."""
+        i, j, bits = self._upper.T
+        return tuple(zip(i.tolist(), j.tolist(),
+                         bits.view(np.float64).tolist()))
 
     # ------------------------------------------------------------- identity
 
@@ -161,30 +283,32 @@ class WeightedGraph:
         return x
 
     def fingerprint(self) -> str:
-        """Stable content hash used as a cache key for kernel tables."""
+        """Stable content hash used as a cache key for kernel tables: n, mu,
+        then the stored triples as int64 (i, j, bits of b) rows."""
         if self._fingerprint is None:
             h = hashlib.sha256()
             h.update(np.int64(self.n).tobytes())
             h.update(self.mu.tobytes())
-            for i, j, b in self.edges:
-                h.update(np.int64(i).tobytes())
-                h.update(np.int64(j).tobytes())
-                h.update(np.float64(b).tobytes())
+            h.update(self._upper.tobytes())
             self._fingerprint = h.hexdigest()
         return self._fingerprint
 
     # ------------------------------------------------------------- geometry
 
-    def neighbors(self, x) -> tuple[tuple[int, float], ...]:
-        return self._adj[self.resolve(x)]
+    def neighbors(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(columns, weights) of row x: the neighbours y of x in ascending
+        order and b(x, y), as read-only views."""
+        x = self.resolve(x)
+        row = slice(self._indptr[x], self._indptr[x + 1])
+        return self._cols[row], self._vals[row]
 
     def degree(self, x) -> float:
         """Weighted degree Deg(x) = (1/mu(x)) * sum_y b(x,y)."""
-        x = self.resolve(x)
-        return float(self._weight_sums[x] / self.mu[x])
+        return float(self._degrees[self.resolve(x)])
 
     def degrees(self) -> np.ndarray:
-        return self._weight_sums / self.mu
+        """All weighted degrees, read-only."""
+        return self._degrees
 
     # ------------------------------------------------------------- operator
 
@@ -192,10 +316,8 @@ class WeightedGraph:
         """Dense matrix of H = -L; H[x,x] = Deg(x), H[x,y] = -b(x,y)/mu(x)."""
         if self._generator is None:
             h = np.zeros((self.n, self.n))
-            for i, j, b in self.edges:
-                h[i, j] -= b / self.mu[i]
-                h[j, i] -= b / self.mu[j]
-            np.fill_diagonal(h, self.degrees())
+            h[self._rows, self._cols] -= self._vals / self.mu[self._rows]
+            np.fill_diagonal(h, self._degrees)
             h.setflags(write=False)
             self._generator = h
         return self._generator
@@ -212,29 +334,30 @@ class WeightedGraph:
     # ----------------------------------------------------------- structure
 
     def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists (BFS)."""
+        """Connected components as sorted vertex lists, ordered by their
+        least vertex.
+
+        Every vertex starts labelled with itself and takes the least label
+        among its neighbours, then the label of its label (pointer jumping),
+        until no label moves; each label is then its component's least
+        vertex.
+        """
         if self._components is None:
-            seen = np.zeros(self.n, dtype=bool)
-            comps = []
-            for start in range(self.n):
-                if seen[start]:
-                    continue
-                queue = deque([start])
-                seen[start] = True
-                comp = []
-                while queue:
-                    v = queue.popleft()
-                    comp.append(v)
-                    for w, _ in self._adj[v]:
-                        if not seen[w]:
-                            seen[w] = True
-                            queue.append(w)
-                comps.append(sorted(comp))
-            self._components = comps
+            labels = np.arange(self.n)
+            while True:
+                step = labels.copy()
+                np.minimum.at(step, self._rows, labels[self._cols])
+                step = step[step]
+                if np.array_equal(step, labels):
+                    break
+                labels = step
+            order = np.argsort(labels, kind="stable")
+            cuts = np.flatnonzero(np.diff(labels[order])) + 1
+            self._components = [c.tolist() for c in np.split(order, cuts)]
         return self._components
 
     def __repr__(self):
-        return (f"WeightedGraph(n={self.n}, edges={len(self.edges)}"
+        return (f"WeightedGraph(n={self.n}, edges={len(self._upper)}"
                 + (f", name={self.name!r}" if self.name else "") + ")")
 
 
@@ -248,49 +371,80 @@ def require_connected(graph: WeightedGraph) -> None:
 
 # ------------------------------------------------------------- file format
 
+_RECORD_USAGE = {"v": "expected: v <id> <mu> [label]",
+                 "e": "expected: e <id> <id> <b>"}
+
+
+def _convert(kind, tokens, lines, rank: int, errors: list) -> list:
+    """kind(token) for each token, up to the first one kind rejects; that
+    one's (line, rank, message) is appended to errors."""
+    try:
+        return list(map(kind, tokens))
+    except ValueError:
+        pass
+    for k, token in enumerate(tokens):
+        try:
+            kind(token)
+        except ValueError as exc:
+            errors.append((lines[k], rank, str(exc)))
+            return list(map(kind, tokens[:k]))
+
 
 def _parse_text(text: str, name_hint: str) -> WeightedGraph:
+    """Parse the line format.
+
+    One pass splits the lines and sorts out the records; ids and numbers
+    are then converted a column at a time. The error reported is the first
+    bad line's: a malformed record, or within one line a bad id, a
+    duplicate vertex id, then a bad number.
+    """
     name = name_hint
-    vertices: dict[int, float] = {}
-    edges: list[tuple[int, int, float]] = []
-    labels: dict[int, str] = {}
+    v_rows, e_rows, errors = [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        try:
-            if parts[0] == "graph":
-                name = " ".join(parts[1:]) or name
-            elif parts[0] == "v":
-                if len(parts) not in (3, 4):
-                    raise ValueError("expected: v <id> <mu> [label]")
-                vid = int(parts[1])
-                if vid in vertices:
-                    raise ValueError(f"duplicate vertex {vid}")
-                vertices[vid] = float(parts[2])
-                if len(parts) == 4:
-                    labels[vid] = parts[3]
-            elif parts[0] == "e":
-                if len(parts) != 4:
-                    raise ValueError("expected: e <id> <id> <b>")
-                edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
-            else:
-                raise ValueError(f"unknown record {parts[0]!r}")
-        except ValueError as exc:
-            raise InputError(f"line {lineno}: {exc}") from None
-    if not vertices:
+        tag = parts[0]
+        # a record keeps its line number in place of its tag
+        if tag == "e" and len(parts) == 4:
+            parts[0] = lineno
+            e_rows.append(parts)
+        elif tag == "v" and 3 <= len(parts) <= 4:
+            parts[0] = lineno
+            v_rows.append(parts)
+        elif tag == "graph":
+            name = " ".join(parts[1:]) or name
+        else:
+            errors.append((lineno, 0, _RECORD_USAGE.get(
+                tag, f"unknown record {tag!r}")))
+            break
+    # columns (line, id, mu) before any labels, and (line, u, v, b)
+    v_lines, vid_tokens, mu_tokens = (list(zip(*v_rows)) or [()] * 3)[:3]
+    e_lines, u_tokens, w_tokens, b_tokens = list(zip(*e_rows)) or [()] * 4
+    vids = _convert(int, vid_tokens, v_lines, 1, errors)
+    first = dict(zip(reversed(vids), range(len(vids) - 1, -1, -1)))
+    if len(first) < len(vids):
+        k = next(k for k, vid in enumerate(vids) if first[vid] != k)
+        errors.append((v_lines[k], 2, f"duplicate vertex {vids[k]}"))
+    mus = _convert(float, mu_tokens, v_lines, 3, errors)
+    edges = list(zip(_convert(int, u_tokens, e_lines, 1, errors),
+                     _convert(int, w_tokens, e_lines, 2, errors),
+                     _convert(float, b_tokens, e_lines, 3, errors)))
+    if errors:
+        lineno, _, message = min(errors)
+        raise InputError(f"line {lineno}: {message}")
+    if not vids:
         raise InputError("no vertices declared")
-    ids = sorted(vertices)
+    ids = sorted(vids)
     if ids != list(range(len(ids))):
         raise InputError(f"vertex ids must form 0..{len(ids) - 1}, got {ids}")
-    mu = [vertices[i] for i in ids]
-    lab = [labels.get(i, str(i)) for i in ids]
-    return WeightedGraph(mu, edges, labels=lab, name=name)
-
-
-# what int(), float() and indexing raise on a malformed JSON entry
-_ENTRY_ERRORS = (KeyError, IndexError, TypeError, ValueError, OverflowError)
+    mu = np.empty(len(ids))
+    mu[vids] = mus
+    labels = [str(i) for i in ids]
+    for vid, row in zip(vids, v_rows):
+        if len(row) == 4:
+            labels[vid] = row[3]
+    return WeightedGraph(mu, edges, labels=labels, name=name)
 
 
 def _entries(doc: dict, key: str) -> list:
@@ -300,23 +454,36 @@ def _entries(doc: dict, key: str) -> list:
     return items
 
 
+def _fields(item, keys: tuple) -> tuple:
+    """The values of an entry given as an object with these keys or as an
+    array of exactly these values; None for each one that is missing."""
+    if isinstance(item, dict):
+        return tuple(item.get(key) for key in keys)
+    if isinstance(item, list) and len(item) == len(keys):
+        return tuple(item)
+    return (None,) * len(keys)
+
+
+def _is_id(value) -> bool:
+    """value is an integral number (1 and 1.0, not 1.5, true or "1")."""
+    return is_finite_real(value) and float(value).is_integer()
+
+
 def _parse_structured(doc: dict, name_hint: str) -> WeightedGraph:
+    """Parse a JSON graph document. Ids and numbers follow the rule of
+    config values: a number, never a bool, a string or null, and an id
+    integral."""
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise InputError("structured graph document needs a 'vertices' array")
     entries = []
     for index, item in enumerate(_entries(doc, "vertices")):
-        try:
-            if isinstance(item, dict):
-                entries.append((int(item["id"]), float(item["mu"]),
-                                item.get("label")))
-            elif isinstance(item, list):
-                entries.append((int(item[0]), float(item[1]), None))
-            else:
-                raise TypeError("entry must be an object or an array")
-        except _ENTRY_ERRORS as exc:
+        vid, m = _fields(item, ("id", "mu"))
+        if not (_is_id(vid) and is_finite_real(m)):
             raise InputError(
-                f"vertices[{index}] needs an integer id and a number mu, "
-                f"got {item!r} ({type(exc).__name__}: {exc})") from None
+                f"vertices[{index}] needs an integer id and a finite number "
+                f"mu, got {item!r}")
+        label = item.get("label") if isinstance(item, dict) else None
+        entries.append((int(vid), float(m), label))
     ids = sorted(e[0] for e in entries)
     if ids != list(range(len(ids))):
         raise InputError(f"vertex ids must form 0..{len(ids) - 1}, got {ids}")
@@ -327,18 +494,12 @@ def _parse_structured(doc: dict, name_hint: str) -> WeightedGraph:
         labels[vid] = lab if lab is not None else str(vid)
     edges = []
     for index, item in enumerate(_entries(doc, "edges")):
-        try:
-            if isinstance(item, dict):
-                edges.append((int(item["u"]), int(item["v"]),
-                              float(item["b"])))
-            elif isinstance(item, list):
-                edges.append((int(item[0]), int(item[1]), float(item[2])))
-            else:
-                raise TypeError("entry must be an object or an array")
-        except _ENTRY_ERRORS as exc:
+        u, v, b = _fields(item, ("u", "v", "b"))
+        if not (_is_id(u) and _is_id(v) and is_finite_real(b)):
             raise InputError(
-                f"edges[{index}] needs integer endpoints and a number b, "
-                f"got {item!r} ({type(exc).__name__}: {exc})") from None
+                f"edges[{index}] needs integer endpoints and a finite number "
+                f"b, got {item!r}")
+        edges.append((int(u), int(v), float(b)))
     return WeightedGraph(mu, edges, labels=labels,
                          name=str(doc.get("name", name_hint)))
 

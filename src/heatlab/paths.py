@@ -115,11 +115,10 @@ def sample_free_path(graph: WeightedGraph, x, t: float, rng=None) -> JumpPath:
         tau += rng.exponential(1.0 / rate)
         if tau >= t:
             break
-        nbrs = graph.neighbors(z)
-        weights = np.array([b for _, b in nbrs])
+        cols, weights = graph.neighbors(z)
         cum = np.cumsum(weights)
         u = rng.random() * cum[-1]
-        z = nbrs[int(np.searchsorted(cum, u, side="right"))][0]
+        z = int(cols[np.searchsorted(cum, u, side="right")])
         jumps.append((tau, z))
     return JumpPath(start=graph.resolve(x), jumps=jumps, horizon=float(t))
 

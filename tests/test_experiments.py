@@ -6,6 +6,7 @@ import json
 import math
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,16 @@ def test_run_unknown_fixture(tmp_path):
     cfg = ExperimentConfig.from_file(write_config(tmp_path / "g.json", doc))
     with pytest.raises(ConfigError):
         run(cfg, tmp_path / "out")
+
+
+def test_fixture_lookup_builds_only_that_fixture(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a fixture that was not asked for")
+
+    for builder in ("two_vertex", "complete_graph", "random_connected_graph"):
+        monkeypatch.setattr(hl.fixtures, builder, refuse)
+    g = experiments._resolve_graph("fixture:p5", Path("."))
+    assert g.fingerprint() == hl.path_graph(5).fingerprint()
 
 
 def test_run_wrong_potential_length(tmp_path):
@@ -315,6 +326,25 @@ def test_cli_verify_kernel_malformed_json_graph_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "vertices[0]" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["verify-kernel"],
+    ["sample-paths", "--t", "1", "--samples", "10", "--mode", "free",
+     "--x", "1"],
+], ids=["verify-kernel", "sample-paths"])
+def test_cli_non_finite_degree_graph_exit_2(tmp_path, capsys, command):
+    # sum_y b(0,y) = 1 is finite but Deg(0) = 1 / 1e-320 is not
+    gp = tmp_path / "tiny.graph"
+    gp.write_text("v 0 1e-320\nv 1 1.0\ne 0 1 1.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command[0], "--graph", str(gp), *command[1:],
+                         "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: weighted degree Deg(0)")
 
 
 def test_suite_malformed_json_graph_gets_summary_row(tmp_path):

@@ -1,5 +1,6 @@
 """Weighted graph construction, validation and serialization."""
 
+import hashlib
 import json
 import sys
 import threading
@@ -11,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatlab as hl
-from heatlab.errors import (AsymmetricWeights, DisconnectedGraph, InputError,
-                            NegativeWeight, NonpositiveMeasure, SelfLoop,
-                            UnknownVertex)
+from heatlab.errors import (AsymmetricWeights, DisconnectedGraph,
+                            HeatLabError, InputError, NegativeWeight,
+                            NonpositiveMeasure, SelfLoop, UnknownVertex)
 from heatlab.graphs import WeightedGraph, require_connected
 
 
@@ -43,8 +44,9 @@ def test_laplacian_sign_convention():
     # (L f)(x) = -(1/mu(x)) sum_y b(x,y) (f(x) - f(y))
     g = WeightedGraph([2.0, 1.0, 0.5], [(0, 1, 3.0), (1, 2, 0.25)])
     f = np.array([1.0, -2.0, 0.5])
-    lap = np.array([-sum(b * (f[x] - f[y]) for y, b in g.neighbors(x))
-                    / g.mu[x] for x in range(g.n)])
+    lap = np.array([-sum(b * (f[x] - f[y])
+                         for y, b in zip(*g.neighbors(x))) / g.mu[x]
+                    for x in range(g.n)])
     assert np.allclose(g.generator_matrix() @ f, -lap, atol=1e-14)
 
 
@@ -198,3 +200,203 @@ def test_random_graphs_round_trip(n, seed):
     back = hl.loads_graph(hl.dumps_graph(g))
     assert back.fingerprint() == g.fingerprint()
     assert np.array_equal(back.mu, g.mu)
+
+
+# --------------------------------------------- reference scalar constructor
+
+
+def _scalar_graph(mu, edges):
+    """The per-edge constructor the array one replaced, kept as a reference:
+    (edges, degrees, generator, components, fingerprint), or the error."""
+    mu = np.asarray(mu, dtype=float)
+    n = mu.size
+    merged, seen = {}, {}
+    for i, j, b in edges:
+        i, j = int(i), int(j)
+        b = float(b)
+        for v in (i, j):
+            if not 0 <= v < n:
+                raise UnknownVertex(f"edge ({i},{j}) references vertex {v}")
+        if not np.isfinite(b):
+            raise NegativeWeight(f"edge ({i},{j}) has non-finite weight {b}")
+        if i == j:
+            if b != 0.0:
+                raise SelfLoop(f"b({i},{i}) = {b} must be zero")
+            continue
+        if (i, j) in seen and seen[(i, j)] != b:
+            raise AsymmetricWeights(
+                f"conflicting weights for edge ({i},{j}): {seen[(i, j)]} vs {b}")
+        seen[(i, j)] = b
+        if b < 0.0:
+            raise NegativeWeight(f"b({i},{j}) = {b} must be nonnegative")
+        key = (min(i, j), max(i, j))
+        if key in merged and merged[key] != b:
+            raise AsymmetricWeights(
+                f"b{(i, j)} = {b} but b{(j, i)} = {merged[key]}")
+        if b > 0.0:
+            merged[key] = b
+    triples = tuple(sorted((i, j, merged[(i, j)]) for (i, j) in merged))
+    adj = [[] for _ in range(n)]
+    for i, j, b in triples:
+        adj[i].append((j, b))
+        adj[j].append((i, b))
+    adj = [sorted(nbrs) for nbrs in adj]
+    sums = np.array([sum(b for _, b in nbrs) for nbrs in adj])
+    with np.errstate(over="ignore"):
+        degrees = sums / mu
+    if not np.all(np.isfinite(degrees)):
+        x = int(np.argmin(np.isfinite(degrees)))
+        raise InputError(f"weighted degree Deg({x}) = {sums[x]} / "
+                         f"{mu[x]} is not finite")
+    h = np.zeros((n, n))
+    for i, j, b in triples:
+        h[i, j] -= b / mu[i]
+        h[j, i] -= b / mu[j]
+    np.fill_diagonal(h, degrees)
+    comps, comp_of = [], [None] * n
+    for start in range(n):
+        if comp_of[start] is None:
+            comp_of[start], queue, comp = start, [start], []
+            while queue:
+                v = queue.pop()
+                comp.append(v)
+                for w, _ in adj[v]:
+                    if comp_of[w] is None:
+                        comp_of[w] = start
+                        queue.append(w)
+            comps.append(sorted(comp))
+    digest = hashlib.sha256(np.int64(n).tobytes() + mu.tobytes())
+    for i, j, b in triples:
+        digest.update(np.int64(i).tobytes() + np.int64(j).tobytes()
+                      + np.float64(b).tobytes())
+    return triples, degrees, h, comps, digest.hexdigest()
+
+
+_WEIGHTS = [0.0, -0.0, 0.5, 1.0, 2.0, 1e300, 1e-320, -1.0, np.nan, np.inf,
+            -np.inf]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=5))
+def test_array_constructor_matches_the_scalar_reference(data, n):
+    # duplicates, reversed pairs, zeros, self-loops, bad weights and
+    # out-of-range ids: both raise the same error, or agree bit for bit
+    mu = data.draw(st.lists(st.sampled_from([0.5, 1.0, 3.0, 1e-300]),
+                            min_size=n, max_size=n))
+    ids = st.integers(min_value=-1, max_value=n) | st.sampled_from([0.0, 1.0])
+    edges = data.draw(st.lists(
+        st.tuples(ids, ids, st.sampled_from(_WEIGHTS)), max_size=10))
+    try:
+        ref = _scalar_graph(mu, edges)
+    except HeatLabError as exc:
+        with pytest.raises(type(exc)) as caught:
+            WeightedGraph(mu, edges)
+        assert type(caught.value) is type(exc)
+        assert str(caught.value) == str(exc)
+        return
+    g = WeightedGraph(mu, edges)
+    triples, degrees, h, comps, digest = ref
+    assert g.edges == triples
+    assert [tuple(map(type, e)) for e in g.edges] == \
+        [(int, int, float)] * len(triples)
+    assert g.degrees().tobytes() == degrees.tobytes()
+    assert g.generator_matrix().tobytes() == h.tobytes()
+    assert g.components() == comps
+    assert g.fingerprint() == digest
+
+
+def test_golden_fingerprint():
+    assert hl.path_graph(4).fingerprint() == \
+        "47f95816f36a7a5c2a9eefca357cddf4931dce42fe9164b9adb495b1a7956d17"
+
+
+def test_neighbors_is_the_sorted_row():
+    g = WeightedGraph([1.0] * 4, [(2, 1, 0.5), (1, 0, 2.0), (3, 1, 1.5)])
+    cols, weights = g.neighbors(1)
+    assert cols.tolist() == [0, 2, 3]
+    assert weights.tolist() == [2.0, 0.5, 1.5]
+    assert g.degree(1) == 4.0
+
+
+def test_zero_weight_is_not_stored_so_a_later_weight_is_accepted():
+    g = WeightedGraph([1.0, 1.0], [(0, 1, 0.0), (1, 0, 1.0)])
+    assert g.edges == ((0, 1, 1.0),)
+    with pytest.raises(AsymmetricWeights):
+        WeightedGraph([1.0, 1.0], [(0, 1, 1.0), (1, 0, 0.0)])
+
+
+# ------------------------------------------------------- malformed entries
+
+
+def test_non_finite_degree_is_rejected(tmp_path):
+    # sum b = 2 is finite, Deg = 2 / 1e-320 is not
+    gp = tmp_path / "tiny.graph"
+    gp.write_text("v 0 1e-320\nv 1 1.0\nv 2 1.0\ne 0 1 1.0\ne 0 2 1.0\n")
+    with pytest.raises(InputError, match=r"Deg\(0\)"):
+        hl.load_graph(gp)
+
+
+def test_non_integral_edge_id_is_rejected():
+    with pytest.raises(UnknownVertex, match="not an integer"):
+        WeightedGraph([1.0, 1.0], [(0, 1.7, 1.0)])
+
+
+def test_short_edge_is_input_error():
+    with pytest.raises(InputError, match="triples"):
+        WeightedGraph([1.0, 1.0], [(0, 1)])
+
+
+@pytest.mark.parametrize("entry", [(0, "1", 1.0), (0, 1, None),
+                                   (0, 2 ** 70, 1.0)],
+                         ids=["string", "none", "huge-int"])
+def test_non_numeric_edge_is_input_error(entry):
+    with pytest.raises(InputError, match="triples of numbers"):
+        WeightedGraph([1.0, 1.0], [(0, 1, 1.0), entry])
+
+
+@pytest.mark.parametrize("doc,where", [
+    ({"vertices": [[0, 1.0], [1, 1.0]], "edges": [[0, 1.9, 1]]},
+     r"edges\[0\]"),
+    ({"vertices": [[0, 1.0], [1, 1.0]], "edges": [{"u": 0, "v": "1",
+                                                   "b": 1.0}]},
+     r"edges\[0\]"),
+    ({"vertices": [[0, 1.0], [1, 1.0]], "edges": [[0, 1, "2"]]},
+     r"edges\[0\]"),
+    ({"vertices": [[0, 1.0], [1, 1.0]], "edges": [[0, True, 1.0]]},
+     r"edges\[0\]"),
+    ({"vertices": [[0, 1.0], [1, 1.0]], "edges": [[0, 1, 1.0, 5]]},
+     r"edges\[0\]"),
+    ({"vertices": [[0, 1.0], {"id": "1", "mu": 1.0}]}, r"vertices\[1\]"),
+    ({"vertices": [[0, 1.0], [1.5, 1.0]]}, r"vertices\[1\]"),
+    ({"vertices": [[0, "2"]]}, r"vertices\[0\]"),
+    ({"vertices": [[False, 1.0]]}, r"vertices\[0\]"),
+], ids=["edge-fractional-id", "edge-string-id", "edge-string-weight",
+        "edge-bool-id", "edge-long-list", "vertex-string-id",
+        "vertex-fractional-id", "vertex-string-mu", "vertex-bool-id"])
+def test_json_entry_types_are_checked(doc, where):
+    with pytest.raises(InputError, match=where):
+        hl.loads_graph(json.dumps(doc))
+
+
+def test_json_integral_float_ids_are_accepted():
+    doc = {"vertices": [[0.0, 1.0], {"id": 1, "mu": 2, "label": "b"}],
+           "edges": [{"u": 1.0, "v": 0, "b": 3}]}
+    g = hl.loads_graph(json.dumps(doc))
+    assert g.edges == ((0, 1, 3.0),)
+    assert g.labels == ("0", "b")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("v 0 1\nv 1 1\nq 0\ne 0 x 1\n", "line 3: unknown record 'q'"),
+    ("v 0 1\ne 0 x 1\nq 0\n",
+     "line 2: invalid literal for int() with base 10: 'x'"),
+    ("v 0 1\nv 0 y\n", "line 2: duplicate vertex 0"),
+    ("v 0 y\nv 0 1\n", "line 1: could not convert string to float: 'y'"),
+    ("v 0 1\ne 0 1 2 3\n", "line 2: expected: e <id> <id> <b>"),
+    ("v 0\n", "line 1: expected: v <id> <mu> [label]"),
+    ("v 1.0 1\n", "line 1: invalid literal for int() with base 10: '1.0'"),
+])
+def test_text_parse_reports_the_first_bad_line(text, message):
+    with pytest.raises(InputError) as caught:
+        hl.loads_graph(text)
+    assert str(caught.value) == message
