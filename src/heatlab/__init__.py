@@ -21,8 +21,7 @@ from .potential_class import (AdmissibilityResult, GrowthProfile,
                               ricci_admissibility)
 from .torus import (TorusModel, TorusPotential, cosine_well,
                     exact_heat_trace, galerkin_schrodinger_trace,
-                    potential_integral, torus_eigenvalues,
-                    torus_semiclassical_scan)
+                    potential_integral, torus_semiclassical_scan)
 from .traces import (ConvergenceReport, Potential, golden_thompson_check,
                      semiclassical_scan, trace_semigroup)
 

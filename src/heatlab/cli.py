@@ -239,10 +239,11 @@ def _cmd_sample_paths(args) -> int:
 
 
 def _cmd_check_admissibility(args) -> int:
-    # a bare profile document may carry the run's window and expect keys
+    # a bare profile document may carry the run's expect key
     profile = experiments.read_json(args.profile)
-    doc = {key: profile[key] for key in ("window", "expect") if key in profile}
-    doc.update(kind="admissibility", name="admissibility", profile=profile)
+    doc = {"kind": "admissibility", "name": "admissibility", "profile": profile}
+    if "expect" in profile:
+        doc["expect"] = profile.pop("expect")
     return _cmd_run(args, experiments.ExperimentConfig.from_doc(
         doc, ".", "admissibility", args.profile))
 

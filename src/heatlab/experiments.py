@@ -30,8 +30,8 @@ from .paths import feynman_kac_trace_mc, no_jump_lower_bound, \
 from .potential_class import growth_profile_from_config, ricci_admissibility
 from .torus import TorusModel, potential_from_spec, torus_semiclassical_scan
 from .traces import semiclassical_scan, trace_semigroup
-from .util import (check_time_grid, default_time_grid, floats, number,
-                   parallel_map, require, write_csv)
+from .util import (check_keys, check_time_grid, default_time_grid, floats,
+                   number, parallel_map, require, write_csv)
 
 KNOWN_KINDS = ("graph-limit", "torus-limit", "fk-crosscheck", "pnfb",
                "axioms", "admissibility")
@@ -64,12 +64,19 @@ class ExperimentConfig:
     @classmethod
     def from_doc(cls, doc: dict, base_dir, default_name: str,
                  origin: str) -> "ExperimentConfig":
-        """Validate kind, name and seed; origin names doc in errors."""
+        """Validate kind, keys, name and seed; origin names doc in errors.
+
+        A key the kind does not read, at the top level or in tolerances, is
+        a ConfigError naming it.
+        """
         kind = doc.get("kind")
         if kind not in KNOWN_KINDS:
             raise ConfigError(
                 f"unknown experiment kind {kind!r} in {origin}; "
                 f"expected one of {', '.join(KNOWN_KINDS)}")
+        keys, tolerances = _KEYS[kind]
+        check_keys(doc, ("kind", "name", "seed") + keys, f"{kind} config")
+        check_keys(_tolerances(doc), tolerances, "tolerances")
         name = doc.get("name", default_name)
         if not _is_file_stem(name):
             raise ConfigError(f"name in {origin} must be a plain file name "
@@ -175,10 +182,7 @@ def _time_grid(doc: dict) -> np.ndarray:
         return default_time_grid()
     if not isinstance(spec, dict):
         return _grid(spec, "t_grid")
-    unknown = sorted(set(spec) - set(_GRID_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown t_grid keys {unknown}; expected "
-                          f"{', '.join(_GRID_KEYS)}")
+    check_keys(spec, _GRID_KEYS, "t_grid")
     try:
         return default_time_grid(
             t0=number(spec, "t0", "t_grid", default=1.0),
@@ -243,8 +247,7 @@ def _run_torus_limit(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
     potential = potential_from_spec(doc.get("potential", "zero"), lengths)
     model = TorusModel(dim=dim, lengths=tuple(lengths), truncation=trunc,
                        potential=potential)
-    options = _options(_tolerances(doc), "tolerances", dict(
-        _SCAN_TOLERANCES, truncation_doubling=("check_rel_tol", float)))
+    options = _options(_tolerances(doc), "tolerances", _SCAN_TOLERANCES)
     try:
         report = torus_semiclassical_scan(model, _time_grid(doc), **options)
     except TruncationNotConverged as exc:
@@ -344,12 +347,10 @@ def _run_axioms(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
     graph = _resolve_graph(require(doc, "graph", cfg.kind), cfg.base_dir)
     s = number(doc, "s", cfg.kind)
     t = number(doc, "t", cfg.kind)
-    options = _options(_tolerances(doc), "tolerances", _AXIOM_TOLERANCES)
-    options.update(_options(doc, cfg.kind,
-                            {"conservative": ("conservative", bool)}))
     report = verify_axioms(
         heat_semigroup(graph, s), heat_semigroup(graph, t),
-        heat_semigroup(graph, s + t), **options)
+        heat_semigroup(graph, s + t),
+        **_options(_tolerances(doc), "tolerances", _AXIOM_TOLERANCES))
     csv = write_csv(out / f"{cfg.name}.csv", report.header, report.rows())
     js = _write_json(out / f"{cfg.name}.json", {
         "s": report.s, "t": report.t,
@@ -372,10 +373,7 @@ def _run_admissibility(cfg: ExperimentConfig, out: Path, seed: int,
         raise ConfigError(f"bad expected verdict {expect!r}; "
                           f"expected one of {', '.join(VERDICTS)}")
     profile = growth_profile_from_config(require(doc, "profile", cfg.kind))
-    options = {}
-    if "window" in doc:
-        options["window"] = number(doc, "window", cfg.kind, int, minimum=1)
-    result = ricci_admissibility(profile, **options)
+    result = ricci_admissibility(profile)
     csv = write_csv(out / f"{cfg.name}.csv", result.header, result.rows())
     js = _write_json(out / f"{cfg.name}.json", {
         "verdict": result.verdict, "k_max": result.k_max,
@@ -400,6 +398,21 @@ _RUNNERS = {
     "pnfb": _run_pnfb,
     "axioms": _run_axioms,
     "admissibility": _run_admissibility,
+}
+
+# the keys each kind's runner reads besides kind, name and seed, and the
+# keys of its tolerances object
+_KEYS = {
+    "graph-limit": (("graph", "potential", "t_grid", "tolerances"),
+                    _SCAN_TOLERANCES),
+    "torus-limit": (("dim", "lengths", "truncation", "potential", "t_grid",
+                     "tolerances"), _SCAN_TOLERANCES),
+    "fk-crosscheck": (("graph", "potential", "t", "samples", "tolerances"),
+                      ("k_sigma", "max_rel_se")),
+    "pnfb": (("graph", "x", "K", "t_list", "samples", "tolerances"),
+             ("k_sigma", "final_min")),
+    "axioms": (("graph", "s", "t", "tolerances"), _AXIOM_TOLERANCES),
+    "admissibility": (("profile", "expect"), ()),
 }
 
 

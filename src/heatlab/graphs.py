@@ -194,7 +194,11 @@ def _check_edges(u, v, b, n: int) -> None:
 
 
 class WeightedGraph:
-    """Immutable weighted graph over vertices 0..n-1 with optional labels."""
+    """Immutable weighted graph over vertices 0..n-1 with optional labels.
+
+    A label is one token of the line format (nonempty, without whitespace
+    or '#') and names one vertex; an unlabelled vertex's label is its index.
+    """
 
     def __init__(self, mu, edges, labels=None, name: str = ""):
         try:
@@ -236,11 +240,18 @@ class WeightedGraph:
         self.name = name
         self.mu = mu
         self.mu.setflags(write=False)
-        if labels is None:
-            labels = [str(i) for i in range(n)]
-        if len(labels) != n:
-            raise InputError(f"{len(labels)} labels for {n} vertices")
-        self.labels = tuple(str(l) for l in labels)
+        self.labels = tuple(map(str, range(n) if labels is None else labels))
+        if len(self.labels) != n:
+            raise InputError(f"{len(self.labels)} labels for {n} vertices")
+        # each label must be one token of the line format, and name one vertex
+        first = {}
+        for x, label in enumerate(self.labels):
+            if label.split() != [label] or "#" in label:
+                raise InputError(f"label {label!r} of vertex {x} is empty or "
+                                 "holds whitespace or '#'")
+            if first.setdefault(label, x) != x:
+                raise InputError(f"vertices {first[label]} and {x} share the "
+                                 f"label {label!r}")
 
         # summability: Deg(x) = sum_y b(x,y) / mu(x) must be finite; the sum
         # runs over the neighbours of x in ascending order, from 0
@@ -375,75 +386,41 @@ _RECORD_USAGE = {"v": "expected: v <id> <mu> [label]",
                  "e": "expected: e <id> <id> <b>"}
 
 
-def _convert(kind, tokens, lines, rank: int, errors: list) -> list:
-    """kind(token) for each token, up to the first one kind rejects; that
-    one's (line, rank, message) is appended to errors."""
-    try:
-        return list(map(kind, tokens))
-    except ValueError:
-        pass
-    for k, token in enumerate(tokens):
-        try:
-            kind(token)
-        except ValueError as exc:
-            errors.append((lines[k], rank, str(exc)))
-            return list(map(kind, tokens[:k]))
-
-
 def _parse_text(text: str, name_hint: str) -> WeightedGraph:
-    """Parse the line format.
+    """Parse the line format, converting each record as its line is read.
 
-    One pass splits the lines and sorts out the records; ids and numbers
-    are then converted a column at a time. The error reported is the first
-    bad line's: a malformed record, or within one line a bad id, a
-    duplicate vertex id, then a bad number.
+    The error reported is the first bad line's: a malformed record, or
+    within one line a bad id, a duplicate vertex id, then a bad number.
     """
     name = name_hint
-    v_rows, e_rows, errors = [], [], []
+    vertices, edges = {}, []        # id -> (mu, label); (u, v, b)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
             continue
         tag = parts[0]
-        # a record keeps its line number in place of its tag
-        if tag == "e" and len(parts) == 4:
-            parts[0] = lineno
-            e_rows.append(parts)
-        elif tag == "v" and 3 <= len(parts) <= 4:
-            parts[0] = lineno
-            v_rows.append(parts)
-        elif tag == "graph":
-            name = " ".join(parts[1:]) or name
-        else:
-            errors.append((lineno, 0, _RECORD_USAGE.get(
-                tag, f"unknown record {tag!r}")))
-            break
-    # columns (line, id, mu) before any labels, and (line, u, v, b)
-    v_lines, vid_tokens, mu_tokens = (list(zip(*v_rows)) or [()] * 3)[:3]
-    e_lines, u_tokens, w_tokens, b_tokens = list(zip(*e_rows)) or [()] * 4
-    vids = _convert(int, vid_tokens, v_lines, 1, errors)
-    first = dict(zip(reversed(vids), range(len(vids) - 1, -1, -1)))
-    if len(first) < len(vids):
-        k = next(k for k, vid in enumerate(vids) if first[vid] != k)
-        errors.append((v_lines[k], 2, f"duplicate vertex {vids[k]}"))
-    mus = _convert(float, mu_tokens, v_lines, 3, errors)
-    edges = list(zip(_convert(int, u_tokens, e_lines, 1, errors),
-                     _convert(int, w_tokens, e_lines, 2, errors),
-                     _convert(float, b_tokens, e_lines, 3, errors)))
-    if errors:
-        lineno, _, message = min(errors)
-        raise InputError(f"line {lineno}: {message}")
-    if not vids:
+        try:
+            if tag == "e" and len(parts) == 4:
+                edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
+            elif tag == "v" and 3 <= len(parts) <= 4:
+                vid = int(parts[1])
+                if vid in vertices:
+                    raise InputError(f"line {lineno}: duplicate vertex {vid}")
+                vertices[vid] = (float(parts[2]), parts[3] if len(parts) == 4
+                                 else str(vid))
+            elif tag == "graph":
+                name = " ".join(parts[1:]) or name
+            else:
+                raise InputError(f"line {lineno}: " + _RECORD_USAGE.get(
+                    tag, f"unknown record {tag!r}"))
+        except ValueError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
+    if not vertices:
         raise InputError("no vertices declared")
-    ids = sorted(vids)
+    ids = sorted(vertices)
     if ids != list(range(len(ids))):
         raise InputError(f"vertex ids must form 0..{len(ids) - 1}, got {ids}")
-    mu = np.empty(len(ids))
-    mu[vids] = mus
-    labels = [str(i) for i in ids]
-    for vid, row in zip(vids, v_rows):
-        if len(row) == 4:
-            labels[vid] = row[3]
+    mu, labels = zip(*(vertices[i] for i in ids))
     return WeightedGraph(mu, edges, labels=labels, name=name)
 
 

@@ -50,15 +50,14 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (GraphMismatch, InputError, InvalidRate,
                      NTruncationExceeded, VertexOutsideExhaustion)
 from .graphs import WeightedGraph, require_connected, uniformize
-from .util import check_time, write_csv
+from .util import check_time
 
 DEFAULT_TAIL_CUTOFF = 1e-14
 # largest Lambda t of a series summed one jump-chain step per term
@@ -199,29 +198,13 @@ class HeatKernelTable:
     uniformization_rate: float
     truncation_error_bound: float
     presymmetrization_defect: float
-    labels: tuple = field(default=())
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
     def mass(self) -> np.ndarray:
         """Row masses sum_z p(t,x,z) mu(z); sub-Markov means all <= 1."""
         return self.values @ self.mu
 
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.values).copy()
-
     def symmetry_defect(self) -> float:
         return float(np.max(np.abs(self.values - self.values.T)))
-
-    # ------------------------------------------------------------ exports
-
-    def to_csv(self, path) -> Path:
-        header = ["x"] + [str(l) for l in self.labels or range(self.n)]
-        rows = ([self.labels[i] if self.labels else str(i)]
-                + list(self.values[i]) for i in range(self.n))
-        return write_csv(path, header, rows)
 
 
 # ----------------------------------------------------------------- caching
@@ -288,7 +271,7 @@ def heat_semigroup(graph: WeightedGraph, t: float) -> HeatKernelTable:
     table = HeatKernelTable(
         t=float(t), values=p, mu=graph.mu.copy(), graph_key=graph.fingerprint(),
         uniformization_rate=info.rate, truncation_error_bound=info.tail_bound,
-        presymmetrization_defect=defect, labels=graph.labels)
+        presymmetrization_defect=defect)
     table.values.setflags(write=False)
     return _cache.insert(key, table)
 
@@ -424,13 +407,12 @@ class AxiomReport:
 
 def verify_axioms(table_s: HeatKernelTable, table_t: HeatKernelTable,
                   table_st: HeatKernelTable, ck_tol: float = 1e-10,
-                  sym_tol: float = 1e-12, mass_tol: float = 1e-12,
-                  conservative: bool = True) -> AxiomReport:
+                  sym_tol: float = 1e-12,
+                  mass_tol: float = 1e-12) -> AxiomReport:
     """Check the semigroup identity, symmetry and mass bounds numerically.
 
-    table_st must belong to the same graph and sit at time s + t. For finite
-    conservative graphs the masses stay within mass_tol of 1; set
-    conservative=False to demand only the sub-Markov upper bound.
+    table_st must belong to the same graph and sit at time s + t. A finite
+    graph conserves mass, so every row mass must lie within mass_tol of 1.
     """
     keys = {table_s.graph_key, table_t.graph_key, table_st.graph_key}
     if len(keys) != 1:
@@ -448,8 +430,7 @@ def verify_axioms(table_s: HeatKernelTable, table_t: HeatKernelTable,
     checks = [
         ("chapman_kolmogorov", ck <= ck_tol, f"defect {ck!r} > {ck_tol!r}"),
         ("symmetry", sym <= sym_tol, f"defect {sym!r} > {sym_tol!r}"),
-        ("mass_window",
-         excess <= mass_tol and (not conservative or deficit <= mass_tol),
+        ("mass_window", excess <= mass_tol and deficit <= mass_tol,
          f"excess {excess!r}, deficit {deficit!r} outside {mass_tol!r}"),
     ]
     return AxiomReport(s=table_s.t, t=table_t.t,

@@ -21,7 +21,7 @@ Three probes, all reported as numbers or verdicts rather than gates:
   series sum_k c_k k^m e^{2 L k}, L = sqrt((m-1) A), with a tri-state
   verdict. A finite partial sum cannot prove convergence, so "admissible"
   is only declared with an explicit decay-ratio certificate: all ratios
-  over the trailing window below one and geometric tail bound
+  over the trailing window of 16 ratios below one and geometric tail bound
   a_K q/(1-q) < 1e-9. "Inadmissible" means the window terms are bounded
   below by a positive constant with no decay trend; anything else is
   "undecided". The doubling-constant variant c_k (2k)^m e^{2Lk} is the
@@ -49,7 +49,8 @@ from .errors import ConfigError, InputError
 from .graphs import WeightedGraph, require_connected
 from .kernels import _chain_action, _stepwise_weights
 from .traces import as_potential
-from .util import check_time, floats, kahan_sum, number, require
+from .util import (check_keys, check_time, floats, kahan_sum, number,
+                   require)
 
 # the Kato weights are cut where the Poisson tail is below rounding
 _KATO_TAIL_CUTOFF = 2.0 ** -64
@@ -221,26 +222,34 @@ def table_rule(values) -> Callable:
     return rule
 
 
+# the coefficient key of each c_k rule, besides "rule" itself
+_RULE_KEYS = {"constant": "value", "power": "exponent",
+              "quadratic-growth": "rate", "table": "values"}
+
+
 def growth_profile_from_config(doc: dict) -> GrowthProfile:
-    """Build a profile from a config document (m, A, rule, k_max)."""
+    """Build a profile from a config document (m, A, rule, k_max); a key
+    the profile or its rule does not take is a ConfigError."""
+    check_keys(doc, ("m", "A", "k_max", "rule"), "profile")
     try:
         m = number(doc, "m", "profile", int)
         a = number(doc, "A", "profile")
         k_max = number(doc, "k_max", "profile", int)
         rule = doc["rule"]
         kind = rule["rule"]
+        if kind not in _RULE_KEYS:
+            raise ConfigError(f"unknown c_k rule {kind!r}")
+        check_keys(rule, ("rule", _RULE_KEYS[kind]), "rule")
         if kind == "constant":
             c = constant_rule(number(rule, "value", "rule", default=1.0))
         elif kind == "power":
             c = power_rule(number(rule, "exponent", "rule"))
         elif kind == "quadratic-growth":
             c = quadratic_growth_rule(number(rule, "rate", "rule"))
-        elif kind == "table":
+        else:
             values = floats(require(rule, "values", "rule"), "rule 'values'")
             c = table_rule(values)
             k_max = min(k_max, values.size + 1)
-        else:
-            raise ConfigError(f"unknown c_k rule {kind!r}")
         return GrowthProfile(m=m, a=a, c_values=c, k_max=k_max)
     except (AttributeError, InputError, KeyError, OverflowError, TypeError,
             ValueError) as exc:
@@ -270,13 +279,12 @@ class AdmissibilityResult:
             yield (k, term, partial, partial * self.doubling_scale)
 
 
-def ricci_admissibility(profile: GrowthProfile,
-                        window: int = _WINDOW) -> AdmissibilityResult:
+def ricci_admissibility(profile: GrowthProfile) -> AdmissibilityResult:
     """Evaluate the admissibility series and certify a verdict.
 
     Partial sums are recorded at powers of two and at k_max: in closed form
     for a pure power series, by chunked compensated sums otherwise. The
-    window is the last window + 1 terms, evaluated directly.
+    window is the last _WINDOW + 1 terms, evaluated directly.
     """
     k_max = profile.k_max
     ks = [2 ** i for i in range(1, 64) if 2 ** i <= k_max]
@@ -290,7 +298,7 @@ def ricci_admissibility(profile: GrowthProfile,
         total = partials[-1]
     checkpoints = list(zip(ks, profile.terms(np.array(ks, dtype=float))
                            .tolist(), partials))
-    tail_terms = profile.terms(np.arange(max(2, k_max - window), k_max + 1,
+    tail_terms = profile.terms(np.arange(max(2, k_max - _WINDOW), k_max + 1,
                                          dtype=float))
     # a term underflowing to exact zero decays "perfectly": its ratio is 0;
     # a zero followed by a positive term breaks decay (ratio +inf)
@@ -314,7 +322,8 @@ def ricci_admissibility(profile: GrowthProfile,
         verdict=verdict, k_max=k_max, partial_sum=total,
         doubling_partial_sum=total * 2.0 ** profile.m,
         doubling_scale=2.0 ** profile.m,
-        window_terms=tail_terms[1:] if tail_terms.size > window else tail_terms,
+        window_terms=(tail_terms[1:] if tail_terms.size > _WINDOW
+                      else tail_terms),
         window_ratios=ratios, certified_ratio=q, tail_bound=tail_bound,
         checkpoints=checkpoints)
 

@@ -22,8 +22,10 @@ on (L_i, N). That is exact, costs a (2N+1)-order eigensolve per axis, and
 is how both the scan and the N -> 2N doubling gate evaluate it. Callables
 without parts, and every 1D model, take the dense route above.
 
-The semiclassical scan multiplies the Galerkin trace by (4 pi t)^{m/2} and
-compares against the quadrature value of int e^{-w}.
+The semiclassical scan multiplies galerkin_schrodinger_trace by
+(4 pi t)^{m/2} and compares against the quadrature value of int e^{-w}.
+It first runs the doubling gate at its largest time: N -> 2N must move the
+trace by less than 1e-6 relative.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from .traces import ConvergenceReport, assemble_report
 from .util import check_time, check_time_grid, default_time_grid
 
 _THETA_TERM_CUTOFF = 1e-16
+# the N -> 2N doubling gate: the largest relative change of the trace
+_DOUBLING_REL_TOL = 1e-6
 # psi(t) = (4 pi t)^{m/2} is fixed by the space: H is the nonnegative
 # Laplacian, whose kernel has p(t,x,x) (4 pi t)^{m/2} -> 1 as t -> 0+, so the
 # scaled trace tends to int e^{-w}; a base c would give (c/4pi)^{m/2} times it
@@ -181,8 +185,8 @@ class TorusModel:
     def coefficient_table(self) -> np.ndarray:
         """w_hat(q) on the difference band |q_i| <= 2N, shape (4N+1,)^dim.
 
-        Only a callable potential has one: galerkin_trace takes a zero or
-        constant potential on the diagonal.
+        Only a callable potential has one: galerkin_schrodinger_trace takes
+        a zero or constant potential on the diagonal.
         """
         if self._coeff is None:
             table = self._quadrature_coefficients(4 * self.truncation + 1)
@@ -217,11 +221,6 @@ class TorusModel:
 # ------------------------------------------------------------- operations
 
 
-def torus_eigenvalues(model: TorusModel) -> np.ndarray:
-    """Sorted Laplacian eigenvalues of the truncated lattice."""
-    return np.sort(model.eigenvalues())
-
-
 def exact_heat_trace(model: TorusModel, t: float) -> float:
     """Theta-function heat trace sum_k e^{-t lambda_k} (no truncation).
 
@@ -244,21 +243,26 @@ def exact_heat_trace(model: TorusModel, t: float) -> float:
     return total
 
 
-def galerkin_trace(model: TorusModel, t: float,
-                   potential_scale: float = 1.0) -> float:
-    """sum_i e^{-t eig_i(M)} with M = diag(lambda) + potential_scale * W.
+def galerkin_schrodinger_trace(model: TorusModel, t: float) -> float:
+    """tr e^{-t(H + w/t)} in the truncated plane-wave basis:
+    sum_i e^{-t eig_i(M)} with M = diag(lambda) + W / t.
 
     A model with axis models takes the product of their traces: M is the
     Kronecker sum of their matrices.
     """
     check_time(t)
+    return _galerkin_trace(model, t)
+
+
+def _galerkin_trace(model: TorusModel, t: float) -> float:
+    """galerkin_schrodinger_trace of a model or, recursively, of its axes."""
     axes = model.axis_models()
     if axes:
-        return math.prod(galerkin_trace(axis, t, potential_scale)
-                         for axis in axes)
+        return math.prod(_galerkin_trace(axis, t) for axis in axes)
+    scale = 1.0 / t
     lam = model.eigenvalues()
     if model.potential.diagonal_only:
-        eigs = lam + model.potential.constant * potential_scale
+        eigs = lam + model.potential.constant * scale
     else:
         table = model.coefficient_table().reshape(-1)
         k = model.lattice()
@@ -268,20 +272,15 @@ def galerkin_trace(model: TorusModel, t: float,
         for axis in range(model.dim):
             diff = k[:, None, axis] - k[None, :, axis] + n2
             idx = idx * width + diff
-        mat = table[idx] * potential_scale
+        mat = table[idx] * scale
         mat[np.diag_indices_from(mat)] += lam
         eigs = linalg.symmetric_eigvals(mat)
     return float(np.sum(np.exp(-t * np.sort(eigs))[::-1]))
 
 
-def galerkin_schrodinger_trace(model: TorusModel, t: float) -> float:
-    """tr e^{-t(H + w/t)} in the truncated plane-wave basis."""
-    return galerkin_trace(model, t, potential_scale=1.0 / t)
-
-
-def check_truncation(model: TorusModel, t: float,
-                     rel_tol: float = 1e-6) -> float:
-    """Doubling diagnostic: N -> 2N must move the trace by < rel_tol.
+def check_truncation(model: TorusModel, t: float) -> float:
+    """Doubling diagnostic: N -> 2N must move the trace by less than
+    _DOUBLING_REL_TOL relative.
 
     Evaluated at a reference time where the change measures how well the
     potential's coefficients are resolved. Raises TruncationNotConverged.
@@ -290,10 +289,10 @@ def check_truncation(model: TorusModel, t: float,
     doubled = galerkin_schrodinger_trace(model.with_truncation(
         2 * model.truncation), t)
     change = abs(doubled - base)
-    if change > rel_tol * max(abs(base), 1e-300):
+    if change > _DOUBLING_REL_TOL * max(abs(base), 1e-300):
         raise TruncationNotConverged(
             f"N = {model.truncation} -> {2 * model.truncation} moves the "
-            f"trace by {change / abs(base):.3e} (limit {rel_tol})")
+            f"trace by {change / abs(base):.3e} (limit {_DOUBLING_REL_TOL})")
     return change / abs(base)
 
 
@@ -313,8 +312,7 @@ def potential_integral(model: TorusModel) -> float:
 def torus_semiclassical_scan(model: TorusModel, t_grid=None,
                              final_rel_tol: float = 0.01,
                              monotone_tail: int = 5,
-                             require_monotone: bool = True,
-                             check_rel_tol: float = 1e-6
+                             require_monotone: bool = True
                              ) -> ConvergenceReport:
     """(4 pi t)^{m/2} * tr e^{-t(H + w/t)} against int e^{-w}.
 
@@ -323,7 +321,7 @@ def torus_semiclassical_scan(model: TorusModel, t_grid=None,
     which dominates the scaled trace.
     """
     grid = check_time_grid(default_time_grid() if t_grid is None else t_grid)
-    check_truncation(model, float(grid[0]), rel_tol=check_rel_tol)
+    check_truncation(model, float(grid[0]))
     target = potential_integral(model)
     vol = model.volume
     half_m = 0.5 * model.dim

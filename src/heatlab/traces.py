@@ -24,8 +24,8 @@ import numpy as np
 
 from . import linalg
 from .errors import InputError
-from .graphs import WeightedGraph
-from .kernels import heat_semigroup
+from .graphs import WeightedGraph, require_connected
+from .kernels import uniformized_exponential
 from .util import check_time, check_time_grid, default_time_grid, write_csv
 
 
@@ -176,7 +176,9 @@ def semiclassical_scan(graph: WeightedGraph, w, t_grid=None,
     """
     pot = as_potential(w, graph.n)
     grid = check_time_grid(default_time_grid() if t_grid is None else t_grid)
-    base = linalg.similarity_symmetrize(graph.generator_matrix(), graph.mu)
+    require_connected(graph)
+    h = graph.generator_matrix()
+    base = linalg.similarity_symmetrize(h, graph.mu)
     boltz = np.exp(-pot.values)
     # the limit density 1/mu times mu, kept as written: 1/mu * mu need not
     # round to 1
@@ -186,7 +188,8 @@ def semiclassical_scan(graph: WeightedGraph, w, t_grid=None,
     for i, t in enumerate(grid):
         lam = linalg.symmetric_eigvals(base + np.diag(pot.values / t))
         scaled[i] = float(np.sum(np.exp(-t * lam)[::-1]))
-        diag = heat_semigroup(graph, float(t)).diagonal()
+        # p(t,x,x) = [e^{-tH}]_{x,x} / mu(x), read once and not kept
+        diag = np.diag(uniformized_exponential(h, float(t))[0]) / graph.mu
         bounds[i] = float(np.sum(diag * boltz * graph.mu))
     return assemble_report(grid, scaled, target, bounds,
                            final_rel_tol, monotone_tail, require_monotone)

@@ -21,6 +21,16 @@ def require(doc: dict, key: str, kind: str):
     return doc[key]
 
 
+def check_keys(doc, allowed, what: str) -> None:
+    """Refuse a doc that is not an object or holds a key not in allowed."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be an object, got {doc!r:.80}")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {unknown}; expected "
+                          f"{', '.join(allowed)}")
+
+
 def is_finite_real(value) -> bool:
     """value is a finite int or float: not a bool, a string or null."""
     try:

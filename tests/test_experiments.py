@@ -488,9 +488,11 @@ def test_check_admissibility_is_the_admissibility_kind(tmp_path, capsys):
     match = VERDICT_LINE.search(capsys.readouterr().out)
     assert match is not None and match.group(1) == "admissible"
     assert int(match.group(2)) == profile["k_max"]
+    # the run document carries expect beside the profile, not in it
+    expect = profile.pop("expect")
     cfg = write_config(tmp_path / "admissibility.json",
                        {"kind": "admissibility", "profile": profile,
-                        "expect": profile["expect"]})
+                        "expect": expect})
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
     for name in ("admissibility.csv", "admissibility.json"):
         assert (tmp_path / "cli" / name).read_bytes() == \
@@ -540,7 +542,7 @@ def test_check_admissibility_bad_document_exit_2(tmp_path, capsys, text):
 
 # --------------------------------------- malformed values in shipped configs
 
-MUTANTS = [
+VALUE_MUTANTS = [
     ("graph_limit_k5.json", ["t_grid"], [1.0, -1.0]),
     ("graph_limit_k5.json", ["t_grid"], [1.0, float("nan")]),
     ("graph_limit_k5.json", ["t_grid", "t0"], -1.0),
@@ -577,6 +579,20 @@ MUTANTS = [
     ("graph_limit_k5.json", ["t_grid"], {"values": [1.0, 0.5]}),
     ("graph_limit_k5.json", ["t_grid"], {"t0": 1, "ratio": 0.5, "point": 3}),
 ]
+# a key no kind reads: one misspelled key per kind, then the removed
+# options at the values they used to take
+KEY_MUTANTS = [
+    ("graph_limit_k5.json", ["tolerances", "final_rel_err"], 1e-30),
+    ("torus_1d_zero.json", ["truncaton"], 8),
+    ("fk_k5.json", ["sed"], 3),
+    ("pnfb_p5.json", ["tolerances", "final_minimum"], 0.5),
+    ("axioms_random10.json", ["tolerances", "mas"], 1e-3),
+    ("adm_gaussian.json", ["profile", "rule", "rat"], 1.0),
+    ("axioms_random10.json", ["conservative"], True),
+    ("adm_gaussian.json", ["window"], 16),
+    ("torus_1d_zero.json", ["tolerances", "truncation_doubling"], 1e-6),
+]
+MUTANTS = VALUE_MUTANTS + KEY_MUTANTS
 
 
 DROP = object()
@@ -610,9 +626,10 @@ def test_malformed_value_exits_2(tmp_path, capsys, name, path, value):
                                                     "out"}
 
 
-# every third mutant (the last is the misspelled t_grid key), plus the
-# deleted {"values": [...]} t_grid form
-@pytest.mark.parametrize("name,path,value", MUTANTS[::3] + MUTANTS[-2:-1])
+# every third value mutant (the last is the misspelled t_grid key), the
+# deleted {"values": [...]} t_grid form and a misspelled tolerance
+@pytest.mark.parametrize("name,path,value", VALUE_MUTANTS[::3]
+                         + VALUE_MUTANTS[-2:-1] + KEY_MUTANTS[:1])
 def test_malformed_value_gets_suite_error_row(tmp_path, name, path, value):
     p = _mutant(tmp_path, name, path, value)
     for other in ("axioms_random10.json", "graph_limit_two_vertex.json"):
@@ -624,6 +641,30 @@ def test_malformed_value_gets_suite_error_row(tmp_path, name, path, value):
     assert set(statuses.values()) == {"pass"}
     rows = suite.summary_path.read_text().splitlines()
     assert any(r.startswith(f"{p.stem},") and ",error," in r for r in rows)
+
+
+@pytest.mark.parametrize("name,path,value", KEY_MUTANTS)
+def test_unknown_key_error_names_it(tmp_path, capsys, name, path, value):
+    # refused before anything runs: an ignored key would leave its default
+    # in place, and a misspelled tolerance would fail or pass by that
+    p = _mutant(tmp_path, name, path, value)
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown ") and err.count("\n") == 1
+    assert repr(path[-1]) in err
+
+
+@pytest.mark.parametrize("key", ["window", "k_maxx"])
+def test_check_admissibility_refuses_unknown_profile_key(tmp_path, capsys,
+                                                         key):
+    doc = json.loads((CONFIGS / "profiles" / "gaussian_decay.json")
+                     .read_text())
+    p = write_config(tmp_path / "prof.json", dict(doc, **{key: 16}))
+    assert cli.main(["check-admissibility", str(p),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown profile keys") and repr(key) in err
+    assert err.count("\n") == 1
 
 
 def _key_paths(doc, prefix=()):

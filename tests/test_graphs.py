@@ -400,3 +400,54 @@ def test_text_parse_reports_the_first_bad_line(text, message):
     with pytest.raises(InputError) as caught:
         hl.loads_graph(text)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("labels,message", [
+    (["", "b"], "label '' of vertex 0 is empty"),
+    (["a", "b c"], "label 'b c' of vertex 1 is empty or holds whitespace"),
+    (["a\tb", "c"], "label 'a\\\\tb' of vertex 0"),
+    (["a#b", "c"], "label 'a#b' of vertex 0"),
+    (["a", "a"], "vertices 0 and 1 share the label 'a'"),
+], ids=["empty", "space", "tab", "hash", "repeated"])
+def test_label_the_line_format_cannot_hold_is_refused(labels, message):
+    with pytest.raises(InputError, match=message):
+        WeightedGraph([1.0, 1.0], [(0, 1, 1.0)], labels=labels)
+
+
+@pytest.mark.parametrize("vertices", [
+    [{"id": 0, "mu": 1, "label": "a b"}, [1, 1]],
+    [{"id": 0, "mu": 1, "label": "1"}, [1, 1]],     # vertex 1's own label
+], ids=["space", "index-of-another"])
+def test_json_label_the_line_format_cannot_hold_is_refused(vertices):
+    doc = {"vertices": vertices, "edges": [[0, 1, 1.0]]}
+    with pytest.raises(InputError):
+        hl.loads_graph(json.dumps(doc))
+
+
+def test_text_repeated_label_is_refused():
+    with pytest.raises(InputError, match="share the label 'a'"):
+        hl.loads_graph("v 0 1 a\nv 1 1 a\ne 0 1 1\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=5))
+def test_every_accepted_graph_round_trips_through_the_line_format(data, n):
+    mu = data.draw(st.lists(st.sampled_from([0.5, 1.0, 0.1, 1 / 3, 1e-300]),
+                            min_size=n, max_size=n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = data.draw(st.lists(
+        st.tuples(st.sampled_from(pairs), st.sampled_from(
+            [0.5, 1.0, 0.1, 1e-320, 1e300])), unique_by=lambda e: e[0],
+        max_size=len(pairs))) if pairs else []
+    labels = data.draw(st.lists(
+        st.none() | st.text(st.sampled_from("ab0 1#\t\u00e9\u2028"),
+                            max_size=3), min_size=n, max_size=n))
+    labels = [str(i) if l is None else l for i, l in enumerate(labels)]
+    try:
+        g = WeightedGraph(mu, [(i, j, b) for (i, j), b in edges],
+                          labels=labels)
+    except HeatLabError:
+        return
+    back = hl.loads_graph(hl.dumps_graph(g))
+    assert back.fingerprint() == g.fingerprint()
+    assert back.labels == g.labels

@@ -97,7 +97,7 @@ def test_mass_conserved():
 def test_short_time_diagonal_limit():
     g = hl.random_connected_graph(7, 2)
     tab = heat_semigroup(g, 1e-9)
-    assert np.max(np.abs(tab.diagonal() * g.mu - 1.0)) <= 1e-7
+    assert np.max(np.abs(np.diag(tab.values) * g.mu - 1.0)) <= 1e-7
 
 
 def test_diagonal_scan_monotone():
@@ -423,17 +423,6 @@ def test_matrix_free_callers_reject_disconnected():
     seq = minimal_heat_kernel(g, [[0, 1]], 1.0, 0, 1)
     assert seq.values[0] == pytest.approx(0.5 * (1 - math.exp(-2.0)),
                                           rel=1e-13)
-
-
-# ------------------------------------------------------------ serialization
-
-
-def test_csv_export_deterministic(tmp_path, two_vertex):
-    tab = heat_semigroup(two_vertex, 0.6)
-    a = tab.to_csv(tmp_path / "a.csv").read_bytes()
-    b = tab.to_csv(tmp_path / "b.csv").read_bytes()
-    assert a == b
-    assert a.startswith(b"x,0,1\n")
 
 
 # ----------------------------------------------------------------- caching

@@ -12,9 +12,8 @@ from heatlab.errors import (ConfigError, InputError, NonpositiveTime,
                             TruncationNotConverged)
 from heatlab.torus import (TorusModel, TorusPotential, constant_potential,
                            cosine_well, exact_heat_trace,
-                           galerkin_schrodinger_trace, galerkin_trace,
-                           potential_from_spec, potential_integral,
-                           torus_eigenvalues, torus_semiclassical_scan,
+                           galerkin_schrodinger_trace, potential_from_spec,
+                           potential_integral, torus_semiclassical_scan,
                            zero_potential)
 
 TWO_PI = 2 * math.pi
@@ -30,19 +29,19 @@ def model_1d(truncation=8, potential=None, length=TWO_PI):
 
 
 def test_eigenvalues_unit_circle():
-    ev = torus_eigenvalues(model_1d())
+    ev = np.sort(model_1d().eigenvalues())
     assert np.allclose(ev[:5], [0.0, 1.0, 1.0, 4.0, 4.0], atol=1e-14)
 
 
 def test_eigenvalues_scale_with_length():
-    ev = torus_eigenvalues(model_1d(length=math.pi))
+    ev = np.sort(model_1d(length=math.pi).eigenvalues())
     # modes (2 pi k / L)^2 = (2k)^2
     assert np.allclose(ev[:3], [0.0, 4.0, 4.0], atol=1e-12)
 
 
 def test_eigenvalues_2d_product():
     m = TorusModel(2, (TWO_PI, TWO_PI), 3, zero_potential())
-    ev = torus_eigenvalues(m)
+    ev = np.sort(m.eigenvalues())
     assert ev[0] == 0.0
     assert np.allclose(ev[1:5], 1.0, atol=1e-14)   # (+-1,0), (0,+-1)
 
@@ -68,7 +67,7 @@ def test_traces_reject_invalid_time(t):
     with pytest.raises(NonpositiveTime):
         exact_heat_trace(model_1d(), t)
     with pytest.raises(NonpositiveTime):
-        galerkin_trace(model_1d(), t)
+        galerkin_schrodinger_trace(model_1d(), t)
 
 
 def test_theta_trace_factorizes():
@@ -103,14 +102,16 @@ def test_cosine_well_coefficients():
 
 def test_constant_matches_coefficient_route():
     # the diagonal shortcut against the dense route: the same constant as a
-    # callable goes through quadrature coefficients and the eigensolver
-    a = galerkin_trace(model_1d(potential=constant_potential(0.7)), 0.5)
+    # callable goes through quadrature coefficients and the eigensolver;
+    # w/t at t = 0.5 is 2w, so e^{-t(H + w/t)} = e^{-w} e^{-tH}
+    a = galerkin_schrodinger_trace(
+        model_1d(potential=constant_potential(0.7)), 0.5)
     as_callable = TorusPotential(kind="callable",
                                  fn=lambda theta: np.full_like(theta, 0.7))
-    b = galerkin_trace(model_1d(potential=as_callable), 0.5)
+    b = galerkin_schrodinger_trace(model_1d(potential=as_callable), 0.5)
     assert a == pytest.approx(b, abs=1e-13)
-    theta = galerkin_trace(model_1d(), 0.5)
-    assert a == pytest.approx(math.exp(-0.5 * 0.7) * theta, abs=1e-13)
+    theta = galerkin_schrodinger_trace(model_1d(), 0.5)
+    assert a == pytest.approx(math.exp(-0.7) * theta, abs=1e-13)
 
 
 def test_shape_changing_potential_is_input_error():
