@@ -151,17 +151,17 @@ def _potential_values(entry, n: int) -> np.ndarray:
         entry = list(_fixture(entry, "potential")[1])
     if isinstance(entry, list):
         entry = {"values": entry}
-    if not isinstance(entry, dict):
-        raise ConfigError(f"cannot interpret potential spec {entry!r}")
-    if "constant" in entry:
+    # exactly one form: {"values": [...]} or {"constant": x}
+    form = "values" if isinstance(entry, dict) and "values" in entry \
+        else "constant"
+    check_keys(entry, (form,), "potential")
+    if form == "constant":
         return np.full(n, number(entry, "constant", "potential"))
-    if "values" in entry:
-        vals = floats(entry["values"], "potential values")
-        if vals.size != n:
-            raise ConfigError(
-                f"potential has {vals.size} entries, graph has {n} vertices")
-        return vals
-    raise ConfigError(f"potential spec needs 'values' or 'constant': {entry!r}")
+    vals = floats(entry["values"], "potential values")
+    if vals.size != n:
+        raise ConfigError(
+            f"potential has {vals.size} entries, graph has {n} vertices")
+    return vals
 
 
 def _grid(spec, what: str) -> np.ndarray:

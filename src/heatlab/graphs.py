@@ -198,6 +198,9 @@ class WeightedGraph:
 
     A label is one token of the line format (nonempty, without whitespace
     or '#') and names one vertex; an unlabelled vertex's label is its index.
+    The name is what a ``graph <name>`` line holds: no '#', and its
+    whitespace only single spaces between words. The empty name means
+    unnamed.
     """
 
     def __init__(self, mu, edges, labels=None, name: str = ""):
@@ -236,6 +239,9 @@ class WeightedGraph:
                   self._indptr):
             a.setflags(write=False)
 
+        if " ".join(name.split()) != name or "#" in name:
+            raise InputError(f"graph name {name!r} holds '#', a line break "
+                             "or whitespace other than single inner spaces")
         self.n = n
         self.name = name
         self.mu = mu
@@ -507,12 +513,18 @@ def load_graph(path) -> WeightedGraph:
         text = p.read_text()
     except OSError as exc:
         raise InputError(f"cannot read graph file {p}: {exc}") from None
-    return loads_graph(text, name_hint=p.stem)
+    # the file stem, read as a graph line would read it
+    hint = " ".join(p.stem.split("#", 1)[0].split())
+    return loads_graph(text, name_hint=hint)
 
 
 def dumps_graph(graph: WeightedGraph) -> str:
-    """Serialize to the line format (round-trips through loads_graph)."""
-    lines = [f"graph {graph.name}" if graph.name else "graph g"]
+    """Serialize to the line format (round-trips through loads_graph).
+
+    An unnamed graph gets no ``graph`` line, so loads_graph reads it back
+    unnamed and load_graph names it after its file, as any such file.
+    """
+    lines = [f"graph {graph.name}"] if graph.name else []
     for i in range(graph.n):
         if graph.labels[i] != str(i):
             lines.append(f"v {i} {float(graph.mu[i])!r} {graph.labels[i]}")

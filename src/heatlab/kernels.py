@@ -9,15 +9,21 @@ where R is entrywise nonnegative with (sub)stochastic rows, so ||R||_inf <= 1.
 uniformized_exponential scales and squares: with j = ceil(log2(Lambda t))
 (j = 0 when Lambda t <= 1) it sums the series for e^{-(t/2^j) H} at rate
 Lambda t / 2^j <= 1, cut where the Poisson tail is below 1e-14 / 2^j, and
-squares the result j times. Every factor is entrywise nonnegative, so the
-result is certified nonnegative; the truncated step B and the exact step U
-both have ||.||_inf <= 1, so ||U^(2^j) - B^(2^j)||_inf <= 2^j times the step
-tail, which is the reported bound (at most 1e-14). The bound covers the cut
-series only: each squaring also doubles the rounding error of the row masses,
-which therefore drift from exact by up to about Lambda t * eps, the
-conditioning of e^{-tH} itself. The kernel itself is
-p(t,x,y) = [e^{-tH}]_{x,y} / mu(y); it is symmetric, sub-Markov (mass <= 1)
-and bounded by 1/mu.
+squares the result j times. The cut series B = sum_{k<=m} p_k R^k is
+evaluated by Paterson and Stockmeyer (SIAM J. Comput. 2, 1973): with
+R^2..R^s built once and the blocks B_i = sum_{k<s} p_{is+k} R^k,
+B = B_0 + R^s (B_1 + R^s (B_2 + ...)) takes about 2 sqrt(m) dense products
+instead of the m - 1 of Horner in R (6 or 7 for the m = 13..18 of
+1 < Lambda t <= 1024). Every power, block and product is a nonnegative
+combination of nonnegative matrices, so the result is certified
+nonnegative; the polynomial is the same, so the truncated step B and the
+exact step U both have ||.||_inf <= 1, and ||U^(2^j) - B^(2^j)||_inf <= 2^j
+times the step tail, which is the reported bound (at most 1e-14). The bound
+covers the cut series only: each squaring also doubles the rounding error
+of the row masses, which therefore drift from exact by up to about
+Lambda t * eps, the conditioning of e^{-tH} itself. The kernel itself is
+p(t,x,y) = [e^{-tH}]_{x,y} / mu(y); it is symmetric, sub-Markov
+(mass <= 1) and bounded by 1/mu.
 
 Where only a few columns or entries of e^{-tH} are read, no table is built:
 _chain_action applies sum_k c_k R_K^k to a block of vectors V >= 0 on the
@@ -48,6 +54,7 @@ exhaustion exactly, not just up to rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -135,9 +142,10 @@ def _chain_action(graph: WeightedGraph, coeffs, v: np.ndarray,
     r = graph.jump_chain()[1]
     if mask is not None:
         v = v * mask
-    # Horner, c_0 v + R_K (c_1 v + R_K (c_2 v + ...)), as in
-    # uniformized_exponential: at Lambda t ~ 10^3 it rounds several times
-    # less than a running sum of the terms c_k R_K^k v
+    # Horner, c_0 v + R_K (c_1 v + R_K (c_2 v + ...)): at Lambda t ~ 10^3 it
+    # rounds several times less than a running sum of the terms c_k R_K^k v.
+    # Not Paterson-Stockmeyer as in uniformized_exponential: its blocks need
+    # the powers R_K^k, each an n^3 product, where a term here costs n^2
     out = coeffs[-1] * v
     for c in coeffs[-2::-1]:
         out = r @ out
@@ -172,16 +180,48 @@ def uniformized_exponential(h: np.ndarray, t: float):
     j = (math.ceil(lam_t) - 1).bit_length() if 1.0 < lam_t < math.inf else 0
     pmf, tail = _poisson_pmf(math.ldexp(lam_t, -j),
                              math.ldexp(DEFAULT_TAIL_CUTOFF, -j))
-    # Horner, B = p_0 I + R (p_1 I + R (p_2 I + ...)): every coefficient is
-    # >= 0, and the row masses round more tightly than a sum of powers
-    out = pmf[-1] * r if len(pmf) > 1 else np.zeros((n, n))
-    for w in pmf[-2:0:-1]:
-        out.flat[::n + 1] += w
-        out = out @ r
-    out.flat[::n + 1] += pmf[0]
+    m = len(pmf) - 1
+    s = _block_size(m)
+    # Paterson-Stockmeyer: with blocks B_i = sum_{k<s} p_{is+k} R^k,
+    # B = B_0 + R^s (B_1 + R^s (B_2 + ...)), Horner in R^s over the blocks
+    powers = [r]
+    for _ in range(1, s):
+        powers.append(np.matmul(powers[-1], r))
+    p = pmf.tolist()
+    # two buffers: each product writes into the idle one, which then serves
+    # as the scratch for the block terms added to the other
+    out, idle = np.zeros((n, n)), np.empty((n, n))
+    top = m - m % s     # where the top block B_q starts
+    if m and top == m:
+        # a top block p_m I costs no product: start from p_m R^s + B_{q-1}
+        np.multiply(powers[-1], p[m], out=out)
+        top -= s
+    for i in range(top, -1, -s):
+        if i < top:
+            np.matmul(out, powers[-1], out=idle)
+            out, idle = idle, out
+        # out += B_i, in place
+        out.flat[::n + 1] += p[i]
+        for c, power in zip(p[i + 1:i + s], powers):
+            np.multiply(power, c, out=idle)
+            out += idle
+    del powers      # R^2..R^s are not needed by the squarings
     for _ in range(j):
-        out = out @ out
+        np.matmul(out, out, out=idle)
+        out, idle = idle, out
     return out, UniformizationInfo(lam, len(pmf), math.ldexp(tail, j), j)
+
+
+@functools.cache
+def _block_size(m: int) -> int:
+    """Paterson-Stockmeyer block size s for a degree-m series.
+
+    Building R^2..R^s takes s - 1 products and the Horner steps over the
+    blocks floor(m/s) more, less one when s divides m (the top block is then
+    p_m I); the smallest s of least total wins, and s = 1 is plain Horner.
+    """
+    return min(range(1, max(m, 1) + 1),
+               key=lambda s: s - 1 + m // s - (m % s == 0))
 
 
 # --------------------------------------------------------------- the table

@@ -591,6 +591,9 @@ KEY_MUTANTS = [
     ("axioms_random10.json", ["conservative"], True),
     ("adm_gaussian.json", ["window"], 16),
     ("torus_1d_zero.json", ["tolerances", "truncation_doubling"], 1e-6),
+    # a potential object is exactly {"values": [...]} or {"constant": x}
+    ("graph_limit_k5.json", ["potential", "constant"], 1.0),
+    ("graph_limit_k5.json", ["potential", "scale"], 3.0),
 ]
 MUTANTS = VALUE_MUTANTS + KEY_MUTANTS
 

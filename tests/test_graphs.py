@@ -424,6 +424,23 @@ def test_json_label_the_line_format_cannot_hold_is_refused(vertices):
         hl.loads_graph(json.dumps(doc))
 
 
+@pytest.mark.parametrize("name", ["a#b", "a\nb", "a\u2028b", " a", "a ",
+                                  "a  b", "a\tb"],
+                         ids=["hash", "newline", "line-separator", "leading",
+                              "trailing", "repeated", "tab"])
+def test_name_the_graph_line_cannot_hold_is_refused(name):
+    with pytest.raises(InputError, match="graph name"):
+        WeightedGraph([1.0, 1.0], [(0, 1, 1.0)], name=name)
+
+
+def test_file_names_an_unnamed_graph_as_a_graph_line_would(tmp_path):
+    g = WeightedGraph([1.0, 1.0], [(0, 1, 1.0)])
+    path = tmp_path / "two  sides#1.graph"
+    hl.save_graph(g, path)
+    assert hl.load_graph(path).name == "two sides"
+    assert hl.load_graph(path).fingerprint() == g.fingerprint()
+
+
 def test_text_repeated_label_is_refused():
     with pytest.raises(InputError, match="share the label 'a'"):
         hl.loads_graph("v 0 1 a\nv 1 1 a\ne 0 1 1\n")
@@ -443,11 +460,13 @@ def test_every_accepted_graph_round_trips_through_the_line_format(data, n):
         st.none() | st.text(st.sampled_from("ab0 1#\t\u00e9\u2028"),
                             max_size=3), min_size=n, max_size=n))
     labels = [str(i) if l is None else l for i, l in enumerate(labels)]
+    name = data.draw(st.text(st.sampled_from("ab #\t\n\u2028"), max_size=4))
     try:
         g = WeightedGraph(mu, [(i, j, b) for (i, j), b in edges],
-                          labels=labels)
+                          labels=labels, name=name)
     except HeatLabError:
         return
     back = hl.loads_graph(hl.dumps_graph(g))
     assert back.fingerprint() == g.fingerprint()
     assert back.labels == g.labels
+    assert back.name == g.name

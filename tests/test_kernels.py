@@ -223,6 +223,75 @@ def test_property_uniformized_exponential_against_expm(n, seed, lam_t, killed,
     assert info.squarings == 0 or lam_t > 2.0 ** (info.squarings - 1)
 
 
+def horner_exponential(pmf, r, j):
+    """(sum_k pmf[k] R^k)^(2^j), the series by plain Horner, one product
+    per term."""
+    b = np.zeros_like(r)
+    for p in pmf[::-1]:
+        b = b @ r
+        b[np.diag_indices_from(b)] += p
+    for _ in range(j):
+        b = b @ b
+    return b
+
+
+# (lam_t, per-step degree m, squarings j): m = 0 at Lambda = 0, m = 1 and 2
+# (s = 1, plain Horner), the perfect squares 4, 9, 16 and the squares + 1
+# 10, 17; a step rate in (1/2, 1] and a cut of 1e-14 / 2^j give m >= 15, so
+# only the large degrees occur with j > 0
+BLOCK_CASES = [(0.0, 0, 0), (1e-8, 1, 0), (1e-6, 2, 0), (1e-3, 4, 0),
+               (0.15, 9, 0), (0.2, 10, 0), (1.0, 16, 0), (64.0, 17, 6),
+               (100.0, 16, 7)]
+
+
+@pytest.mark.parametrize("lam_t,m,j", BLOCK_CASES)
+def test_block_split_matches_horner_and_expm(monkeypatch, lam_t, m, j):
+    g = hl.random_connected_graph(12, 5)
+    # rate 1 makes Lambda t exactly lam_t; rate 0 is a graph without edges
+    h = g.generator_matrix()
+    h, t = (h / np.max(np.diag(h)), lam_t) if lam_t else (0 * h, 1.0)
+    step = math.ldexp(lam_t, -j)
+    assert j == (math.ceil(math.log2(lam_t)) if lam_t > 1 else 0)
+    pmf, tail = _poisson_pmf(step, math.ldexp(DEFAULT_TAIL_CUTOFF, -j))
+    assert len(pmf) - 1 == m
+    products = []
+
+    def counting_matmul(*args, **kwargs):
+        products.append(args[0].shape)
+        return matmul(*args, **kwargs)
+
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+    u, info = uniformized_exponential(h, t)
+    monkeypatch.undo()
+    assert info == kernels.UniformizationInfo(
+        rate=1.0 if lam_t else 0.0, n_terms=m + 1,
+        tail_bound=math.ldexp(tail, j), squarings=j)
+    assert np.all(u >= 0)
+    r = np.eye(len(h)) - h if lam_t else np.eye(len(h))
+    assert np.max(np.abs(u - horner_exponential(pmf, r, j))) <= 1e-15 * 2 ** j
+    assert np.max(np.abs(u - scipy.linalg.expm(-t * h))) <= \
+        info.tail_bound + 1e-14 + lam_t * np.finfo(float).eps
+    # Paterson-Stockmeyer: s - 1 powers, then one product per block below
+    # the top one, none for a top block p_m I; then the j squarings
+    s = kernels._block_size(m)
+    series = 0 if m == 0 else s - 1 + m // s - (m % s == 0)
+    assert len(products) == series + j
+    assert series <= {0: 0, 1: 0, 2: 1, 4: 2, 9: 4, 10: 5, 16: 6, 17: 7}[m]
+
+
+def test_block_size_minimizes_the_product_count():
+    def cost(m, s):
+        return s - 1 + m // s - (m % s == 0)
+
+    for m in range(1, 200):
+        s = kernels._block_size(m)
+        assert all(cost(m, s) < cost(m, k) for k in range(1, s))
+        assert all(cost(m, s) <= cost(m, k) for k in range(s, m + 1))
+    # the degrees of every scaled step: 6 or 7 products, not 15 to 17
+    assert [kernels._block_size(m) for m in (15, 16, 17, 18)] == [3, 4, 3, 3]
+
+
 @settings(max_examples=8, deadline=None)
 @given(n=st.integers(min_value=2, max_value=60),
        seed=st.integers(min_value=0, max_value=10_000))
