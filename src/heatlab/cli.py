@@ -12,6 +12,7 @@ kinds on the command line: each builds a config document and runs it like
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from collections import Counter
@@ -52,7 +53,10 @@ _REALS = _flag("comma-separated finite numbers", float,
                lambda values: all(map(math.isfinite, values)), listed=True)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args fills a
+    fresh namespace on every call, so no value carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="heatlab",
         description="heat-kernel experiments on weighted graphs and tori")

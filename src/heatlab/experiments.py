@@ -24,7 +24,7 @@ from .errors import (AssertionFailed, ConfigError, HeatLabError, InputError,
                      TruncationNotConverged)
 from .fixtures import FIXTURES
 from .graphs import WeightedGraph, load_graph
-from .kernels import heat_semigroup, verify_axioms
+from .kernels import heat_semigroups, verify_axioms
 from .paths import feynman_kac_trace_mc, no_jump_lower_bound, \
     pnfb_probability, stay_probability_exact
 from .potential_class import growth_profile_from_config, ricci_admissibility
@@ -348,8 +348,7 @@ def _run_axioms(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
     s = number(doc, "s", cfg.kind)
     t = number(doc, "t", cfg.kind)
     report = verify_axioms(
-        heat_semigroup(graph, s), heat_semigroup(graph, t),
-        heat_semigroup(graph, s + t),
+        *heat_semigroups(graph, [s, t, s + t]),
         **_options(_tolerances(doc), "tolerances", _AXIOM_TOLERANCES))
     csv = write_csv(out / f"{cfg.name}.csv", report.header, report.rows())
     js = _write_json(out / f"{cfg.name}.json", {

@@ -6,22 +6,28 @@ With H the nonnegative generator and Lambda >= max_x Deg(x),
     R = I - H / Lambda,
 
 where R is entrywise nonnegative with (sub)stochastic rows, so ||R||_inf <= 1.
-uniformized_exponential scales and squares: with j = ceil(log2(Lambda t))
-(j = 0 when Lambda t <= 1) it sums the series for e^{-(t/2^j) H} at rate
-Lambda t / 2^j <= 1, cut where the Poisson tail is below 1e-14 / 2^j, and
-squares the result j times. The cut series B = sum_{k<=m} p_k R^k is
-evaluated by Paterson and Stockmeyer (SIAM J. Comput. 2, 1973): with
-R^2..R^s built once and the blocks B_i = sum_{k<s} p_{is+k} R^k,
-B = B_0 + R^s (B_1 + R^s (B_2 + ...)) takes about 2 sqrt(m) dense products
-instead of the m - 1 of Horner in R (6 or 7 for the m = 13..18 of
-1 < Lambda t <= 1024). Every power, block and product is a nonnegative
-combination of nonnegative matrices, so the result is certified
-nonnegative; the polynomial is the same, so the truncated step B and the
-exact step U both have ||.||_inf <= 1, and ||U^(2^j) - B^(2^j)||_inf <= 2^j
-times the step tail, which is the reported bound (at most 1e-14). The bound
-covers the cut series only: each squaring also doubles the rounding error
-of the row masses, which therefore drift from exact by up to about
-Lambda t * eps, the conditioning of e^{-tH} itself. The kernel itself is
+Tables are built by scaling and squaring along chains. A time t has
+j(t) = ceil(log2(Lambda t)) (j = 0 when Lambda t <= 1) and the step t/2^j,
+which is exact; _exponential_chain groups the requested times by step, since
+e^{-2sH} = (e^{-sH})^2 puts every time of one step on one chain. Per group
+it sums the series for the step at rate Lambda t / 2^j <= 1 once, cut where
+the Poisson tail is below 1e-14 / 2^J with J the group's largest j, and
+squares the result J times, handing out e^{-tH} for each member as its j is
+reached. The cut series B = sum_{k<=m} p_k R^k is evaluated by Paterson and
+Stockmeyer (SIAM J. Comput. 2, 1973): with R^2..R^s built once and the blocks
+B_i = sum_{k<s} p_{is+k} R^k, B = B_0 + R^s (B_1 + R^s (B_2 + ...)) takes
+about 2 sqrt(m) dense products instead of the m - 1 of Horner in R (6 or 7
+for the m = 13..18 of 1 < Lambda t <= 1024). Every power, block and product
+is a nonnegative combination of nonnegative matrices, so the result is
+certified nonnegative; the polynomial is the same, so the truncated step B
+and the exact step U both have ||.||_inf <= 1, and ||U^(2^j) - B^(2^j)||_inf
+<= 2^j times the step tail, which is each member's reported bound: at most
+1e-14, and below it for members short of the group's top, whose cut is set by
+the longest chain (Higham, SIAM J. Matrix Anal. Appl. 26, 2005). A time alone
+in its group is cut at 1e-14 / 2^j as on its own. The bound covers the cut
+series only: each squaring also doubles the rounding error of the row masses,
+which therefore drift from exact by up to about Lambda t * eps, the
+conditioning of e^{-tH} itself. The kernel itself is
 p(t,x,y) = [e^{-tH}]_{x,y} / mu(y); it is symmetric, sub-Markov
 (mass <= 1) and bounded by 1/mu.
 
@@ -172,25 +178,65 @@ def uniformized_exponential(h: np.ndarray, t: float):
     and tail_bound = 2^j times the per-step tail (at most 1e-14).
     """
     check_time(t)
+    _, e, info = next(_exponential_chain(h, [t]))
+    return e, info
+
+
+def _exponential_chain(h: np.ndarray, times, diagonal: bool = False):
+    """Yield (t, e^{-t h}, UniformizationInfo) once for each distinct t in
+    times, one scaling-and-squaring chain per step (module docstring).
+
+    Times come out group by group, in increasing j within a group. Two n x n
+    buffers serve every group, so the matrix yielded is overwritten once the
+    chain advances: read or copy it first. With diagonal, the diagonal of
+    e^{-t h} is yielded instead, and the top of each chain is never squared
+    in full: its diagonal is read from the power below it at O(n^2).
+    """
     h = np.asarray(h, dtype=float)
-    n = h.shape[0]
     lam, r = uniformize(h)
-    lam_t = lam * t
-    # j = ceil(log2(lam_t)), so that lam_t / 2^j <= 1
-    j = (math.ceil(lam_t) - 1).bit_length() if 1.0 < lam_t < math.inf else 0
-    pmf, tail = _poisson_pmf(math.ldexp(lam_t, -j),
-                             math.ldexp(DEFAULT_TAIL_CUTOFF, -j))
+    groups: dict = {}
+    for t in times:
+        lam_t = lam * t
+        # j = ceil(log2(lam_t)), so that lam_t / 2^j <= 1
+        j = ((math.ceil(lam_t) - 1).bit_length()
+             if 1.0 < lam_t < math.inf else 0)
+        groups.setdefault(math.ldexp(t, -j), {})[j] = float(t)
+    b, idle = np.empty(r.shape), np.empty(r.shape)
+    for step, members in groups.items():
+        top = max(members)
+        pmf, tail = _poisson_pmf(lam * step,
+                                 math.ldexp(DEFAULT_TAIL_CUTOFF, -top))
+        b, idle = _poisson_series(r, pmf, b, idle)
+        for k in range(top + 1):
+            if diagonal and k == top > 0:
+                value = np.einsum("ij,ji->i", b, b)
+            else:
+                if k:
+                    np.matmul(b, b, out=idle)
+                    b, idle = idle, b
+                if k not in members:
+                    continue
+                value = b.diagonal().copy() if diagonal else b
+            yield members[k], value, UniformizationInfo(
+                lam, len(pmf), math.ldexp(tail, k), k)
+
+
+def _poisson_series(r: np.ndarray, pmf: np.ndarray, out: np.ndarray,
+                    idle: np.ndarray):
+    """sum_k pmf[k] R^k by Paterson-Stockmeyer (module docstring), in the
+    n x n buffers out and idle: returns them as (sum, the other one)."""
+    n = r.shape[0]
     m = len(pmf) - 1
     s = _block_size(m)
-    # Paterson-Stockmeyer: with blocks B_i = sum_{k<s} p_{is+k} R^k,
+    # with blocks B_i = sum_{k<s} p_{is+k} R^k,
     # B = B_0 + R^s (B_1 + R^s (B_2 + ...)), Horner in R^s over the blocks
     powers = [r]
     for _ in range(1, s):
         powers.append(np.matmul(powers[-1], r))
     p = pmf.tolist()
-    # two buffers: each product writes into the idle one, which then serves
-    # as the scratch for the block terms added to the other
-    out, idle = np.zeros((n, n)), np.empty((n, n))
+    # each product writes into the idle buffer, which then serves as the
+    # scratch for the block terms added to the other
+    out.fill(0.0)
     top = m - m % s     # where the top block B_q starts
     if m and top == m:
         # a top block p_m I costs no product: start from p_m R^s + B_{q-1}
@@ -205,11 +251,7 @@ def uniformized_exponential(h: np.ndarray, t: float):
         for c, power in zip(p[i + 1:i + s], powers):
             np.multiply(power, c, out=idle)
             out += idle
-    del powers      # R^2..R^s are not needed by the squarings
-    for _ in range(j):
-        np.matmul(out, out, out=idle)
-        out, idle = idle, out
-    return out, UniformizationInfo(lam, len(pmf), math.ldexp(tail, j), j)
+    return out, idle
 
 
 @functools.cache
@@ -297,23 +339,44 @@ def heat_semigroup(graph: WeightedGraph, t: float) -> HeatKernelTable:
     symmetrized after uniformization; the pre-symmetrization defect is kept
     on the table for inspection.
     """
-    check_time(t)
+    return heat_semigroups(graph, [t])[0]
+
+
+def heat_semigroups(graph: WeightedGraph, times) -> list:
+    """heat_semigroup at each of times, the tables not cached built together.
+
+    The missing times share their scaling-and-squaring chains (module
+    docstring), so a time whose step another one shares costs its squarings
+    only. Returns one table per entry of times, in order: the cached one, or
+    the one this call inserted (not looked up again, which an eviction from
+    the full cache could miss).
+    """
+    for t in times:
+        check_time(t)
     require_connected(graph)
-    key = (graph.fingerprint(), float(t))
-    hit = _cache.lookup(key)
-    if hit is not None:
-        return hit
-    h = graph.generator_matrix()
-    e, info = uniformized_exponential(h, t)
+    key = graph.fingerprint()
+    tables = {float(t): _cache.lookup((key, float(t))) for t in times}
+    missing = [t for t, table in tables.items() if table is None]
+    if missing:
+        for t, e, info in _exponential_chain(graph.generator_matrix(),
+                                             missing):
+            tables[t] = _cache.insert((key, t),
+                                      _heat_table(graph, t, e, info))
+    return [tables[float(t)] for t in times]
+
+
+def _heat_table(graph: WeightedGraph, t: float, e: np.ndarray,
+                info: UniformizationInfo) -> HeatKernelTable:
+    """The table of e = e^{-tH}, symmetrized. Its n x n temporaries end
+    with the call, not with the next table of a chain."""
     p_raw = e / graph.mu[None, :]
     defect = float(np.max(np.abs(p_raw - p_raw.T)))
     p = 0.5 * (p_raw + p_raw.T)
-    table = HeatKernelTable(
-        t=float(t), values=p, mu=graph.mu.copy(), graph_key=graph.fingerprint(),
+    p.setflags(write=False)
+    return HeatKernelTable(
+        t=t, values=p, mu=graph.mu.copy(), graph_key=graph.fingerprint(),
         uniformization_rate=info.rate, truncation_error_bound=info.tail_bound,
         presymmetrization_defect=defect)
-    table.values.setflags(write=False)
-    return _cache.insert(key, table)
 
 
 # ------------------------------------------------------- killed kernels

@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg
 from .errors import InputError
 from .graphs import WeightedGraph, require_connected
-from .kernels import uniformized_exponential
+from .kernels import _exponential_chain
 from .util import check_time, check_time_grid, default_time_grid, write_csv
 
 
@@ -183,13 +183,17 @@ def semiclassical_scan(graph: WeightedGraph, w, t_grid=None,
     # the limit density 1/mu times mu, kept as written: 1/mu * mu need not
     # round to 1
     target = float(np.sum(boltz * (1.0 / graph.mu) * graph.mu))
+    # [e^{-tH}]_{x,x} at every grid time, read off the squaring chains as
+    # they pass: a grid of ratio 1/2 is one chain down to Lambda t <= 1
+    heat_diags = {t: d for t, d, _ in _exponential_chain(
+        h, grid.tolist(), diagonal=True)}
     scaled = np.empty(grid.size)
     bounds = np.empty(grid.size)
     for i, t in enumerate(grid):
         lam = linalg.symmetric_eigvals(base + np.diag(pot.values / t))
         scaled[i] = float(np.sum(np.exp(-t * lam)[::-1]))
-        # p(t,x,x) = [e^{-tH}]_{x,x} / mu(x), read once and not kept
-        diag = np.diag(uniformized_exponential(h, float(t))[0]) / graph.mu
+        # p(t,x,x) = [e^{-tH}]_{x,x} / mu(x)
+        diag = heat_diags[float(t)] / graph.mu
         bounds[i] = float(np.sum(diag * boltz * graph.mu))
     return assemble_report(grid, scaled, target, bounds,
                            final_rel_tol, monotone_tail, require_monotone)

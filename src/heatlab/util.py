@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -144,5 +143,9 @@ def parallel_map(fn, items, threads: int = 1) -> list:
     workers = min(threads, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(item) for item in items]
+    # deferred: the pool module and the logging it loads cost every process
+    # start, and single-threaded runs never need them
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

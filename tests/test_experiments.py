@@ -443,6 +443,44 @@ def test_bad_flag_exits_2_without_traceback(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+def _main_output(argv):
+    """(exit code, stdout, stderr) of one cli.main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = _exit_code(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_calls_in_one_process_match_fresh_calls(tmp_path):
+    # the parser is built once per process: no subcommand's values or
+    # defaults may carry over into the next call
+    graph = str(CONFIGS / "graphs" / "two_vertex.graph")
+    calls = [
+        ["run", FK_CONFIG, "--seed", "5", "--threads", "2",
+         "--out", str(tmp_path / "run")],
+        ["verify-kernel", "--graph", graph, "--s", "0.3",
+         "--out", str(tmp_path / "verify")],
+        SAMPLE + ["--mode", "free", "--x", "0", "--out", str(tmp_path)],
+        ["run", FK_CONFIG, "--threads", "0"],
+        ["verify-kernel", "--graph", graph, "--out", str(tmp_path / "v2")],
+        ["run", FK_CONFIG, "--out", str(tmp_path / "run")],
+    ]
+    in_one = [_main_output(argv) for argv in calls]
+    assert [code for code, _, _ in in_one] == [0, 0, 0, 2, 0, 0]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(_main_output(argv))
+    assert in_one == fresh
+    parser = cli._build_parser()
+    assert parser is cli._build_parser()
+    parser.parse_args(["run", FK_CONFIG, "--seed", "5", "--threads", "2"])
+    args = parser.parse_args(["verify-kernel", "--graph", graph])
+    assert (args.seed, args.threads, args.s) == (None, 1, 0.5)
+    args = parser.parse_args(["run", FK_CONFIG])
+    assert (args.seed, args.threads, args.out) == (None, 1, ".")
+
+
 def test_cli_check_admissibility(tmp_path):
     doc = {"m": 2, "A": 1.0, "k_max": 100,
            "rule": {"rule": "quadratic-growth", "rate": 1.0},

@@ -22,8 +22,9 @@ from heatlab.errors import (DisconnectedGraph, GraphMismatch, HeatLabError,
 from heatlab.graphs import WeightedGraph
 from heatlab.kernels import (DEFAULT_TAIL_CUTOFF, MAX_BRIDGE_TERMS,
                              Exhaustion, _poisson_pmf, heat_semigroup,
-                             killed_kernel, minimal_heat_kernel,
-                             uniformized_exponential, verify_axioms)
+                             heat_semigroups, killed_kernel,
+                             minimal_heat_kernel, uniformized_exponential,
+                             verify_axioms)
 from heatlab.paths import (feynman_kac_trace_mc, no_jump_lower_bound,
                            pnfb_probability, stay_probability_exact)
 from heatlab.potential_class import kato_modulus
@@ -292,6 +293,126 @@ def test_block_size_minimizes_the_product_count():
     assert [kernels._block_size(m) for m in (15, 16, 17, 18)] == [3, 4, 3, 3]
 
 
+# ------------------------------------------------------------ the chains
+
+EPS = np.finfo(float).eps
+
+
+def chained(h, times):
+    """{t: (e^{-th}, info)} from one _exponential_chain, each matrix copied
+    out of the chain's buffers as it passes."""
+    return {t: (e.copy(), info)
+            for t, e, info in kernels._exponential_chain(h, times)}
+
+
+def unit_rate(graph):
+    """The generator scaled to rate 1, so that Lambda t is t."""
+    h = graph.generator_matrix()
+    return h / np.max(np.diag(h))
+
+
+# one chain of step 0.6 up to j = 9 (0.6 alone needs fewer terms than at
+# the chain's cut), 2.1 and 4.2 on the step 0.525, and 0.7 (a third of 2.1)
+# and 0.05 alone in their groups
+CHAIN_TIMES = [0.6 * 2 ** j for j in range(10)] + [0.7, 2.1, 4.2, 0.05]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_chain_matches_each_time_alone(seed):
+    h = unit_rate(hl.random_connected_graph(30, seed))
+    tables = chained(h, CHAIN_TIMES)
+    assert sorted(tables) == sorted(CHAIN_TIMES)
+    cuts = set()
+    for t, (e, info) in tables.items():
+        u, alone = uniformized_exponential(h, t)
+        assert (info.rate, info.squarings) == (alone.rate, alone.squarings)
+        assert info.tail_bound <= alone.tail_bound <= DEFAULT_TAIL_CUTOFF
+        assert np.all(e >= 0)
+        # both are within their own bound of e^{-th}, up to rounding
+        assert np.max(np.abs(e - u)) <= \
+            info.tail_bound + alone.tail_bound + 2 * max(t, 1.0) * EPS
+        # the same step pmf (the same cut) gives the same table, bit for bit
+        same_cut = info.n_terms == alone.n_terms
+        if same_cut:
+            assert np.array_equal(e, u) and info == alone
+        cuts.add(same_cut)
+    assert cuts == {True, False}
+
+
+def test_chain_ignores_order_and_duplicates():
+    g = hl.random_connected_graph(20, 7)
+    lam = g.jump_chain()[0]
+    # lambda t = 0.25 and 0.5 are alone; 1, 2 and 8 share a chain, and so
+    # do 0.75 and 3
+    times = [c / lam for c in (0.25, 0.5, 1.0, 2.0, 8.0, 0.75, 3.0)]
+    hl.clear_kernel_cache()
+    ref = heat_semigroups(g, times)
+    assert [tab.t for tab in ref] == times
+    for order in (times[::-1], times[3:] + times + times[:2],
+                  sorted(times)):
+        hl.clear_kernel_cache()
+        got = heat_semigroups(g, order)
+        assert [tab.t for tab in got] == order
+        by_time = {tab.t: tab for tab in got}
+        assert all(by_time[tab.t] is tab for tab in got)
+        for tab in ref:
+            assert np.array_equal(by_time[tab.t].values, tab.values)
+            assert by_time[tab.t].truncation_error_bound == \
+                tab.truncation_error_bound
+
+
+def test_batch_builds_only_what_the_cache_lacks(monkeypatch):
+    g = hl.random_connected_graph(12, 2)
+    lam = g.jump_chain()[0]
+    s = 3.0 / lam
+    hl.clear_kernel_cache()
+    first = heat_semigroup(g, s)
+    series = []
+    poisson_series = kernels._poisson_series
+
+    def counted(r, pmf, *buffers):
+        series.append(len(pmf))
+        return poisson_series(r, pmf, *buffers)
+
+    monkeypatch.setattr(kernels, "_poisson_series", counted)
+    # 2s and 4s share s's step: one series for both, none for s
+    tables = heat_semigroups(g, [s, 2 * s, s, 4 * s])
+    assert tables[0] is first and tables[2] is first
+    assert len(series) == 1
+    assert heat_semigroups(g, [4 * s, 2 * s]) == [tables[3], tables[1]]
+    assert heat_semigroup(g, s) is first
+    assert len(series) == 1
+
+
+def test_batch_returns_its_tables_past_the_cache_capacity(two_vertex):
+    # more times than the cache holds: the first ones are evicted before
+    # the call returns, and must still come back
+    times = [0.01 * k for k in range(1, 301)]
+    hl.clear_kernel_cache()
+    tables = heat_semigroups(two_vertex, times)
+    assert [tab.t for tab in tables] == times
+    assert tables[0].values[0, 1] == pytest.approx(
+        0.5 * (1 - math.exp(-0.02)), abs=1e-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=2, max_value=30),
+       seed=st.integers(min_value=0, max_value=10_000),
+       base=st.floats(min_value=2.0 ** -8, max_value=4.0),
+       factors=st.lists(st.sampled_from([0.5, 1, 1.5, 2, 3, 4, 6, 16, 64]),
+                        min_size=1, max_size=6))
+def test_property_chain_against_expm(n, seed, base, factors):
+    h = unit_rate(hl.random_connected_graph(n, seed))
+    times = [base * f for f in factors]
+    tables = chained(h, times)
+    assert sorted(tables) == sorted(set(times))
+    for t, (e, info) in tables.items():
+        assert np.all(e >= 0)
+        assert info.tail_bound <= DEFAULT_TAIL_CUTOFF
+        assert np.max(np.abs(e - scipy.linalg.expm(-t * h))) <= \
+            info.tail_bound + 1e-13 + t * EPS
+
+
 @settings(max_examples=8, deadline=None)
 @given(n=st.integers(min_value=2, max_value=60),
        seed=st.integers(min_value=0, max_value=10_000))
@@ -458,7 +579,7 @@ def test_matrix_free_callers_build_no_table(monkeypatch):
         raise AssertionError("a dense heat table was built")
 
     hl.clear_kernel_cache()
-    monkeypatch.setattr(kernels, "uniformized_exponential", no_table)
+    monkeypatch.setattr(kernels, "_poisson_series", no_table)
     g = hl.random_connected_graph(12, 4)
     w = np.linspace(-1.0, 2.0, g.n)
     assert kato_modulus(g, w, 0.7) > 0

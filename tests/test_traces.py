@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import heatlab as hl
+from heatlab import kernels
 from heatlab.errors import EmptyGrid, InputError, NonpositiveTime
+from heatlab.kernels import uniformized_exponential
 from heatlab.traces import as_potential, semiclassical_scan, trace_semigroup
+from heatlab.util import default_time_grid
 
 
 def test_operator_matrix_two_vertex(two_vertex):
@@ -90,6 +93,33 @@ def test_scan_rows_dominated_by_bound(p5):
     rep = semiclassical_scan(p5, [1.0, -0.5, 0.0, 0.5, 2.0],
                              2.0 ** -np.arange(8))
     assert np.all(rep.gt_bounds >= rep.scaled_traces - 1e-10)
+
+
+@pytest.mark.parametrize("ratio,shared", [(0.5, True), (1 / 3, False)],
+                         ids=["ratio-half", "ratio-third"])
+def test_scan_rhs_matches_per_time_diagonals(monkeypatch, ratio, shared):
+    # ratio 1/2 puts every grid time down to Lambda t <= 1 on one squaring
+    # chain; under ratio 1/3 no two times share a step, so each sums its
+    # own series
+    g = hl.random_connected_graph(25, 4)
+    w = np.linspace(-1.0, 2.0, g.n)
+    grid = default_time_grid(ratio=ratio)
+    calls = []
+    poisson_series = kernels._poisson_series
+
+    def counted(r, pmf, *buffers):
+        calls.append(len(pmf))
+        return poisson_series(r, pmf, *buffers)
+
+    monkeypatch.setattr(kernels, "_poisson_series", counted)
+    rep = semiclassical_scan(g, w, grid)
+    monkeypatch.undo()
+    assert len(calls) < grid.size if shared else len(calls) == grid.size
+    h = g.generator_matrix()
+    for t, got in zip(grid, rep.gt_bounds):
+        diag = np.diag(uniformized_exponential(h, t)[0]) / g.mu
+        assert got == pytest.approx(
+            float(np.sum(diag * np.exp(-w) * g.mu)), rel=1e-14, abs=0)
 
 
 def test_report_serialization(tmp_path, two_vertex):
