@@ -25,8 +25,12 @@ takes its step with j jumps left, and all of them read the same column
 R^j[:, y], so one (n, width) table of cumulative row weights serves the
 sweep and is dropped after it. Each step reads only the nonzeros of R's
 rows (a padded table of width entries per row, which the graph builds once
-with R), and still draws the same bits as a dense search over all n
-columns would.
+with R) and picks the first slot whose cumulative weight exceeds the
+path's draw. The cumulative rows never decrease, so that slot is the
+number of slots at or below the draw, which a dense search over all n
+columns counts. Every row ends in a pad (column n - 1, weight 0) that
+the pick treats as above every draw, so a draw at the row total lands
+where the dense search clamps it; the draws are the dense search's bits.
 
 p(t,x,x) mu(x) has one source, the count mass of the diagonal bridge kernel
 bridge_kernel(graph, t, x): the FK weights, the sampler, the denominator of
@@ -186,6 +190,15 @@ def bridge_kernel(graph: WeightedGraph, t: float, y: int) -> BridgeKernel:
 _BATCH_CELLS = 1 << 16
 
 
+def _sample_count(n_samples) -> int:
+    """n_samples as an int; InputError unless it is an integer >= 1."""
+    if (isinstance(n_samples, bool)
+            or not isinstance(n_samples, (int, np.integer)) or n_samples < 1):
+        raise InputError(f"n_samples must be an integer >= 1, "
+                         f"got {n_samples!r}")
+    return int(n_samples)
+
+
 def _bridge_skeletons(bk: BridgeKernel, x: int, n_samples: int, rng,
                       with_gaps: bool = False, dist=None):
     """Exact bridges from x to bk.y, n_samples of them, by jump count.
@@ -220,6 +233,19 @@ def _bridge_skeletons(bk: BridgeKernel, x: int, n_samples: int, rng,
         g = stop
 
 
+def _first_above(cum, draw):
+    """Per row of cum, the first column whose value exceeds draw, or the
+    last column if none does.
+
+    Each row of cum must be nondecreasing. Then the columns at or below
+    draw come first, and this index is their number capped at the last
+    column: the dense count (cum[:, :-1] <= draw[:, None]).sum(axis=1).
+    """
+    above = cum > draw[:, None]
+    above[:, -1] = True
+    return above.argmax(axis=1)
+
+
 def _skeleton_batch(bk: BridgeKernel, x: int, rng, njs, sizes, sel,
                     with_gaps: bool):
     """Draw and step consecutive count groups together, then yield each.
@@ -236,9 +262,12 @@ def _skeleton_batch(bk: BridgeKernel, x: int, rng, njs, sizes, sel,
     They are read on R's row support only: over the support the running sum
     equals the dense one over all n columns (zero entries add +0.0), and
     the first column whose sum exceeds u has positive weight, so it is in
-    the support. A u at or above the row total lands on the pad, column
-    n - 1, as the dense search's clamp does: the draws are the dense
-    sampler's bits.
+    the support. Each row is a cumsum of nonnegative terms, so it never
+    decreases, and the slots at or below u are a prefix: _first_above finds
+    its end by one bool argmax where the dense search counts every slot.
+    Every row ends in a pad (column n - 1, weight 0), so forcing the last
+    slot true sends a u at or above the row total to column n - 1, where
+    the dense search clamps: the draws are the dense sampler's bits.
     """
     steps = np.repeat(njs, sizes)
     starts = np.cumsum(sizes) - sizes
@@ -265,12 +294,13 @@ def _skeleton_batch(bk: BridgeKernel, x: int, rng, njs, sizes, sel,
     for j, lo in zip(remaining, suffixes):
         prev = z[j + 1, lo:]
         if prev.size < n:
-            cum = np.cumsum(vals[prev] * powers[j][cols[prev]], axis=1)
+            cum = np.cumsum(vals.take(prev, axis=0)
+                            * powers[j].take(cols.take(prev, axis=0)), axis=1)
         else:
-            cum = np.cumsum(vals * powers[j][cols], axis=1)[prev]
-        draw = unif[j - 1, lo:] * cum[:, -1]
-        pick = (cum[:, :-1] <= draw[:, None]).sum(axis=1)
-        z[j, lo:] = flat_cols[prev * width + pick]
+            cum = np.cumsum(vals * powers[j].take(cols), axis=1).take(
+                prev, axis=0)
+        pick = _first_above(cum, unif[j - 1, lo:] * cum[:, -1])
+        z[j, lo:] = flat_cols.take(prev * width + pick)
     for nj, m, lo, g in zip(njs, sizes, starts, gaps):
         yield sel[lo:lo + m], z[nj::-1, lo:lo + m].T.copy(), g
 
@@ -306,6 +336,7 @@ def feynman_kac_trace_mc(graph: WeightedGraph, w, t: float, n_samples: int,
     summation, so the estimate does not depend on the number of worker
     threads.
     """
+    n_samples = _sample_count(n_samples)
     pot = as_potential(w, graph.n)
     check_time(t)
     require_connected(graph)
@@ -315,8 +346,8 @@ def feynman_kac_trace_mc(graph: WeightedGraph, w, t: float, n_samples: int,
         rng = np.random.Generator(np.random.PCG64(children[xi]))
         bk = bridge_kernel(graph, t, xi)
         dist = bk.count_distribution(xi)
-        fk = np.empty(int(n_samples))
-        for sel, z, gaps in _bridge_skeletons(bk, xi, int(n_samples), rng,
+        fk = np.empty(n_samples)
+        for sel, z, gaps in _bridge_skeletons(bk, xi, n_samples, rng,
                                               with_gaps=True, dist=dist):
             fk[sel] = np.exp(-(pot.values[z] * gaps).sum(axis=1))
         var = float(fk.var(ddof=1)) if len(fk) > 1 else 0.0
@@ -326,7 +357,7 @@ def feynman_kac_trace_mc(graph: WeightedGraph, w, t: float, n_samples: int,
     mean = kahan_sum(c * m for c, m, _ in stats)
     var = kahan_sum(c * c * v / n_samples for c, _, v in stats)
     return McEstimate(mean=mean, std_error=float(np.sqrt(var)),
-                      n_samples=int(n_samples), seed=int(seed))
+                      n_samples=n_samples, seed=int(seed))
 
 
 # ----------------------------------------------------- boundary detection
@@ -349,17 +380,18 @@ def pnfb_probability(graph: WeightedGraph, x, subset, t: float,
     estimate is exact. Shrinking t drives the probability to 1: the process
     does not feel the boundary of K in short time.
     """
+    n_samples = _sample_count(n_samples)
     xi, members = _vertex_in(graph, x, subset)
     mask = np.zeros(graph.n, dtype=bool)
     mask[members] = True
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    vals = np.empty(int(n_samples))
+    vals = np.empty(n_samples)
     for sel, z, _ in _bridge_skeletons(bridge_kernel(graph, t, xi), xi,
-                                       int(n_samples), rng):
+                                       n_samples, rng):
         vals[sel] = mask[z].all(axis=1)
     se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return McEstimate(mean=float(vals.mean()), std_error=se,
-                      n_samples=int(n_samples), seed=int(seed))
+                      n_samples=n_samples, seed=int(seed))
 
 
 def stay_probability_exact(graph: WeightedGraph, x, subset, t: float) -> float:

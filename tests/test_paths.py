@@ -239,6 +239,57 @@ def test_batched_sampler_draws_the_dense_samplers_bits(
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def _padded_cumsum(weights):
+    """Cumulative rows of hand-made slot weights, each ending in a pad of
+    weight 0, as the sampler's rows over _row_support do."""
+    rows = np.asarray(weights, dtype=float).reshape(len(weights), -1)
+    return np.cumsum(np.hstack([rows, np.zeros((len(rows), 1))]), axis=1)
+
+
+_TINY = 5e-324   # the least subnormal: u * total rounds up to total
+
+
+@pytest.mark.parametrize("weights, u, pick", [
+    # draws equal to a threshold go past it, as the dense <= counts them
+    ([[0.25, 0.25, 0.25, 0.25]] * 4, [0.0, 0.25, 0.5, 0.75], [0, 1, 2, 3]),
+    # zero-weight slots mid-row repeat a cumulative value; the pick skips
+    # them, draws on the repeated value included
+    ([[0.5, 0.0, 0.0, 0.5]] * 4, [0.0, 0.25, 0.5, 0.75], [0, 0, 3, 3]),
+    # an all-zero leading prefix: even a zero draw lands on the first
+    # slot of positive weight
+    ([[0.0, 0.0, 0.0, 2.0, 2.0]] * 3, [0.0, 0.5, 0.75], [3, 4, 4]),
+    # u = nextafter(1, 0) stays below a normal total (last weighted slot)
+    # and rounds up to a subnormal one: the dense count clamps at the pad
+    ([[1.0, 2.0, 0.0], [_TINY, 0.0, _TINY]], [np.nextafter(1.0, 0.0)] * 2,
+     [1, 3]),
+    # width-1 rows, the pad alone, with a zero total
+    ([[]] * 3, [0.0, 0.5, np.nextafter(1.0, 0.0)], [0, 0, 0]),
+    # a single active path
+    ([[0.1, 0.2, 0.3, 0.0]], [0.5], [2]),
+], ids=["tie", "zero-mid-row", "zero-prefix", "u-rounds-to-total",
+        "width-1", "one-path"])
+def test_first_above_pick_is_the_dense_count(weights, u, pick):
+    cum = _padded_cumsum(weights)
+    draw = np.asarray(u) * cum[:, -1]
+    dense = (cum[:, :-1] <= draw[:, None]).sum(axis=1)
+    got = paths._first_above(cum, draw)
+    assert got.tolist() == dense.tolist() == pick
+
+
+def test_first_above_pick_matches_the_dense_count_on_random_rows():
+    # rows with many zero slots and draws on, between and past thresholds
+    rng = np.random.default_rng(7)
+    for width in (1, 2, 3, 9, 21):
+        w = rng.integers(0, 3, size=(500, width - 1)) * 0.125
+        cum = _padded_cumsum(w)
+        draws = [rng.random(500) * cum[:, -1],
+                 cum[np.arange(500), rng.integers(0, width, 500)],
+                 np.nextafter(1.0, 0.0) * cum[:, -1]]
+        for draw in draws:
+            dense = (cum[:, :-1] <= draw[:, None]).sum(axis=1)
+            assert paths._first_above(cum, draw).tolist() == dense.tolist()
+
+
 def _rate64_graph():
     base = hl.random_connected_graph(150, 5, edge_prob=0.04)
     g = hl.WeightedGraph(base.mu * base.jump_chain()[0] / 64.0, base.edges)
@@ -487,6 +538,27 @@ def test_fk_trace_with_huge_thread_count_is_capped_and_invariant(p5):
         est = feynman_kac_trace_mc(p5, w, 1.0, 500, seed=7, threads=100_000)
     assert asked == [2]
     assert (est.mean, est.std_error) == (ref.mean, ref.std_error)
+
+
+@pytest.mark.parametrize("n", [0, -2, 2.7, True, "5", np.float64(3.0)])
+@pytest.mark.parametrize("estimate", ["fk", "pnfb"])
+def test_estimators_refuse_a_sample_count_that_is_not_an_integer_ge_1(
+        p5, estimate, n):
+    # 0 used to return a nan mean with a RuntimeWarning, -2 to raise numpy's
+    # ValueError and 2.7 to run 2 samples
+    with pytest.raises(InputError, match="n_samples"):
+        if estimate == "fk":
+            feynman_kac_trace_mc(p5, 0.0, 1.0, n, seed=0)
+        else:
+            pnfb_probability(p5, 2, [1, 2, 3], 1.0, n, seed=0)
+
+
+def test_estimators_take_a_numpy_integer_sample_count(p5):
+    a = feynman_kac_trace_mc(p5, 0.5, 1.0, np.int64(40), seed=3)
+    b = pnfb_probability(p5, 2, [1, 2, 3], 1.0, np.int32(40), seed=3)
+    assert type(a.n_samples) is int and a.n_samples == 40
+    assert type(b.n_samples) is int and b.n_samples == 40
+    assert a == feynman_kac_trace_mc(p5, 0.5, 1.0, 40, seed=3)
 
 
 def test_fk_trace_seed_determinism(two_vertex):
