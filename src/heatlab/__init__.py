@@ -17,13 +17,12 @@ from .paths import (JumpPath, McEstimate, feynman_kac_trace_mc,
                     no_jump_lower_bound, pnfb_probability, sample_bridge,
                     sample_free_path, stay_probability_exact)
 from .potential_class import (AdmissibilityResult, GrowthProfile,
-                              infinitesimal_class_witness, kato_modulus,
-                              ricci_admissibility)
+                              kato_modulus, ricci_admissibility)
 from .torus import (TorusModel, TorusPotential, cosine_well,
                     exact_heat_trace, galerkin_schrodinger_trace,
                     potential_integral, torus_semiclassical_scan)
-from .traces import (ConvergenceReport, Potential, golden_thompson_check,
-                     semiclassical_scan, trace_semigroup)
+from .traces import (ConvergenceReport, Potential, semiclassical_scan,
+                     trace_semigroup)
 
 __version__ = "0.1.0"
 

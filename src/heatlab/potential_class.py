@@ -1,6 +1,6 @@
 """Desk-scale diagnostics for classes of potentials.
 
-Three probes, all reported as numbers or verdicts rather than gates:
+Two probes, both reported as numbers or verdicts rather than gates:
 
 * Kato-type smallness: the modulus
       kato(t) = sup_x int_0^t sum_y p(s,x,y) |w(y)| mu(y) ds,
@@ -11,11 +11,6 @@ Three probes, all reported as numbers or verdicts rather than gates:
   >= 0, so the value is nonnegative and monotone in t by construction, and
   it is a lower bound of the integral within a certified remainder (see
   kato_modulus).
-
-* Infinitesimal form-boundedness: the smallest constant C with
-      <|w| f, f>_mu <= eps Q(f,f) + C <f,f>_mu,
-  i.e. the largest eigenvalue of the pencil diag(|w|) - eps H in the
-  mu-inner product (computed after the usual similarity transform).
 
 * Curvature-profile admissibility: for a growth profile (m, A, c_k) the
   series sum_k c_k k^m e^{2 L k}, L = sqrt((m-1) A), with a tri-state
@@ -44,7 +39,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import linalg
 from .errors import ConfigError, InputError
 from .graphs import WeightedGraph, require_connected
 from .kernels import _chain_action, _stepwise_weights
@@ -99,20 +93,6 @@ def kato_modulus(graph: WeightedGraph, w, t: float) -> float:
     coeffs = np.cumsum(pmf[:0:-1])[::-1] / lam if lam_t else np.array([t])
     per_vertex = _chain_action(graph, coeffs, np.abs(pot.values))
     return float(per_vertex.max())
-
-
-def infinitesimal_class_witness(graph: WeightedGraph, w, eps: float) -> float:
-    """Smallest C with <|w|f,f>_mu <= eps Q(f,f) + C <f,f>_mu.
-
-    Largest eigenvalue of diag(|w|) - eps H after symmetrization; always
-    >= 0, nonincreasing and convex in eps, and equal to max|w| at eps = 0.
-    """
-    if not eps >= 0:    # NaN fails too
-        raise InputError(f"eps = {eps} must be nonnegative")
-    pot = as_potential(w, graph.n)
-    s_h = linalg.similarity_symmetrize(graph.generator_matrix(), graph.mu)
-    pencil = np.diag(np.abs(pot.values)) - eps * s_h
-    return float(linalg.symmetric_eigvals(pencil)[-1])
 
 
 # ------------------------------------------------------------ growth rules

@@ -3,27 +3,37 @@
 On the torus prod_i R/(L_i Z) the Laplacian eigenvalues are
 lambda_k = sum_i (2 pi k_i / L_i)^2 over integer frequency vectors k, and
 the heat trace factorizes into one-dimensional theta sums. A potential w
-enters through its Fourier coefficients: in the orthonormal plane-wave
-basis truncated to |k_i| <= N, the operator H + w/t becomes the Hermitian
-matrix
+enters through its Fourier coefficients w_hat(q), the average-normalized
+(1/vol) int w e^{-i<q,.>}. Truncated to |k_i| <= N, the operator H + w/t
+has the plane-wave matrix lambda_k delta_{kk'} + w_hat(k - k') / t.
 
-    M[k, k'] = lambda_k delta_{kk'} + w_hat(k - k') / t,
+w is real, so that operator is real, and the Galerkin trace diagonalizes it
+in the real Fourier basis e_0, c_k = (e_k + e_{-k}) / sqrt 2 and
+s_k = (e_k - e_{-k}) / (i sqrt 2), for the lattice vectors k > 0 in
+lexicographic order. The change of basis is unitary, so the spectrum is the
+plane-wave one; the matrix is real symmetric, with a(q) = w_hat(q) / t:
 
-with w_hat(q) the average-normalized coefficient (1/vol) int w e^{-i<q,.>}.
-Coefficients are obtained by direct quadrature at 4N+1 points per axis,
-which resolves every difference frequency |q_i| <= 2N without aliasing
-ambiguity.
+    [e_0, e_0] = a(0)
+    [e_0, c_l] = sqrt 2 Re a(l)       [e_0, s_l] = -sqrt 2 Im a(l)
+    [c_k, c_l] = lambda_k delta_kl + Re a(k - l) + Re a(k + l)
+    [s_k, s_l] = lambda_k delta_kl + Re a(k - l) - Re a(k + l)
+    [c_k, s_l] = Im a(k - l) - Im a(k + l)
+
+Coefficients are the periodic trapezoidal quadrature at 4N+1 points per
+axis, taken by one FFT; that resolves every difference and sum frequency
+|q_i| <= 2N without aliasing ambiguity.
 
 A potential that is a sum of one-dimensional potentials, one per axis (as
-cosine_well is), carries those parts. Its M is then the Kronecker sum of
-the one-dimensional Galerkin matrices, whose eigenvalues are the sums of
-theirs, so in dim >= 2 the trace is the product of one-dimensional traces
-on (L_i, N). That is exact, costs a (2N+1)-order eigensolve per axis, and
-is how both the scan and the N -> 2N doubling gate evaluate it. Callables
-without parts, and every 1D model, take the dense route above.
+cosine_well is), carries those parts. Its operator is then the Kronecker
+sum of the one-dimensional ones, whose eigenvalues are the sums of theirs,
+so in dim >= 2 the trace is the product of one-dimensional traces on
+(L_i, N). That is exact, costs a (2N+1)-order eigensolve per axis, and is
+how both the scan and the N -> 2N doubling gate evaluate it. Callables
+without parts, and every 1D model, take the matrix above.
 
 The semiclassical scan multiplies galerkin_schrodinger_trace by
-(4 pi t)^{m/2} and compares against the quadrature value of int e^{-w}.
+(4 pi t)^{m/2} and compares against the quadrature value of int e^{-w},
+which for a potential with parts is the product of its per-axis integrals.
 It first runs the doubling gate at its largest time: N -> 2N must move the
 trace by less than 1e-6 relative.
 """
@@ -183,7 +193,8 @@ class TorusModel:
     # ------------------------------------------------------- coefficients
 
     def coefficient_table(self) -> np.ndarray:
-        """w_hat(q) on the difference band |q_i| <= 2N, shape (4N+1,)^dim.
+        """w_hat(q) for |q_i| <= 2N, shape (4N+1,)^dim: every sum and
+        difference of two lattice vectors.
 
         Only a callable potential has one: galerkin_schrodinger_trace takes
         a zero or constant potential on the diagonal.
@@ -195,18 +206,18 @@ class TorusModel:
         return self._coeff
 
     def _quadrature_coefficients(self, p: int) -> np.ndarray:
+        # deferred: numpy.fft costs every process start, and only a torus
+        # run with a callable potential needs it
+        import numpy.fft
+
         grids = np.meshgrid(*[np.arange(p) * (L / p) for L in self.lengths],
                             indexing="ij")
         vals = np.asarray(self.potential.fn(*grids), dtype=float)
         if vals.shape != (p,) * self.dim:
             raise InputError("potential evaluator must preserve grid shape")
-        out = vals.astype(complex)
-        q = np.arange(-(p // 2), p // 2 + 1)
-        j = np.arange(p)
-        for axis in range(self.dim):
-            dft = np.exp(-2j * np.pi * np.outer(q, j) / p) / p
-            out = np.moveaxis(np.tensordot(dft, out, axes=(1, axis)), 0, axis)
-        return out
+        # fftn puts frequency q at q mod p; for odd p, fftshift orders them
+        # -(p // 2) .. p // 2
+        return numpy.fft.fftshift(numpy.fft.fftn(vals)) / p ** self.dim
 
     def evaluate_potential(self, resolution: int) -> np.ndarray:
         """Sample w on a uniform grid (used by the quadrature target)."""
@@ -244,11 +255,11 @@ def exact_heat_trace(model: TorusModel, t: float) -> float:
 
 
 def galerkin_schrodinger_trace(model: TorusModel, t: float) -> float:
-    """tr e^{-t(H + w/t)} in the truncated plane-wave basis:
-    sum_i e^{-t eig_i(M)} with M = diag(lambda) + W / t.
+    """tr e^{-t(H + w/t)} in the truncated Fourier basis:
+    sum_i e^{-t eig_i(M)}, with M the real cos/sin-basis matrix.
 
-    A model with axis models takes the product of their traces: M is the
-    Kronecker sum of their matrices.
+    A model with axis models takes the product of their traces: the
+    operator is the Kronecker sum of theirs.
     """
     check_time(t)
     return _galerkin_trace(model, t)
@@ -259,23 +270,44 @@ def _galerkin_trace(model: TorusModel, t: float) -> float:
     axes = model.axis_models()
     if axes:
         return math.prod(_galerkin_trace(axis, t) for axis in axes)
-    scale = 1.0 / t
-    lam = model.eigenvalues()
     if model.potential.diagonal_only:
-        eigs = lam + model.potential.constant * scale
+        eigs = model.eigenvalues() + model.potential.constant * (1.0 / t)
     else:
-        table = model.coefficient_table().reshape(-1)
-        k = model.lattice()
-        n2 = 2 * model.truncation
-        width = 4 * model.truncation + 1
-        idx = np.zeros((k.shape[0], k.shape[0]), dtype=np.int64)
-        for axis in range(model.dim):
-            diff = k[:, None, axis] - k[None, :, axis] + n2
-            idx = idx * width + diff
-        mat = table[idx] * scale
-        mat[np.diag_indices_from(mat)] += lam
-        eigs = linalg.symmetric_eigvals(mat)
+        eigs = linalg.symmetric_eigvals(_real_basis_matrix(model, t))
     return float(np.sum(np.exp(-t * np.sort(eigs))[::-1]))
+
+
+def _real_basis_matrix(model: TorusModel, t: float) -> np.ndarray:
+    """H + w/t in the basis e_0, c_k, s_k (k > 0), a real symmetric matrix.
+
+    The lattice is lexicographic, so k = 0 is its middle vector and the
+    positive k follow it. Rows and columns of e_0 are gathered as if it
+    were c_0, which doubles them, and then scaled by 1/sqrt 2.
+    """
+    table = model.coefficient_table().reshape(-1)
+    lattice = model.lattice()
+    mid = lattice.shape[0] // 2
+    half = lattice[mid:]                          # k = 0, then every k > 0
+    n2 = 2 * model.truncation
+    width = 4 * model.truncation + 1
+    minus = np.zeros((half.shape[0],) * 2, dtype=np.int64)
+    plus = np.zeros_like(minus)
+    for axis in range(model.dim):
+        k = half[:, axis]
+        minus = minus * width + (k[:, None] - k[None, :] + n2)
+        plus = plus * width + (k[:, None] + k[None, :] + n2)
+    a_minus = table.take(minus) / t
+    a_plus = table.take(plus) / t
+    cc = a_minus.real + a_plus.real
+    cs = a_minus.imag[:, 1:] - a_plus.imag[:, 1:]
+    ss = a_minus.real[1:, 1:] - a_plus.real[1:, 1:]
+    cc[0] *= math.sqrt(0.5)
+    cc[:, 0] *= math.sqrt(0.5)
+    cs[0] *= math.sqrt(0.5)
+    mat = np.block([[cc, cs], [cs.T, ss]])
+    lam = model.eigenvalues()[mid:]
+    mat[np.diag_indices_from(mat)] += np.concatenate([lam, lam[1:]])
+    return mat
 
 
 def check_truncation(model: TorusModel, t: float) -> float:
@@ -300,10 +332,19 @@ def potential_integral(model: TorusModel) -> float:
     """Quadrature value of int e^{-w} over the torus (the scan target).
 
     Uniform-grid quadrature on the periodic domain (4096, 512^2 or 64^3
-    points); spectrally accurate for the smooth potentials used here.
-    Independent of the Galerkin machinery.
+    nodes); spectrally accurate for the smooth potentials used here.
+    A potential with parts in dim >= 2 has e^{-w} = prod_i e^{-w_i}, so its
+    grid sum is the product of per-axis sums on the same nodes, and that
+    product is what is computed. Independent of the Galerkin machinery.
     """
     resolution = 4096 if model.dim == 1 else 512 if model.dim == 2 else 64
+    axes = model.axis_models()
+    if axes:
+        return math.prod(_grid_integral(axis, resolution) for axis in axes)
+    return _grid_integral(model, resolution)
+
+
+def _grid_integral(model: TorusModel, resolution: int) -> float:
     vals = model.evaluate_potential(resolution)
     cell = model.volume / resolution ** model.dim
     return float(np.sum(np.exp(-vals)) * cell)

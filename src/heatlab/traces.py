@@ -198,14 +198,3 @@ def semiclassical_scan(graph: WeightedGraph, w, t_grid=None,
     return assemble_report(grid, scaled, target, bounds,
                            final_rel_tol, monotone_tail, require_monotone)
 
-
-def golden_thompson_check(graph: WeightedGraph, w, t: float):
-    """Both sides of tr e^{-t(H + w/t)} <= sum_x p(t,x,x) e^{-w(x)} mu(x).
-
-    Returns (lhs, rhs), the row of a one-point semiclassical_scan. Equality
-    holds exactly for constant w, where both sides reduce to
-    e^{-c} * tr e^{-tH}.
-    """
-    check_time(t)
-    report = semiclassical_scan(graph, w, [t])
-    return float(report.scaled_traces[0]), float(report.gt_bounds[0])

@@ -22,8 +22,7 @@ from heatlab.potential_class import (GrowthProfile, constant_rule,
 from heatlab.torus import (TorusModel, cosine_well,
                            galerkin_schrodinger_trace, potential_integral,
                            zero_potential)
-from heatlab.traces import golden_thompson_check, semiclassical_scan, \
-    trace_semigroup
+from heatlab.traces import semiclassical_scan, trace_semigroup
 from heatlab.util import default_time_grid
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
@@ -32,6 +31,13 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
 COSINE_TARGET = 2.9264539231100914
 
 TWO_PI = 2.0 * math.pi
+
+
+def golden_thompson_sides(graph, w, t):
+    """Both sides of tr e^{-t(H + w/t)} <= sum_x p(t,x,x) e^{-w(x)} mu(x):
+    the row of a one-point semiclassical_scan."""
+    report = semiclassical_scan(graph, w, [t])
+    return float(report.scaled_traces[0]), float(report.gt_bounds[0])
 
 
 def test_criterion_1_graph_semiclassical_limit(registry):
@@ -72,12 +78,12 @@ def test_criterion_3_trace_inequality_sweep(registry):
         draws = rng.uniform(-1.0, 3.0, size=(10, graph.n))
         for w in draws:
             for t in t_values:
-                lhs, rhs = golden_thompson_check(graph, w, float(t))
+                lhs, rhs = golden_thompson_sides(graph, w, float(t))
                 assert lhs <= rhs + 1e-10, \
                     f"{name}: lhs {lhs} > rhs {rhs} at t={t}"
         for c in (-1.0, 0.0, 1.7):
             for t in (1.0, 0.25):
-                lhs, rhs = golden_thompson_check(graph, c, t)
+                lhs, rhs = golden_thompson_sides(graph, c, t)
                 assert abs(lhs - rhs) <= 1e-12, \
                     f"{name}: constant w={c} gap {abs(lhs - rhs)}"
     assert time.monotonic() - start < 2.0

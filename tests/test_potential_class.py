@@ -1,4 +1,4 @@
-"""Kato modulus, form-boundedness witness and admissibility verdicts."""
+"""Kato modulus and admissibility verdicts."""
 
 import json
 import math
@@ -22,7 +22,6 @@ from heatlab.potential_class import (_EM_HEAD, _EM_ORDER,
                                      AdmissibilityResult, GrowthProfile,
                                      constant_rule,
                                      growth_profile_from_config,
-                                     infinitesimal_class_witness,
                                      kato_modulus, power_rule,
                                      quadratic_growth_rule, ricci_admissibility,
                                      table_rule)
@@ -123,50 +122,6 @@ def test_kato_rejects_disconnected_graph():
 def test_kato_without_edges_is_t_max_w():
     g = hl.WeightedGraph([2.0], [])
     assert kato_modulus(g, [-3.0], 0.25) == 0.75
-
-
-# ----------------------------------------------------------------- witness
-
-
-def test_witness_frozen_pencil(two_vertex):
-    # diag(4, 0) - S = [[3, 1], [1, -1]], top eigenvalue 1 + sqrt(5)
-    val = infinitesimal_class_witness(two_vertex, [4.0, 0.0], 1.0)
-    assert val == pytest.approx(1 + math.sqrt(5), abs=1e-12)
-
-
-def test_witness_eps_zero_is_sup(two_vertex):
-    assert infinitesimal_class_witness(two_vertex, [4.0, -2.0], 0.0) == \
-        pytest.approx(4.0, abs=1e-13)
-
-
-def test_witness_monotone_and_convex_in_eps():
-    g = hl.random_connected_graph(7, 13)
-    w = np.random.default_rng(1).uniform(-2, 3, size=g.n)
-    eps = [0.0, 0.5, 1.0, 1.5, 2.0]
-    vals = [infinitesimal_class_witness(g, w, e) for e in eps]
-    assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-    for i in range(1, len(vals) - 1):
-        assert vals[i] <= (vals[i - 1] + vals[i + 1]) / 2 + 1e-10
-
-
-def test_witness_lower_bound_weighted_mean():
-    # Rayleigh quotient with the symmetrized constant vector: the witness
-    # is at least the mu-weighted mean of |w|
-    g = hl.random_connected_graph(6, 3)
-    w = np.random.default_rng(2).uniform(-1, 2, size=g.n)
-    mean = float(np.sum(np.abs(w) * g.mu) / np.sum(g.mu))
-    for e in (0.0, 1.0, 5.0):
-        assert infinitesimal_class_witness(g, w, e) >= mean - 1e-10
-
-
-def test_witness_rejects_negative_eps(two_vertex):
-    with pytest.raises(InputError):
-        infinitesimal_class_witness(two_vertex, [1.0, 0.0], -0.1)
-
-
-def test_witness_rejects_nan_eps(two_vertex):
-    with pytest.raises(InputError):
-        infinitesimal_class_witness(two_vertex, [1.0, 0.0], float("nan"))
 
 
 # ----------------------------------------------------------- admissibility

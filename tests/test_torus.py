@@ -1,17 +1,24 @@
 """Flat-torus spectral machinery: exact traces, Galerkin blocks, scans."""
 
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import iv
 
 from heatlab import cli
 from heatlab.errors import (ConfigError, InputError, NonpositiveTime,
                             TruncationNotConverged)
-from heatlab.torus import (TorusModel, TorusPotential, constant_potential,
-                           cosine_well, exact_heat_trace,
+from heatlab.torus import (TorusModel, TorusPotential, _real_basis_matrix,
+                           constant_potential, cosine_well, exact_heat_trace,
                            galerkin_schrodinger_trace, potential_from_spec,
                            potential_integral, torus_semiclassical_scan,
                            zero_potential)
@@ -121,26 +128,107 @@ def test_shape_changing_potential_is_input_error():
         model_1d(potential=bad).coefficient_table()
 
 
-def test_galerkin_against_dense_oracle():
-    # independent route: assemble the truncated block by brute force with
-    # numpy fft coefficients and diagonalize with numpy
-    n_tr = 6
-    m = model_1d(truncation=n_tr, potential=cosine_well((TWO_PI,)))
-    t = 0.4
-    p = 512
-    theta = np.arange(p) * TWO_PI / p
-    samples = 1 - np.cos(theta)
-    coef = np.fft.fft(samples) / p
-    ks = np.arange(-n_tr, n_tr + 1)
-    mat = np.zeros((ks.size, ks.size), dtype=complex)
+def dense_complex_trace(lengths, fn, n_tr, t, p):
+    """Brute force: the complex Hermitian plane-wave matrix
+    lambda_k delta_{kk'} + w_hat(k - k') / t, assembled entry by entry from
+    numpy fft coefficients on a p^dim grid and diagonalized by numpy."""
+    dim = len(lengths)
+    grids = np.meshgrid(*[np.arange(p) * (L / p) for L in lengths],
+                        indexing="ij")
+    coef = np.fft.fftn(fn(*grids)) / p ** dim
+    ks = np.array(list(itertools.product(range(-n_tr, n_tr + 1),
+                                         repeat=dim)))
+    freq = TWO_PI / np.asarray(lengths)
+    mat = np.zeros((len(ks), len(ks)), dtype=complex)
     for i, k in enumerate(ks):
         for j, q in enumerate(ks):
-            mat[i, j] = coef[(k - q) % p] / t
-            if i == j:
-                mat[i, j] += k * k
-    lam = np.linalg.eigvalsh(mat)
-    ref = float(np.sum(np.exp(-t * lam)))
-    assert galerkin_schrodinger_trace(m, t) == pytest.approx(ref, rel=1e-12)
+            mat[i, j] = coef[tuple((k - q) % p)] / t
+        mat[i, i] += np.sum((k * freq) ** 2)
+    return float(np.sum(np.exp(-t * np.linalg.eigvalsh(mat))))
+
+
+def wave(length):
+    return lambda x: TWO_PI * np.asarray(x) / length
+
+
+# (lengths, w, N, oracle grid): an even well, two with a nonzero odd part,
+# and a 2D callable that is not a sum of per-axis terms
+ORACLE_CASES = [
+    ((TWO_PI,), lambda x: 1 - np.cos(x), 6, 512),
+    ((TWO_PI,), lambda x: np.sin(x) + np.exp(np.cos(x)), 6, 512),
+    ((5.0,), lambda x: (np.sin(wave(5.0)(x)) + np.exp(np.cos(wave(5.0)(x)))
+                        + 0.4 * np.sin(3 * wave(5.0)(x))), 10, 512),
+    ((TWO_PI, 5.0), lambda x, y: (
+        np.cos(x - wave(5.0)(y)) + 0.5 * np.sin(x + 2 * wave(5.0)(y))
+        + 0.3 * np.exp(np.sin(x)) * np.cos(wave(5.0)(y))), 4, 64),
+]
+
+
+def test_galerkin_against_dense_oracle():
+    # independent route: the complex plane-wave matrix by brute force,
+    # against the real cos/sin-basis matrix the program diagonalizes
+    for lengths, fn, n_tr, p in ORACLE_CASES:
+        m = TorusModel(len(lengths), lengths, n_tr,
+                       TorusPotential(kind="callable", fn=fn))
+        for t in (1.0, 0.4, 0.1, 2.0 ** -8):
+            ref = dense_complex_trace(lengths, fn, n_tr, t, p)
+            assert galerkin_schrodinger_trace(m, t) == pytest.approx(
+                ref, rel=1e-12), (lengths, n_tr, t)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.integers(min_value=1, max_value=2),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       t=st.sampled_from([1.0, 0.1, 2.0 ** -8]))
+def test_property_real_basis_trace_matches_complex_oracle(dim, seed, t):
+    # a random real trigonometric polynomial, cos and sin terms on every
+    # frequency vector |j_i| <= 2 (non-separable in 2D)
+    rng = np.random.default_rng(seed)
+    lengths = tuple(rng.uniform(3.0, 8.0, size=dim))
+    freqs = list(itertools.product(range(-2, 3), repeat=dim))
+    amp = rng.normal(scale=0.5, size=(len(freqs), 2))
+
+    def fn(*coords):
+        acc = 0.0
+        for (a, b), j in zip(amp, freqs):
+            phase = sum(ji * TWO_PI * np.asarray(c) / L
+                        for ji, c, L in zip(j, coords, lengths))
+            acc = acc + a * np.cos(phase) + b * np.sin(phase)
+        return acc
+
+    n_tr = 5 if dim == 1 else 3
+    m = TorusModel(dim, lengths, n_tr, TorusPotential(kind="callable", fn=fn))
+    ref = dense_complex_trace(lengths, fn, n_tr, t, 32)
+    assert galerkin_schrodinger_trace(m, t) == pytest.approx(ref, rel=1e-11)
+
+
+def test_real_basis_matrix_blocks_for_an_even_well():
+    # 1 - cos x is even: the cos and sin blocks decouple, and each is
+    # tridiagonal with -1/(2t) off the diagonal ([e_0, c_1] is -1/(sqrt 2 t))
+    n_tr, t = 5, 0.25
+    mat = _real_basis_matrix(model_1d(n_tr, cosine_well((TWO_PI,))), t)
+    assert mat.dtype == np.float64 and mat.shape == (2 * n_tr + 1,) * 2
+    assert np.max(np.abs(mat[:n_tr + 1, n_tr + 1:])) <= 1e-14
+    ks = np.arange(n_tr + 1)
+    cc = np.diag(ks ** 2 + 1.0 / t) - 0.5 / t * (np.eye(n_tr + 1, k=1)
+                                                 + np.eye(n_tr + 1, k=-1))
+    cc[0, 1] = cc[1, 0] = -math.sqrt(0.5) / t
+    assert np.allclose(mat[:n_tr + 1, :n_tr + 1], cc, atol=1e-13)
+    ss = np.diag(ks[1:] ** 2 + 1.0 / t) - 0.5 / t * (np.eye(n_tr, k=1)
+                                                     + np.eye(n_tr, k=-1))
+    assert np.allclose(mat[n_tr + 1:, n_tr + 1:], ss, atol=1e-13)
+
+
+def test_import_loads_no_fft():
+    # numpy.fft is imported by the first coefficient table, not by every
+    # process start
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = ("import sys, heatlab, heatlab.cli; "
+             "print('numpy.fft' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert done.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------- the targets
@@ -229,6 +317,26 @@ def test_model_validation():
 def without_parts(potential):
     """The same callable, which only the dense route can evaluate."""
     return TorusPotential(kind="callable", fn=potential.fn)
+
+
+def separable(parts):
+    """A potential with parts: the sum of the given 1D potentials."""
+    def fn(*coords):
+        return sum(part.fn(c) for c, part in zip(coords, parts))
+    return TorusPotential(kind="callable", fn=fn, parts=tuple(parts))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_factored_integral_matches_grid_sum(dim):
+    # the product of per-axis sums against the sum over the full grid of
+    # the same nodes, for a well with an odd part on uneven sides
+    lengths = (TWO_PI, 5.0, 0.8 * TWO_PI)[:dim]
+    parts = [TorusPotential(kind="callable", fn=lambda x, L=L: (
+        np.sin(wave(L)(x)) + np.exp(np.cos(wave(L)(x))))) for L in lengths]
+    pot = separable(parts)
+    factored = potential_integral(TorusModel(dim, lengths, 4, pot))
+    grid = potential_integral(TorusModel(dim, lengths, 4, without_parts(pot)))
+    assert factored == pytest.approx(grid, rel=1e-13)
 
 
 @pytest.mark.parametrize("dim, n_tr", [(2, 4), (2, 8), (3, 4)])

@@ -145,8 +145,16 @@ def test_monotone_slack_absorbs_noise_floor():
 # ------------------------------------------------------- trace inequality
 
 
+def golden_thompson_sides(graph, w, t):
+    """Both sides of tr e^{-t(H + w/t)} <= sum_x p(t,x,x) e^{-w(x)} mu(x):
+    the row of a one-point semiclassical_scan. Equality holds exactly for
+    constant w, where both sides reduce to e^{-c} * tr e^{-tH}."""
+    report = semiclassical_scan(graph, w, [t])
+    return float(report.scaled_traces[0]), float(report.gt_bounds[0])
+
+
 def test_equality_for_constant_potential(two_vertex):
-    lhs, rhs = hl.golden_thompson_check(two_vertex, 1.3, 0.7)
+    lhs, rhs = golden_thompson_sides(two_vertex, 1.3, 0.7)
     assert abs(lhs - rhs) <= 1e-12
     # both reduce to e^{-c} tr e^{-tH}
     assert lhs == pytest.approx(
@@ -155,12 +163,15 @@ def test_equality_for_constant_potential(two_vertex):
 
 @pytest.mark.parametrize("t", [0.0, -1.0, float("nan")])
 def test_trace_inequality_rejects_invalid_time(two_vertex, t):
+    # the one-point grid is refused, and so is the time of the trace alone
+    with pytest.raises(InputError):
+        golden_thompson_sides(two_vertex, [0.0, 2.0], t)
     with pytest.raises(NonpositiveTime):
-        hl.golden_thompson_check(two_vertex, [0.0, 2.0], t)
+        trace_semigroup(two_vertex, [0.0, 2.0], t)
 
 
 def test_strict_inequality_for_varying_potential(two_vertex):
-    lhs, rhs = hl.golden_thompson_check(two_vertex, [0.0, 2.0], 0.7)
+    lhs, rhs = golden_thompson_sides(two_vertex, [0.0, 2.0], 0.7)
     assert lhs < rhs
 
 
@@ -171,7 +182,7 @@ def test_strict_inequality_for_varying_potential(two_vertex):
 def test_property_trace_inequality(seed, t, wseed):
     g = hl.random_connected_graph(6, seed)
     w = np.random.default_rng(wseed).uniform(-1.5, 2.5, size=g.n)
-    lhs, rhs = hl.golden_thompson_check(g, w, t)
+    lhs, rhs = golden_thompson_sides(g, w, t)
     assert lhs <= rhs + 1e-10 * max(1.0, abs(rhs))
 
 
