@@ -21,7 +21,19 @@ plane-wave one; the matrix is real symmetric, with a(q) = w_hat(q) / t:
 
 Coefficients are the periodic trapezoidal quadrature at 4N+1 points per
 axis, taken by one FFT; that resolves every difference and sum frequency
-|q_i| <= 2N without aliasing ambiguity.
+|q_i| <= 2N without aliasing ambiguity. The nodes are centered,
+j L_i / (4N+1) for j = -2N..2N (mod L_i the usual ones), so x -> -x maps
+the node set onto itself. When the samples equal their reversal along
+every axis bit for bit, the potential is even on the nodes, its quadrature
+coefficients are real, and the table keeps only the real part of the FFT.
+That check is exact and every potential a config can name passes it.
+
+With a real table the [c_k, s_l] block is zero, so the matrix splits into
+C on e_0 and the c_k (order (M+1)/2 for M lattice vectors) and S on the
+s_k (order (M-1)/2), solved apart. Tridiagonalization costs ~4n^3/3 flops,
+so the two half-order solves cost about a quarter of one full solve. Only
+samples that are not exactly even (a callable with an odd part) take the
+coupled matrix.
 
 A potential that is a sum of one-dimensional potentials, one per axis (as
 cosine_well is), carries those parts. Its operator is then the Kronecker
@@ -42,7 +54,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -55,6 +66,8 @@ from .util import check_time, check_time_grid, default_time_grid
 _THETA_TERM_CUTOFF = 1e-16
 # the N -> 2N doubling gate: the largest relative change of the trace
 _DOUBLING_REL_TOL = 1e-6
+# the most entries the largest array of the doubled (2N) model may hold
+_MAX_DOUBLED_ENTRIES = 2 ** 22
 # psi(t) = (4 pi t)^{m/2} is fixed by the space: H is the nonnegative
 # Laplacian, whose kernel has p(t,x,x) (4 pi t)^{m/2} -> 1 as t -> 0+, so the
 # scaled trace tends to int e^{-w}; a base c would give (c/4pi)^{m/2} times it
@@ -178,9 +191,10 @@ class TorusModel:
     def lattice(self) -> np.ndarray:
         """Frequency vectors, shape (M, dim), lexicographic order."""
         if self._lattice is None:
-            n = self.truncation
-            self._lattice = np.array(
-                list(product(range(-n, n + 1), repeat=self.dim)), dtype=np.int64)
+            side = np.arange(-self.truncation, self.truncation + 1,
+                             dtype=np.int64)
+            axes = np.meshgrid(*[side] * self.dim, indexing="ij")
+            self._lattice = np.stack(axes, axis=-1).reshape(-1, self.dim)
         return self._lattice
 
     def eigenvalues(self) -> np.ndarray:
@@ -194,7 +208,8 @@ class TorusModel:
 
     def coefficient_table(self) -> np.ndarray:
         """w_hat(q) for |q_i| <= 2N, shape (4N+1,)^dim: every sum and
-        difference of two lattice vectors.
+        difference of two lattice vectors. Real (float) when the potential
+        is even on the quadrature nodes, complex otherwise.
 
         Only a callable potential has one: galerkin_schrodinger_trace takes
         a zero or constant potential on the diagonal.
@@ -206,18 +221,34 @@ class TorusModel:
         return self._coeff
 
     def _quadrature_coefficients(self, p: int) -> np.ndarray:
+        """Trapezoidal w_hat(q), |q_i| <= p // 2, on p centered nodes per axis.
+
+        The nodes are j L_i / p for j = -(p // 2) .. p // 2 (p is odd), the
+        same set mod L_i as j = 0 .. p - 1, so the quadrature rule is
+        unchanged; ifftshift moves j = 0 to the front for the FFT. Under
+        x -> -x the nodes map onto themselves, so an even potential's
+        samples equal their reversal along every axis, bit for bit. When
+        they do, the exact coefficients are real and the FFT's imaginary
+        parts are rounding: the table is the real part, the quadrature of
+        an even function. Any other samples keep the complex table.
+        """
         # deferred: numpy.fft costs every process start, and only a torus
         # run with a callable potential needs it
         import numpy.fft
 
-        grids = np.meshgrid(*[np.arange(p) * (L / p) for L in self.lengths],
+        nodes = np.arange(-(p // 2), p // 2 + 1)
+        grids = np.meshgrid(*[nodes * (L / p) for L in self.lengths],
                             indexing="ij")
         vals = np.asarray(self.potential.fn(*grids), dtype=float)
         if vals.shape != (p,) * self.dim:
             raise InputError("potential evaluator must preserve grid shape")
         # fftn puts frequency q at q mod p; for odd p, fftshift orders them
         # -(p // 2) .. p // 2
-        return numpy.fft.fftshift(numpy.fft.fftn(vals)) / p ** self.dim
+        table = numpy.fft.fftshift(numpy.fft.fftn(
+            numpy.fft.ifftshift(vals))) / p ** self.dim
+        if np.array_equal(vals, np.flip(vals)):
+            return np.ascontiguousarray(table.real)
+        return table
 
     def evaluate_potential(self, resolution: int) -> np.ndarray:
         """Sample w on a uniform grid (used by the quadrature target)."""
@@ -273,12 +304,15 @@ def _galerkin_trace(model: TorusModel, t: float) -> float:
     if model.potential.diagonal_only:
         eigs = model.eigenvalues() + model.potential.constant * (1.0 / t)
     else:
-        eigs = linalg.symmetric_eigvals(_real_basis_matrix(model, t))
+        eigs = np.concatenate([linalg.symmetric_eigvals(block)
+                               for block in _real_basis_blocks(model, t)])
     return float(np.sum(np.exp(-t * np.sort(eigs))[::-1]))
 
 
-def _real_basis_matrix(model: TorusModel, t: float) -> np.ndarray:
-    """H + w/t in the basis e_0, c_k, s_k (k > 0), a real symmetric matrix.
+def _real_basis_blocks(model: TorusModel, t: float) -> tuple:
+    """H + w/t in the basis e_0, c_k, s_k (k > 0) as real symmetric
+    diagonal blocks: (C, S) for a real coefficient table, where [c_k, s_l]
+    vanishes, else the one coupled matrix [[C, CS], [CS^T, S]].
 
     The lattice is lexicographic, so k = 0 is its middle vector and the
     positive k follow it. Rows and columns of e_0 are gathered as if it
@@ -299,25 +333,35 @@ def _real_basis_matrix(model: TorusModel, t: float) -> np.ndarray:
     a_minus = table.take(minus) / t
     a_plus = table.take(plus) / t
     cc = a_minus.real + a_plus.real
-    cs = a_minus.imag[:, 1:] - a_plus.imag[:, 1:]
     ss = a_minus.real[1:, 1:] - a_plus.real[1:, 1:]
     cc[0] *= math.sqrt(0.5)
     cc[:, 0] *= math.sqrt(0.5)
-    cs[0] *= math.sqrt(0.5)
-    mat = np.block([[cc, cs], [cs.T, ss]])
     lam = model.eigenvalues()[mid:]
-    mat[np.diag_indices_from(mat)] += np.concatenate([lam, lam[1:]])
-    return mat
+    cc[np.diag_indices_from(cc)] += lam
+    ss[np.diag_indices_from(ss)] += lam[1:]
+    if np.isrealobj(table):
+        return cc, ss
+    cs = a_minus.imag[:, 1:] - a_plus.imag[:, 1:]
+    cs[0] *= math.sqrt(0.5)
+    return (np.block([[cc, cs], [cs.T, ss]]),)
 
 
-def check_truncation(model: TorusModel, t: float) -> float:
+def check_truncation(model: TorusModel, t: float, *,
+                     trace: float | None = None) -> float:
     """Doubling diagnostic: N -> 2N must move the trace by less than
     _DOUBLING_REL_TOL relative.
 
     Evaluated at a reference time where the change measures how well the
-    potential's coefficients are resolved. Raises TruncationNotConverged.
+    potential's coefficients are resolved. trace, when given, is the
+    caller's galerkin_schrodinger_trace(model, t), not solved again.
+    Raises TruncationNotConverged, or InputError (before anything is
+    built) when the doubled model's largest array would exceed 2^22
+    entries: its (4N+1)^dim lattice for a zero or constant potential, else
+    its coupled real-basis matrix, of order (4N+1)^dim, or 4N+1 per axis
+    for a potential with parts.
     """
-    base = galerkin_schrodinger_trace(model, t)
+    _refuse_infeasible(model)
+    base = galerkin_schrodinger_trace(model, t) if trace is None else trace
     doubled = galerkin_schrodinger_trace(model.with_truncation(
         2 * model.truncation), t)
     change = abs(doubled - base)
@@ -326,6 +370,23 @@ def check_truncation(model: TorusModel, t: float) -> float:
             f"N = {model.truncation} -> {2 * model.truncation} moves the "
             f"trace by {change / abs(base):.3e} (limit {_DOUBLING_REL_TOL})")
     return change / abs(base)
+
+
+def _refuse_infeasible(model: TorusModel) -> None:
+    """InputError when the doubled model would build an array of more than
+    _MAX_DOUBLED_ENTRIES entries (see check_truncation)."""
+    side = 4 * model.truncation + 1
+    if model.potential.diagonal_only:
+        entries = side ** model.dim
+    elif model.axis_models():
+        entries = side ** 2
+    else:
+        entries = side ** (2 * model.dim)
+    if entries > _MAX_DOUBLED_ENTRIES:
+        raise InputError(
+            f"truncation N = {model.truncation} in dim {model.dim}: the "
+            f"N -> 2N check would build an array of {entries:.3g} entries "
+            f"(limit {_MAX_DOUBLED_ENTRIES})")
 
 
 def potential_integral(model: TorusModel) -> float:
@@ -357,12 +418,17 @@ def torus_semiclassical_scan(model: TorusModel, t_grid=None,
                              ) -> ConvergenceReport:
     """(4 pi t)^{m/2} * tr e^{-t(H + w/t)} against int e^{-w}.
 
-    The doubling diagnostic runs once at the largest grid time. Each row
+    The doubling diagnostic runs once at the largest grid time, and its N
+    trace there is the first row's; a model too large for it (see
+    check_truncation) is refused before anything is built. Each row
     carries the trace-inequality bound (scaling) * (theta(t)/vol) * int e^{-w},
     which dominates the scaled trace.
     """
     grid = check_time_grid(default_time_grid() if t_grid is None else t_grid)
-    check_truncation(model, float(grid[0]))
+    _refuse_infeasible(model)
+    # the gate's N trace at grid[0] is the first row's
+    first = galerkin_schrodinger_trace(model, float(grid[0]))
+    check_truncation(model, float(grid[0]), trace=first)
     target = potential_integral(model)
     vol = model.volume
     half_m = 0.5 * model.dim
@@ -371,7 +437,8 @@ def torus_semiclassical_scan(model: TorusModel, t_grid=None,
     for i, t in enumerate(grid):
         t = float(t)
         scale = (_SCALING_BASE * t) ** half_m
-        scaled[i] = scale * galerkin_schrodinger_trace(model, t)
+        trace = first if i == 0 else galerkin_schrodinger_trace(model, t)
+        scaled[i] = scale * trace
         bounds[i] = scale * (exact_heat_trace(model, t) / vol) * target
     return assemble_report(grid, scaled, target, bounds,
                            final_rel_tol, monotone_tail, require_monotone)

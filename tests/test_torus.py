@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,16 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import iv
 
-from heatlab import cli
+from heatlab import cli, linalg, torus
 from heatlab.errors import (ConfigError, InputError, NonpositiveTime,
                             TruncationNotConverged)
-from heatlab.torus import (TorusModel, TorusPotential, _real_basis_matrix,
+from heatlab.experiments import run_suite
+from heatlab.torus import (TorusModel, TorusPotential, _real_basis_blocks,
+                           _refuse_infeasible, check_truncation,
                            constant_potential, cosine_well, exact_heat_trace,
                            galerkin_schrodinger_trace, potential_from_spec,
                            potential_integral, torus_semiclassical_scan,
                            zero_potential)
 
 TWO_PI = 2 * math.pi
+ACCEPTANCE = Path(__file__).resolve().parents[1] / "configs" / "acceptance"
 COSINE_TARGET = 2 * math.pi * math.exp(-1) * iv(0, 1.0)  # int e^{-(1-cos)}
 
 
@@ -151,38 +155,50 @@ def wave(length):
     return lambda x: TWO_PI * np.asarray(x) / length
 
 
-# (lengths, w, N, oracle grid): an even well, two with a nonzero odd part,
-# and a 2D callable that is not a sum of per-axis terms
+# (lengths, w, N, oracle grid, even): even callables, which take the two
+# parity blocks, then ones with a nonzero odd part, which take the coupled
+# matrix; in 2D, callables that are not a sum of per-axis terms
 ORACLE_CASES = [
-    ((TWO_PI,), lambda x: 1 - np.cos(x), 6, 512),
-    ((TWO_PI,), lambda x: np.sin(x) + np.exp(np.cos(x)), 6, 512),
+    ((TWO_PI,), lambda x: 1 - np.cos(x), 6, 512, True),
+    ((5.0,), lambda x: np.exp(np.cos(wave(5.0)(x))), 10, 512, True),
+    ((TWO_PI, 5.0), lambda x, y: (np.cos(x) * np.cos(wave(5.0)(y))
+                                  + np.cos(x + wave(5.0)(y))), 4, 64, True),
+    ((TWO_PI,), lambda x: np.sin(x) + np.exp(np.cos(x)), 6, 512, False),
     ((5.0,), lambda x: (np.sin(wave(5.0)(x)) + np.exp(np.cos(wave(5.0)(x)))
-                        + 0.4 * np.sin(3 * wave(5.0)(x))), 10, 512),
+                        + 0.4 * np.sin(3 * wave(5.0)(x))), 10, 512, False),
     ((TWO_PI, 5.0), lambda x, y: (
         np.cos(x - wave(5.0)(y)) + 0.5 * np.sin(x + 2 * wave(5.0)(y))
-        + 0.3 * np.exp(np.sin(x)) * np.cos(wave(5.0)(y))), 4, 64),
+        + 0.3 * np.exp(np.sin(x)) * np.cos(wave(5.0)(y))), 4, 64, False),
 ]
 
 
 def test_galerkin_against_dense_oracle():
     # independent route: the complex plane-wave matrix by brute force,
-    # against the real cos/sin-basis matrix the program diagonalizes
-    for lengths, fn, n_tr, p in ORACLE_CASES:
+    # against the real cos/sin-basis blocks the program diagonalizes
+    for lengths, fn, n_tr, p, even in ORACLE_CASES:
         m = TorusModel(len(lengths), lengths, n_tr,
                        TorusPotential(kind="callable", fn=fn))
+        assert np.isrealobj(m.coefficient_table()) == even
+        order = (2 * n_tr + 1) ** len(lengths)
         for t in (1.0, 0.4, 0.1, 2.0 ** -8):
+            blocks = _real_basis_blocks(m, t)
+            assert [b.shape[0] for b in blocks] == (
+                [(order + 1) // 2, (order - 1) // 2] if even else [order])
             ref = dense_complex_trace(lengths, fn, n_tr, t, p)
             assert galerkin_schrodinger_trace(m, t) == pytest.approx(
                 ref, rel=1e-12), (lengths, n_tr, t)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(dim=st.integers(min_value=1, max_value=2),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
-       t=st.sampled_from([1.0, 0.1, 2.0 ** -8]))
-def test_property_real_basis_trace_matches_complex_oracle(dim, seed, t):
-    # a random real trigonometric polynomial, cos and sin terms on every
-    # frequency vector |j_i| <= 2 (non-separable in 2D)
+       t=st.sampled_from([1.0, 0.1, 2.0 ** -8]),
+       even=st.booleans())
+def test_property_real_basis_trace_matches_complex_oracle(dim, seed, t, even):
+    # a random real trigonometric polynomial, cos and (unless even) sin
+    # terms on every frequency vector |j_i| <= 2 (non-separable in 2D); a
+    # cos-only one is even bit for bit on the centered nodes, so its table
+    # is real and two parity blocks are solved, else one coupled matrix
     rng = np.random.default_rng(seed)
     lengths = tuple(rng.uniform(3.0, 8.0, size=dim))
     freqs = list(itertools.product(range(-2, 3), repeat=dim))
@@ -193,30 +209,54 @@ def test_property_real_basis_trace_matches_complex_oracle(dim, seed, t):
         for (a, b), j in zip(amp, freqs):
             phase = sum(ji * TWO_PI * np.asarray(c) / L
                         for ji, c, L in zip(j, coords, lengths))
-            acc = acc + a * np.cos(phase) + b * np.sin(phase)
+            acc = acc + a * np.cos(phase)
+            if not even:
+                acc = acc + b * np.sin(phase)
         return acc
 
     n_tr = 5 if dim == 1 else 3
     m = TorusModel(dim, lengths, n_tr, TorusPotential(kind="callable", fn=fn))
+    assert np.isrealobj(m.coefficient_table()) == even
+    assert len(_real_basis_blocks(m, t)) == (2 if even else 1)
     ref = dense_complex_trace(lengths, fn, n_tr, t, 32)
     assert galerkin_schrodinger_trace(m, t) == pytest.approx(ref, rel=1e-11)
 
 
 def test_real_basis_matrix_blocks_for_an_even_well():
-    # 1 - cos x is even: the cos and sin blocks decouple, and each is
-    # tridiagonal with -1/(2t) off the diagonal ([e_0, c_1] is -1/(sqrt 2 t))
+    # 1 - cos x is even: its table is real, the cos and sin blocks come
+    # apart, and each is tridiagonal with -1/(2t) off the diagonal
+    # ([e_0, c_1] is -1/(sqrt 2 t))
     n_tr, t = 5, 0.25
-    mat = _real_basis_matrix(model_1d(n_tr, cosine_well((TWO_PI,))), t)
-    assert mat.dtype == np.float64 and mat.shape == (2 * n_tr + 1,) * 2
-    assert np.max(np.abs(mat[:n_tr + 1, n_tr + 1:])) <= 1e-14
+    cc_got, ss_got = _real_basis_blocks(
+        model_1d(n_tr, cosine_well((TWO_PI,))), t)
+    assert cc_got.dtype == ss_got.dtype == np.float64
+    assert cc_got.shape == (n_tr + 1,) * 2 and ss_got.shape == (n_tr,) * 2
     ks = np.arange(n_tr + 1)
     cc = np.diag(ks ** 2 + 1.0 / t) - 0.5 / t * (np.eye(n_tr + 1, k=1)
                                                  + np.eye(n_tr + 1, k=-1))
     cc[0, 1] = cc[1, 0] = -math.sqrt(0.5) / t
-    assert np.allclose(mat[:n_tr + 1, :n_tr + 1], cc, atol=1e-13)
+    assert np.allclose(cc_got, cc, atol=1e-13)
     ss = np.diag(ks[1:] ** 2 + 1.0 / t) - 0.5 / t * (np.eye(n_tr, k=1)
                                                      + np.eye(n_tr, k=-1))
-    assert np.allclose(mat[n_tr + 1:, n_tr + 1:], ss, atol=1e-13)
+    assert np.allclose(ss_got, ss, atol=1e-13)
+
+
+# ------------------------------------------------------------ parity route
+
+
+@pytest.mark.parametrize("lengths", [(TWO_PI,), (5.0,), (TWO_PI, 5.0),
+                                     (TWO_PI, 5.0, 0.8 * TWO_PI)])
+def test_cosine_well_samples_are_bitwise_even(lengths):
+    # on the coefficient nodes j L / (4N+1), j = -2N..2N, the well's
+    # samples equal their reversal along every axis, so its table is real
+    well = cosine_well(lengths)
+    n_tr, p = 6, 25
+    nodes = np.arange(-2 * n_tr, 2 * n_tr + 1)
+    vals = well.fn(*np.meshgrid(*[nodes * (L / p) for L in lengths],
+                                indexing="ij"))
+    assert np.array_equal(vals, np.flip(vals))
+    table = TorusModel(len(lengths), lengths, n_tr, well).coefficient_table()
+    assert table.dtype == np.float64
 
 
 def test_import_loads_no_fft():
@@ -275,6 +315,90 @@ def test_truncation_doubling_gate():
     m = model_1d(truncation=4)
     with pytest.raises(TruncationNotConverged):
         torus_semiclassical_scan(m, [0.01])
+
+
+def test_cosine_scan_solves_each_matrix_once(monkeypatch):
+    # the gate's N trace at grid[0] is row 0: a 9-point scan makes 10
+    # Galerkin traces (N at each time, 2N once), each as two parity blocks
+    orders, calls = [], []
+    eigvals = linalg.symmetric_eigvals
+    trace = torus.galerkin_schrodinger_trace
+
+    def recorded(a):
+        orders.append(np.shape(a)[0])
+        return eigvals(a)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "symmetric_eigvals", recorded)
+    monkeypatch.setattr(torus, "galerkin_schrodinger_trace", counted)
+    m = model_1d(truncation=64, potential=cosine_well((TWO_PI,)))
+    rep = torus_semiclassical_scan(m, 2.0 ** -np.arange(9))
+    assert rep.verdict == "pass"
+    assert len(calls) == 10
+    assert orders == [65, 64, 129, 128] + [65, 64] * 8
+
+
+# ------------------------------------------------------ infeasible sizes
+
+
+def test_doubled_size_cap_boundary():
+    # 1D with a callable: the doubled coupled matrix has order 8N+1 ...
+    well = cosine_well((TWO_PI,))
+    _refuse_infeasible(model_1d(511, well))            # order 2045
+    with pytest.raises(InputError):
+        _refuse_infeasible(model_1d(512, well))        # order 2049
+    # ... a potential with parts counts per axis, a zero one its lattice
+    _refuse_infeasible(TorusModel(3, (TWO_PI,) * 3, 511,
+                                  cosine_well((TWO_PI,) * 3)))
+    _refuse_infeasible(TorusModel(3, (TWO_PI,) * 3, 40, zero_potential()))
+    with pytest.raises(InputError):
+        _refuse_infeasible(TorusModel(3, (TWO_PI,) * 3, 41, zero_potential()))
+    # a 2D callable without parts: its doubled matrix has order (8N+1)^2
+    cross = TorusPotential(kind="callable", fn=lambda x, y: np.cos(x + y))
+    _refuse_infeasible(TorusModel(2, (TWO_PI,) * 2, 11, cross))
+    with pytest.raises(InputError):
+        _refuse_infeasible(TorusModel(2, (TWO_PI,) * 2, 12, cross))
+
+
+@pytest.mark.parametrize("dim, potential", [
+    (1, "cosine-well"), (2, "zero"), (3, "cosine-well"),
+    (2, TorusPotential(kind="callable", fn=lambda x, y: np.cos(x - y)))])
+def test_absurd_truncation_is_refused_before_building(monkeypatch, dim,
+                                                      potential):
+    def never(*args, **kwargs):
+        raise AssertionError("built an array of the refused model")
+
+    for name in ("lattice", "eigenvalues", "coefficient_table",
+                 "evaluate_potential"):
+        monkeypatch.setattr(TorusModel, name, never)
+    lengths = (TWO_PI,) * dim
+    if isinstance(potential, str):
+        potential = potential_from_spec(potential, lengths)
+    m = TorusModel(dim, lengths, 10 ** 12, potential)
+    with pytest.raises(InputError):
+        torus_semiclassical_scan(m, [1.0, 0.5])
+    with pytest.raises(InputError):
+        check_truncation(m, 1.0)
+
+
+def test_absurd_truncation_config_exits_2(tmp_path, capsys):
+    doc = {"kind": "torus-limit", "name": "huge", "dim": 2,
+           "lengths": [TWO_PI, TWO_PI], "truncation": 1e9,
+           "potential": "zero", "t_grid": [1.0, 0.5]}
+    cfg = tmp_path / "configs" / "huge.json"
+    cfg.parent.mkdir()
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    # in a suite it is one error row; the other configs still run
+    shutil.copy(ACCEPTANCE / "torus_1d_zero.json", cfg.parent)
+    suite = run_suite(cfg.parent, tmp_path / "suite")
+    assert {r.name: r.status for r in suite.results} == {
+        "huge": "error", "torus_1d_zero": "pass"}
 
 
 # --------------------------------------------------------------- parsing
