@@ -12,6 +12,8 @@ where Deg(x) = (1/mu(x)) * sum_y b(x,y) is the weighted degree. Its
 uniformization at the rate Lambda = max_x Deg(x) is the jump chain
 R = I - H/Lambda, which each graph builds once (jump_chain), together with
 the padded table of each row's nonzeros that the bridge sampler steps on.
+Heat tables run on its symmetric form M^{1/2} R M^{-1/2}, M = diag(mu),
+which symmetric_jump_chain builds from the edge table on each call.
 
 Storage. A WeightedGraph keeps its edges as numpy arrays, built once by the
 constructor, and derives everything else from them without a per-edge
@@ -347,6 +349,27 @@ class WeightedGraph:
                 lam, r = uniformize(self.generator_matrix())
                 self._chain = (lam, r) + _row_support(r)
         return self._chain
+
+    def symmetric_jump_chain(self) -> tuple[float, np.ndarray]:
+        """(Lambda, R_s) with R_s = M^{1/2} R M^{-1/2}, M = diag(mu), built
+        from the edge table, not from H, and not kept.
+
+        R_s[x,y] = b(x,y) / (Lambda * (sqrt(mu_x) * sqrt(mu_y))) off the
+        diagonal and 1 - Deg(x)/Lambda on it (exactly 0 where Deg(x) =
+        Lambda); R_s = I when Lambda = 0. Each entry rounds the same
+        operands as its mirror, so R_s is exactly symmetric, and it is
+        entrywise nonnegative.
+        """
+        lam = float(np.max(self._degrees))
+        r = np.zeros((self.n, self.n))
+        if lam:
+            root = np.sqrt(self.mu)
+            r[self._rows, self._cols] = self._vals / (
+                lam * (root[self._rows] * root[self._cols]))
+            np.fill_diagonal(r, 1.0 - self._degrees / lam)
+        else:
+            np.fill_diagonal(r, 1.0)
+        return lam, r
 
     # ----------------------------------------------------------- structure
 

@@ -6,6 +6,14 @@ With H the nonnegative generator and Lambda >= max_x Deg(x),
     R = I - H / Lambda,
 
 where R is entrywise nonnegative with (sub)stochastic rows, so ||R||_inf <= 1.
+H is self-adjoint on L^2(X, mu), so with M = diag(mu) the jump chain is
+similar to R_s = M^{1/2} R M^{-1/2}, which is symmetric, entrywise
+nonnegative and has its spectrum in [-1, 1], so ||R_s||_2 <= 1. Heat tables
+are built in that frame, from e^{-tH_s} with H_s = Lambda (I - R_s) and R_s
+taken straight from the edge table (WeightedGraph.symmetric_jump_chain):
+
+    p(t,x,y) = [e^{-tH}]_{x,y} / mu(y) = [e^{-tH_s}]_{x,y} / sqrt(mu_x mu_y).
+
 Tables are built by scaling and squaring along chains. A time t has
 j(t) = ceil(log2(Lambda t)) (j = 0 when Lambda t <= 1) and the step t/2^j,
 which is exact; _exponential_chain groups the requested times by step, since
@@ -19,22 +27,41 @@ B_i = sum_{k<s} p_{is+k} R^k, B = B_0 + R^s (B_1 + R^s (B_2 + ...)) takes
 about 2 sqrt(m) dense products instead of the m - 1 of Horner in R (6 or 7
 for the m = 13..18 of 1 < Lambda t <= 1024). Every power, block and product
 is a nonnegative combination of nonnegative matrices, so the result is
-certified nonnegative; the polynomial is the same, so the truncated step B
-and the exact step U both have ||.||_inf <= 1, and ||U^(2^j) - B^(2^j)||_inf
-<= 2^j times the step tail, which is each member's reported bound: at most
-1e-14, and below it for members short of the group's top, whose cut is set by
-the longest chain (Higham, SIAM J. Matrix Anal. Appl. 26, 2005). A time alone
-in its group is cut at 1e-14 / 2^j as on its own. The bound covers the cut
-series only: each squaring also doubles the rounding error of the row masses,
-which therefore drift from exact by up to about Lambda t * eps, the
-conditioning of e^{-tH} itself. The kernel itself is
-p(t,x,y) = [e^{-tH}]_{x,y} / mu(y); it is symmetric, sub-Markov
-(mass <= 1) and bounded by 1/mu.
+certified nonnegative.
+
+A chain whose R is exactly symmetric (R_s, or the chain of any symmetric
+generator) runs in the symmetric frame (Higham, Functions of Matrices, SIAM
+2008, ch. 10). Its series B_s is symmetric in exact arithmetic, so it is
+symmetrized once per group; max |B_s - B_s^T| before that is the
+presymmetrization defect, the gemm rounding of the series. Its even powers
+are P P^T and every squaring is B B^T, which numpy hands to BLAS syrk: half
+the flops of a general product, and an exactly symmetric result. So every
+matrix the chain yields is exactly symmetric and nonnegative. Any other R
+(a killed generator, a generator given as a matrix) squares by B B. So does
+a chain that yields diagonals only (the graph scan's) below the order
+SYRK_MIN_ORDER, where syrk is the slower product and exact symmetry buys
+nothing, as only diagonals are read.
+
+The certificate. The truncated step B and the exact step U are the same
+polynomial in R, with nonnegative weights summing to at most 1, so both have
+norm at most 1: the inf-norm for R, the 2-norm for R_s. Then
+||U^(2^j) - B^(2^j)|| <= 2^j times the step tail, which is each member's
+reported bound: at most 1e-14, and below it for members short of the
+group's top, whose cut is set by the longest chain (Higham, SIAM J. Matrix
+Anal. Appl. 26, 2005; Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31,
+2009). A time alone in its group is cut at 1e-14 / 2^j as on its own. In the
+symmetric frame the 2-norm bounds every entry, so an entry of a table is off
+by at most 2^j tail / sqrt(mu_x mu_y) (the inf-norm argument on R gives
+2^j tail / mu_y). The bound covers the cut series only: each squaring also
+doubles the rounding error of the row masses, which therefore drift from
+exact by up to about Lambda t * eps, the conditioning of e^{-tH} itself. The
+kernel is symmetric, sub-Markov (mass <= 1) and bounded by 1/mu.
 
 Where only a few columns or entries of e^{-tH} are read, no table is built:
 _chain_action applies sum_k c_k R_K^k to a block of vectors V >= 0 on the
-graph's shared jump chain, one matrix-vector product per term (Horner), with
-R_K the principal submatrix of R on a vertex mask K (zero outside K). With
+graph's shared row-stochastic jump chain R (not R_s), one matrix-vector
+product per term (Horner), with R_K the principal submatrix of R on a
+vertex mask K (zero outside K). With
 the weights c_k = pmf_k of the Poisson(Lambda t) series, cut where its tail
 bound is below 1e-14 (Fox and Glynn, as above), the result for e^{-tH_K} V
 is, before rounding, entrywise at most the exact one and below it by at
@@ -73,6 +100,11 @@ from .graphs import WeightedGraph, require_connected, uniformize
 from .util import check_time
 
 DEFAULT_TAIL_CUTOFF = 1e-14
+# least order at which a diagonal-only chain runs in the symmetric frame.
+# numpy's syrk route copies the triangle element by element; with one
+# OpenBLAS thread on a 2-CPU Xeon container it made the graph scan's chain
+# 9-15% slower than gemm at n = 30-100, and 2% faster at 110, 8% at 200
+SYRK_MIN_ORDER = 110
 # largest Lambda t of a series summed one jump-chain step per term
 MAX_BRIDGE_TERMS = 100_000
 
@@ -163,37 +195,53 @@ def _chain_action(graph: WeightedGraph, coeffs, v: np.ndarray,
 
 @dataclass
 class UniformizationInfo:
+    """How one e^{-tH} was built: the rate Lambda, the step series' term
+    count, squarings = j, and tail_bound = 2^j times the step tail (at most
+    1e-14). The bound holds in the 2-norm in the symmetric frame, where it
+    puts an entry of p within tail_bound / sqrt(mu_x mu_y), and in the
+    inf-norm otherwise (module docstring). presymmetrization_defect is the
+    group's max |B_s - B_s^T| before the series was symmetrized; a chain
+    whose R is not symmetric does not symmetrize and reports 0.0.
+    """
+
     rate: float
     n_terms: int
     tail_bound: float
     squarings: int
+    presymmetrization_defect: float = 0.0
 
 
 def uniformized_exponential(h: np.ndarray, t: float):
     """e^{-t h} for a generator with nonnegative diagonal and <= 0 off-diagonal.
 
     The rate and the jump chain R come from graphs.uniformize. Scales and
-    squares as the module docstring describes; returns (matrix,
-    UniformizationInfo) with n_terms the per-step term count, squarings = j
-    and tail_bound = 2^j times the per-step tail (at most 1e-14).
+    squares as the module docstring describes (by B B unless R is exactly
+    symmetric); returns (matrix, UniformizationInfo).
     """
     check_time(t)
-    _, e, info = next(_exponential_chain(h, [t]))
+    _, e, info = next(_exponential_chain(
+        *uniformize(np.asarray(h, dtype=float)), [t]))
     return e, info
 
 
-def _exponential_chain(h: np.ndarray, times, diagonal: bool = False):
-    """Yield (t, e^{-t h}, UniformizationInfo) once for each distinct t in
-    times, one scaling-and-squaring chain per step (module docstring).
+def _exponential_chain(lam: float, r: np.ndarray, times,
+                       diagonal: bool = False):
+    """Yield (t, e^{-t Lambda (I - R)}, UniformizationInfo) once for each
+    distinct t in times, one scaling-and-squaring chain per step, with
+    lam and r a rate and jump chain (module docstring).
 
-    Times come out group by group, in increasing j within a group. Two n x n
-    buffers serve every group, so the matrix yielded is overwritten once the
-    chain advances: read or copy it first. With diagonal, the diagonal of
-    e^{-t h} is yielded instead, and the top of each chain is never squared
-    in full: its diagonal is read from the power below it at O(n^2).
+    An exactly symmetric r runs in the symmetric frame, any other squares
+    by B B; the one test np.array_equal(r, r.T) decides, and with diagonal
+    also the order (SYRK_MIN_ORDER). Times come out
+    group by group, in increasing j within a group. Two n x n buffers serve
+    every group, so the matrix yielded is overwritten once the chain
+    advances: read or copy it first. With diagonal, the diagonal of
+    e^{-t Lambda (I - R)} is yielded instead, and the top of each chain is
+    never squared in full: its diagonal is read from the power below it at
+    O(n^2).
     """
-    h = np.asarray(h, dtype=float)
-    lam, r = uniformize(h)
+    syrk = (not diagonal or len(r) >= SYRK_MIN_ORDER) and bool(
+        np.array_equal(r, r.T))
     groups: dict = {}
     for t in times:
         lam_t = lam * t
@@ -206,33 +254,54 @@ def _exponential_chain(h: np.ndarray, times, diagonal: bool = False):
         top = max(members)
         pmf, tail = _poisson_pmf(lam * step,
                                  math.ldexp(DEFAULT_TAIL_CUTOFF, -top))
-        b, idle = _poisson_series(r, pmf, b, idle)
+        b, idle = _poisson_series(r, pmf, b, idle, syrk)
+        defect = 0.0
+        # B_s is symmetric in exact arithmetic: measure what rounding left,
+        # then replace it by (B_s + B_s^T) / 2, in the buffers. A group
+        # that is never squared and yields only diagonals has no use for it
+        if syrk and (top or not diagonal):
+            np.subtract(b, b.T, out=idle)
+            defect = float(np.max(np.abs(idle, out=idle)))
+            np.add(b, b.T, out=idle)
+            idle *= 0.5
+            b, idle = idle, b
         for k in range(top + 1):
             if diagonal and k == top > 0:
-                value = np.einsum("ij,ji->i", b, b)
+                # diag(B B) = row sums of B o B^T, of B o B when symmetric
+                value = np.einsum("ij,ij->i", b, b if syrk else b.T)
             else:
                 if k:
-                    np.matmul(b, b, out=idle)
+                    # a symmetric B squares as B B^T, which goes to syrk
+                    np.matmul(b, b.T if syrk else b, out=idle)
                     b, idle = idle, b
                 if k not in members:
                     continue
                 value = b.diagonal().copy() if diagonal else b
             yield members[k], value, UniformizationInfo(
-                lam, len(pmf), math.ldexp(tail, k), k)
+                lam, len(pmf), math.ldexp(tail, k), k, defect)
 
 
 def _poisson_series(r: np.ndarray, pmf: np.ndarray, out: np.ndarray,
-                    idle: np.ndarray):
+                    idle: np.ndarray, syrk: bool):
     """sum_k pmf[k] R^k by Paterson-Stockmeyer (module docstring), in the
-    n x n buffers out and idle: returns them as (sum, the other one)."""
+    n x n buffers out and idle: returns them as (sum, the other one).
+
+    With syrk (r exactly symmetric), an even power R^{2i} is built as
+    P P^T with P = R^i, which BLAS syrk computes; the sum is not
+    symmetrized here.
+    """
     n = r.shape[0]
     m = len(pmf) - 1
     s = _block_size(m)
     # with blocks B_i = sum_{k<s} p_{is+k} R^k,
     # B = B_0 + R^s (B_1 + R^s (B_2 + ...)), Horner in R^s over the blocks
     powers = [r]
-    for _ in range(1, s):
-        powers.append(np.matmul(powers[-1], r))
+    for k in range(2, s + 1):
+        if syrk and k % 2 == 0:
+            half = powers[k // 2 - 1]
+            powers.append(np.matmul(half, half.T))
+        else:
+            powers.append(np.matmul(powers[-1], r))
     p = pmf.tolist()
     # each product writes into the idle buffer, which then serves as the
     # scratch for the block terms added to the other
@@ -271,7 +340,15 @@ def _block_size(m: int) -> int:
 
 @dataclass
 class HeatKernelTable:
-    """Dense kernel values p(t,x,y) for one graph at one time."""
+    """Dense kernel values p(t,x,y) for one graph at one time.
+
+    values is exactly symmetric and entrywise nonnegative; each entry is
+    within truncation_error_bound / sqrt(mu_x mu_y) of the exact kernel, up
+    to rounding. presymmetrization_defect is max |B_s - B_s^T| of the step
+    series of the chain that built the table, taken once per group when the
+    series is symmetrized (module docstring): the gemm rounding of the
+    series, not an asymmetry of values.
+    """
 
     t: float
     values: np.ndarray
@@ -335,9 +412,11 @@ def heat_semigroup(graph: WeightedGraph, t: float) -> HeatKernelTable:
     """Kernel table for the full graph at time t, cached per (graph, t).
 
     Requires a connected graph (strict positivity of every entry is part of
-    the contract and cannot hold across components). The raw matrix is
-    symmetrized after uniformization; the pre-symmetrization defect is kept
-    on the table for inspection.
+    the contract and cannot hold across components). The table is built in
+    the symmetric frame (module docstring), so it is exactly symmetric and
+    nonnegative, and each entry is within
+    truncation_error_bound / sqrt(mu_x mu_y) of the exact kernel, up to
+    rounding (HeatKernelTable).
     """
     return heat_semigroups(graph, [t])[0]
 
@@ -345,11 +424,11 @@ def heat_semigroup(graph: WeightedGraph, t: float) -> HeatKernelTable:
 def heat_semigroups(graph: WeightedGraph, times) -> list:
     """heat_semigroup at each of times, the tables not cached built together.
 
-    The missing times share their scaling-and-squaring chains (module
-    docstring), so a time whose step another one shares costs its squarings
-    only. Returns one table per entry of times, in order: the cached one, or
-    the one this call inserted (not looked up again, which an eviction from
-    the full cache could miss).
+    The missing times share their scaling-and-squaring chains, run on the
+    graph's R_s (module docstring), so a time whose step another one shares
+    costs its squarings only. Returns one table per entry of times, in
+    order: the cached one, or the one this call inserted (not looked up
+    again, which an eviction from the full cache could miss).
     """
     for t in times:
         check_time(t)
@@ -358,7 +437,7 @@ def heat_semigroups(graph: WeightedGraph, times) -> list:
     tables = {float(t): _cache.lookup((key, float(t))) for t in times}
     missing = [t for t, table in tables.items() if table is None]
     if missing:
-        for t, e, info in _exponential_chain(graph.generator_matrix(),
+        for t, e, info in _exponential_chain(*graph.symmetric_jump_chain(),
                                              missing):
             tables[t] = _cache.insert((key, t),
                                       _heat_table(graph, t, e, info))
@@ -367,16 +446,16 @@ def heat_semigroups(graph: WeightedGraph, times) -> list:
 
 def _heat_table(graph: WeightedGraph, t: float, e: np.ndarray,
                 info: UniformizationInfo) -> HeatKernelTable:
-    """The table of e = e^{-tH}, symmetrized. Its n x n temporaries end
-    with the call, not with the next table of a chain."""
-    p_raw = e / graph.mu[None, :]
-    defect = float(np.max(np.abs(p_raw - p_raw.T)))
-    p = 0.5 * (p_raw + p_raw.T)
+    """The table p = e / outer(sqrt(mu), sqrt(mu)) of e = e^{-tH_s}, built
+    in one new array; p is exactly symmetric because e is."""
+    root = np.sqrt(graph.mu)
+    p = np.multiply.outer(root, root)
+    np.divide(e, p, out=p)
     p.setflags(write=False)
     return HeatKernelTable(
         t=t, values=p, mu=graph.mu.copy(), graph_key=graph.fingerprint(),
         uniformization_rate=info.rate, truncation_error_bound=info.tail_bound,
-        presymmetrization_defect=defect)
+        presymmetrization_defect=info.presymmetrization_defect)
 
 
 # ------------------------------------------------------- killed kernels

@@ -19,7 +19,7 @@ from heatlab import kernels
 from heatlab.errors import (DisconnectedGraph, GraphMismatch, HeatLabError,
                             InputError, InvalidRate, NonpositiveTime,
                             NTruncationExceeded, VertexOutsideExhaustion)
-from heatlab.graphs import WeightedGraph
+from heatlab.graphs import WeightedGraph, uniformize
 from heatlab.kernels import (DEFAULT_TAIL_CUTOFF, MAX_BRIDGE_TERMS,
                              Exhaustion, _poisson_pmf, heat_semigroup,
                              heat_semigroups, killed_kernel,
@@ -302,7 +302,8 @@ def chained(h, times):
     """{t: (e^{-th}, info)} from one _exponential_chain, each matrix copied
     out of the chain's buffers as it passes."""
     return {t: (e.copy(), info)
-            for t, e, info in kernels._exponential_chain(h, times)}
+            for t, e, info in kernels._exponential_chain(*uniformize(h),
+                                                         times)}
 
 
 def unit_rate(graph):
@@ -319,7 +320,8 @@ CHAIN_TIMES = [0.6 * 2 ** j for j in range(10)] + [0.7, 2.1, 4.2, 0.05]
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_chain_matches_each_time_alone(seed):
-    h = unit_rate(hl.random_connected_graph(30, seed))
+    g = hl.random_connected_graph(30, seed)
+    h = unit_rate(g)
     tables = chained(h, CHAIN_TIMES)
     assert sorted(tables) == sorted(CHAIN_TIMES)
     cuts = set()
@@ -337,6 +339,107 @@ def test_chain_matches_each_time_alone(seed):
             assert np.array_equal(e, u) and info == alone
         cuts.add(same_cut)
     assert cuts == {True, False}
+    # uniformized_exponential shares _poisson_series with the chain; hold
+    # the symmetric-frame chain (R_s at rate 1) against expm of h carried
+    # to that frame, which shares no code with it
+    root = np.sqrt(g.mu)
+    s = h * root[:, None] / root[None, :]
+    r_s = g.symmetric_jump_chain()[1]
+    served = set()
+    for t, e, info in kernels._exponential_chain(1.0, r_s, CHAIN_TIMES):
+        assert np.array_equal(e, e.T) and np.all(e >= 0)
+        assert info.tail_bound <= DEFAULT_TAIL_CUTOFF
+        assert np.max(np.abs(e - scipy.linalg.expm(-t * s))) <= \
+            info.tail_bound + 1e-13 + t * EPS
+        served.add(t)
+    assert served == set(CHAIN_TIMES)
+
+
+def spread_graph(n, seed, decades):
+    """A random connected graph (a random recursive tree plus independent
+    extra edges) whose mu and b are log-uniform over `decades` decades
+    around 1."""
+    rng = np.random.default_rng(seed)
+    edges = {(int(rng.integers(0, c)), c) for c in range(1, n)}
+    edges |= {(i, j) for i in range(n) for j in range(i + 1, n)
+              if rng.random() < 0.2}
+    edges = sorted(edges)
+    b = 10.0 ** rng.uniform(-decades / 2, decades / 2, len(edges))
+    mu = 10.0 ** rng.uniform(-decades / 2, decades / 2, n)
+    return WeightedGraph(mu, [(i, j, float(w)) for (i, j), w in zip(edges, b)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=2, max_value=40),
+       seed=st.integers(min_value=0, max_value=10_000),
+       decades=st.sampled_from([0, 2, 4, 6]),
+       lam_ts=st.lists(st.sampled_from([2.0 ** -10, 0.3, 1.0, 3.0, 24.0,
+                                        100.0, 500.0, 1000.0]),
+                       min_size=1, max_size=4))
+def test_property_symmetric_frame_tables(n, seed, decades, lam_ts):
+    g = spread_graph(n, seed, decades)
+    lam = float(np.max(g.degrees()))
+    times = [c / lam for c in lam_ts]
+    hl.clear_kernel_cache()
+    tables = heat_semigroups(g, times)
+    # the reference: expm of D^{1/2} H D^{-1/2}, from the dense generator
+    root = np.sqrt(g.mu)
+    scale = np.outer(root, root)
+    s = g.generator_matrix() * root[:, None] / root[None, :]
+    s = 0.5 * (s + s.T)
+    for lam_t, t, tab in zip(lam_ts, times, tables):
+        p = tab.values
+        assert np.array_equal(p, p.T)
+        assert np.all(p >= 0)
+        assert tab.truncation_error_bound <= DEFAULT_TAIL_CUTOFF
+        assert 0.0 <= tab.presymmetrization_defect <= 1e-13
+        # the 2-norm bound 2^j tail, per entry of p over sqrt(mu_x mu_y);
+        # rounding adds about lam_t * eps to e^{-tH_s}, expm's included
+        err = np.abs(p - scipy.linalg.expm(-t * s) / scale)
+        allowed = tab.truncation_error_bound + 1e-14 + 4 * lam_t * EPS
+        assert np.all(err * scale <= allowed)
+        assert np.max(np.abs(tab.mass() - 1.0)) <= 1e-12
+
+
+def test_symmetric_jump_chain_edge_cases():
+    # Lambda = 0 (one vertex, no edges): R_s = I, and p = 1/mu
+    g = WeightedGraph([0.3], [])
+    lam, r = g.symmetric_jump_chain()
+    assert lam == 0.0 and np.array_equal(r, np.eye(1))
+    hl.clear_kernel_cache()
+    tab = heat_semigroup(g, 2.0)
+    assert tab.values[0, 0] == pytest.approx(1 / 0.3, rel=1e-15)
+    assert tab.truncation_error_bound == 0.0
+    # every vertex of a regular graph has Deg = Lambda: a zero diagonal
+    lam, r = hl.complete_graph(4, b=0.7, mu=0.3).symmetric_jump_chain()
+    assert lam == pytest.approx(7.0)
+    assert np.all(np.diag(r) == 0.0)
+    # one vertex of largest degree, on a spread graph
+    g = spread_graph(12, 3, 4)
+    lam, r = g.symmetric_jump_chain()
+    top = np.flatnonzero(g.degrees() == lam)
+    assert top.size == 1 and r[top[0], top[0]] == 0.0
+    assert np.array_equal(r, r.T) and np.all(r >= 0)
+    # the similarity transform of the row-stochastic R, up to rounding
+    root = np.sqrt(g.mu)
+    r_dense = g.jump_chain()[1] * root[:, None] / root[None, :]
+    assert np.allclose(r, r_dense, rtol=1e-14, atol=0)
+
+
+# orders on both sides of SYRK_MIN_ORDER
+@pytest.mark.parametrize("n,seed",
+                         [(25, 4), (kernels.SYRK_MIN_ORDER + 10, 11)])
+def test_scan_diagonals_match_the_tables(n, seed):
+    g = spread_graph(n, seed, 2)
+    w = np.linspace(-1.0, 2.0, g.n)
+    report = hl.semiclassical_scan(g, w)
+    hl.clear_kernel_cache()
+    tables = heat_semigroups(g, report.t_grid.tolist())
+    # gt_rhs = sum_x p(t,x,x) e^{-w(x)} mu(x), p read off the scan's chain
+    boltz = np.exp(-w)
+    rhs = [float(np.sum(np.diag(tab.values) * boltz * g.mu))
+           for tab in tables]
+    assert np.allclose(report.gt_bounds, rhs, rtol=1e-14, atol=0)
 
 
 def test_chain_ignores_order_and_duplicates():
