@@ -354,18 +354,19 @@ class WeightedGraph:
         """(Lambda, R_s) with R_s = M^{1/2} R M^{-1/2}, M = diag(mu), built
         from the edge table, not from H, and not kept.
 
-        R_s[x,y] = b(x,y) / (Lambda * (sqrt(mu_x) * sqrt(mu_y))) off the
+        R_s[x,y] = b(x,y) / (sqrt(mu_x) * sqrt(mu_y)) / Lambda off the
         diagonal and 1 - Deg(x)/Lambda on it (exactly 0 where Deg(x) =
         Lambda); R_s = I when Lambda = 0. Each entry rounds the same
         operands as its mirror, so R_s is exactly symmetric, and it is
-        entrywise nonnegative.
+        entrywise nonnegative. Dividing by Lambda last cannot overflow:
+        b(x,y) / sqrt(mu_x mu_y) <= sqrt(Deg(x) Deg(y)) <= Lambda.
         """
         lam = float(np.max(self._degrees))
         r = np.zeros((self.n, self.n))
         if lam:
             root = np.sqrt(self.mu)
             r[self._rows, self._cols] = self._vals / (
-                lam * (root[self._rows] * root[self._cols]))
+                root[self._rows] * root[self._cols]) / lam
             np.fill_diagonal(r, 1.0 - self._degrees / lam)
         else:
             np.fill_diagonal(r, 1.0)

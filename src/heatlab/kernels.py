@@ -38,9 +38,8 @@ are P P^T and every squaring is B B^T, which numpy hands to BLAS syrk: half
 the flops of a general product, and an exactly symmetric result. So every
 matrix the chain yields is exactly symmetric and nonnegative. Any other R
 (a killed generator, a generator given as a matrix) squares by B B. So does
-a chain that yields diagonals only (the graph scan's) below the order
-SYRK_MIN_ORDER, where syrk is the slower product and exact symmetry buys
-nothing, as only diagonals are read.
+a chain that yields diagonals only (the graph scan's): only diagonals are
+read, so exact symmetry buys it nothing.
 
 The certificate. The truncated step B and the exact step U are the same
 polynomial in R, with nonnegative weights summing to at most 1, so both have
@@ -100,11 +99,6 @@ from .graphs import WeightedGraph, require_connected, uniformize
 from .util import check_time
 
 DEFAULT_TAIL_CUTOFF = 1e-14
-# least order at which a diagonal-only chain runs in the symmetric frame.
-# numpy's syrk route copies the triangle element by element; with one
-# OpenBLAS thread on a 2-CPU Xeon container it made the graph scan's chain
-# 9-15% slower than gemm at n = 30-100, and 2% faster at 110, 8% at 200
-SYRK_MIN_ORDER = 110
 # largest Lambda t of a series summed one jump-chain step per term
 MAX_BRIDGE_TERMS = 100_000
 
@@ -230,9 +224,8 @@ def _exponential_chain(lam: float, r: np.ndarray, times,
     distinct t in times, one scaling-and-squaring chain per step, with
     lam and r a rate and jump chain (module docstring).
 
-    An exactly symmetric r runs in the symmetric frame, any other squares
-    by B B; the one test np.array_equal(r, r.T) decides, and with diagonal
-    also the order (SYRK_MIN_ORDER). Times come out
+    An exactly symmetric r runs in the symmetric frame unless only
+    diagonals are asked for; any other squares by B B. Times come out
     group by group, in increasing j within a group. Two n x n buffers serve
     every group, so the matrix yielded is overwritten once the chain
     advances: read or copy it first. With diagonal, the diagonal of
@@ -240,8 +233,7 @@ def _exponential_chain(lam: float, r: np.ndarray, times,
     never squared in full: its diagonal is read from the power below it at
     O(n^2).
     """
-    syrk = (not diagonal or len(r) >= SYRK_MIN_ORDER) and bool(
-        np.array_equal(r, r.T))
+    syrk = not diagonal and bool(np.array_equal(r, r.T))
     groups: dict = {}
     for t in times:
         lam_t = lam * t
@@ -257,9 +249,8 @@ def _exponential_chain(lam: float, r: np.ndarray, times,
         b, idle = _poisson_series(r, pmf, b, idle, syrk)
         defect = 0.0
         # B_s is symmetric in exact arithmetic: measure what rounding left,
-        # then replace it by (B_s + B_s^T) / 2, in the buffers. A group
-        # that is never squared and yields only diagonals has no use for it
-        if syrk and (top or not diagonal):
+        # then replace it by (B_s + B_s^T) / 2, in the buffers
+        if syrk:
             np.subtract(b, b.T, out=idle)
             defect = float(np.max(np.abs(idle, out=idle)))
             np.add(b, b.T, out=idle)
@@ -267,8 +258,7 @@ def _exponential_chain(lam: float, r: np.ndarray, times,
             b, idle = idle, b
         for k in range(top + 1):
             if diagonal and k == top > 0:
-                # diag(B B) = row sums of B o B^T, of B o B when symmetric
-                value = np.einsum("ij,ij->i", b, b if syrk else b.T)
+                value = np.einsum("ij,ji->i", b, b)
             else:
                 if k:
                     # a symmetric B squares as B B^T, which goes to syrk

@@ -177,17 +177,16 @@ def semiclassical_scan(graph: WeightedGraph, w, t_grid=None,
     pot = as_potential(w, graph.n)
     grid = check_time_grid(default_time_grid() if t_grid is None else t_grid)
     require_connected(graph)
-    base = linalg.similarity_symmetrize(graph.generator_matrix(), graph.mu)
+    h = graph.generator_matrix()
+    base = linalg.similarity_symmetrize(h, graph.mu)
     boltz = np.exp(-pot.values)
     # the limit density 1/mu times mu, kept as written: 1/mu * mu need not
     # round to 1
     target = float(np.sum(boltz * (1.0 / graph.mu) * graph.mu))
-    # [e^{-tH}]_{x,x} = [e^{-t base}]_{x,x} at every grid time, read off the
-    # squaring chains as they pass: a grid of ratio 1/2 is one chain down to
-    # Lambda t <= 1. base is exactly symmetric, so at SYRK_MIN_ORDER and
-    # above its chain runs in the symmetric frame
+    # [e^{-tH}]_{x,x} at every grid time, read off the squaring chains as
+    # they pass: a grid of ratio 1/2 is one chain down to Lambda t <= 1
     heat_diags = {t: d for t, d, _ in _exponential_chain(
-        *uniformize(base), grid.tolist(), diagonal=True)}
+        *uniformize(h), grid.tolist(), diagonal=True)}
     scaled = np.empty(grid.size)
     bounds = np.empty(grid.size)
     for i, t in enumerate(grid):

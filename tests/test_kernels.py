@@ -424,13 +424,20 @@ def test_symmetric_jump_chain_edge_cases():
     root = np.sqrt(g.mu)
     r_dense = g.jump_chain()[1] * root[:, None] / root[None, :]
     assert np.allclose(r, r_dense, rtol=1e-14, atol=0)
+    # mu near the top of the float range, where Lambda * mu would overflow:
+    # R_s[0,1] = b / sqrt(mu_0 mu_1) / Lambda = 1e-10, not 0
+    g = WeightedGraph([1e300, 1e300, 1e-10], [(0, 1, 1e300), (1, 2, 1.0)])
+    lam, r = g.symmetric_jump_chain()
+    assert lam == pytest.approx(1e10)
+    assert np.all(np.isfinite(r)) and np.array_equal(r, r.T)
+    assert r[0, 1] == pytest.approx(1e-10, rel=1e-14)
+    root = np.sqrt(g.mu)
+    r_dense = g.jump_chain()[1] * root[:, None] / root[None, :]
+    assert np.allclose(r, r_dense, rtol=1e-14, atol=0)
 
 
-# orders on both sides of SYRK_MIN_ORDER
-@pytest.mark.parametrize("n,seed",
-                         [(25, 4), (kernels.SYRK_MIN_ORDER + 10, 11)])
-def test_scan_diagonals_match_the_tables(n, seed):
-    g = spread_graph(n, seed, 2)
+def test_scan_diagonals_match_the_tables():
+    g = spread_graph(25, 4, 2)
     w = np.linspace(-1.0, 2.0, g.n)
     report = hl.semiclassical_scan(g, w)
     hl.clear_kernel_cache()
