@@ -23,7 +23,7 @@ import numpy as np
 from . import experiments
 from .errors import AssertionFailed, HeatLabError
 from .graphs import load_graph
-from .paths import (_bridge_skeletons, bridge_kernel, feynman_kac_trace_mc,
+from .paths import (_bridge_steps, bridge_kernel, feynman_kac_trace_mc,
                     no_jump_lower_bound, pnfb_probability, sample_free_path,
                     stay_probability_exact)
 from .traces import trace_semigroup
@@ -203,10 +203,11 @@ def _cmd_sample_paths(args) -> int:
         ref = no_jump_lower_bound(graph, x, t) if x == y else ""
         # all n bridges from one sampler call; a path's jumps are the
         # skeleton's moves, self-jumps excluded
-        counts = np.empty(n)
-        for sel, z, _ in _bridge_skeletons(bridge_kernel(graph, t, y), x, n,
-                                           rng):
-            counts[sel] = (z[:, 1:] != z[:, :-1]).sum(axis=1)
+        counts = np.zeros(n)
+        at = np.full(n, x)
+        for lo, z, _ in _bridge_steps(bridge_kernel(graph, t, y), x, n, rng):
+            counts[lo:] += z != at[lo:]
+            at[lo:] = z
         rows = _path_statistics(counts, t, n, seed, ref)
     elif args.mode == "fk-trace":
         if args.potential is not None:

@@ -15,22 +15,25 @@ uniforms on (0,t). Self-jumps of R are dropped when materializing a path
 and the convention here sets gamma(t) = y as well. Both steps read R^n only
 through its column R^n[:, y], so bridge_kernel keeps one (T, n) column
 table per (graph, t, y); R itself is the graph's one read-only jump chain,
-which every bridge kernel of that graph shares. One sampler,
-_bridge_skeletons, draws the bridges for sample_bridge, the CLI's bridge
-mode and both estimators, which evaluate their functionals on its
-skeletons. It groups the paths by jump count and steps consecutive groups
-together, in batches of a bounded number of cells, sweeping the remaining
-jump count j down from the largest: every path with more than j jumps
-takes its step with j jumps left, and all of them read the same column
-R^j[:, y], so one (n, width) table of cumulative row weights serves the
-sweep and is dropped after it. Each step reads only the nonzeros of R's
-rows (a padded table of width entries per row, which the graph builds once
-with R) and picks the first slot whose cumulative weight exceeds the
-path's draw. The cumulative rows never decrease, so that slot is the
-number of slots at or below the draw, which a dense search over all n
-columns counts. Every row ends in a pad (column n - 1, weight 0) that
-the pick treats as above every draw, so a draw at the row total lands
-where the dense search clamps it; the draws are the dense search's bits.
+which every bridge kernel of that graph shares.
+
+One sampler, _bridge_steps, draws the bridges for sample_bridge, the CLI's
+bridge mode and both estimators. It draws every path's jump count first,
+orders the paths by count, and then sweeps the remaining jump count j once
+from the largest count down to 1: every path with more than j jumps takes
+the step that leaves j, and all of them read the same column R^j[:, y], so
+one (n, width) table of cumulative row weights serves the sweep and is
+dropped after it. A path's state is its current vertex alone; the
+consumers fold each step into per-path sums as it comes (the FK exponent,
+the pnfb indicator, the move count), so no skeleton is stored and the
+working memory grows with the number of paths, not with lambda t. Each
+step reads only the nonzeros of R's rows (a padded table of width entries
+per row, which the graph builds once with R) and picks the first slot
+whose cumulative weight exceeds the path's draw. The cumulative rows never
+decrease, so that slot is the number of slots at or below the draw, which
+a dense search over all n columns counts. Every row ends in a pad (column
+n - 1, weight 0) that the pick treats as above every draw, so a draw at
+the row total lands where the dense search clamps it.
 
 p(t,x,x) mu(x) has one source, the count mass of the diagonal bridge kernel
 bridge_kernel(graph, t, x): the FK weights, the sampler, the denominator of
@@ -184,12 +187,6 @@ def bridge_kernel(graph: WeightedGraph, t: float, y: int) -> BridgeKernel:
     return _bridge_cache.insert(key, BridgeKernel(graph, t, y))
 
 
-# cells of the skeleton table a batch of jump-count groups is stepped in:
-# (paths in the batch) x (largest count + 1). Bounds the sampler's working
-# set; a single group larger than this is one batch.
-_BATCH_CELLS = 1 << 16
-
-
 def _sample_count(n_samples) -> int:
     """n_samples as an int; InputError unless it is an integer >= 1."""
     if (isinstance(n_samples, bool)
@@ -197,40 +194,6 @@ def _sample_count(n_samples) -> int:
         raise InputError(f"n_samples must be an integer >= 1, "
                          f"got {n_samples!r}")
     return int(n_samples)
-
-
-def _bridge_skeletons(bk: BridgeKernel, x: int, n_samples: int, rng,
-                      with_gaps: bool = False, dist=None):
-    """Exact bridges from x to bk.y, n_samples of them, by jump count.
-
-    dist is bk.count_distribution(x), computed here unless the caller
-    already holds it.
-
-    Yields (sel, z, gaps) per jump count nj in ascending order: sel indexes
-    the paths with that count, z is their (m, nj + 1) uniformized skeleton
-    from x to bk.y, and gaps (None unless with_gaps) their nj + 1 holding
-    times, exponential spacings normalized to sum to t. The stream is drawn
-    in that order: all counts, then per group one block of m (nj - 1)
-    uniforms, step-major, and its gaps. Consecutive groups are drawn and
-    stepped together in batches, so the generator runs ahead of the yields:
-    callers must not draw from rng while iterating.
-    """
-    probs, denom = bk.count_distribution(x) if dist is None else dist
-    cum = np.cumsum(probs)
-    u = rng.random(n_samples) * denom
-    counts = np.minimum(np.searchsorted(cum, u, side="right"), len(probs) - 1)
-    order = np.argsort(counts, kind="stable")
-    njs, sizes = np.unique(counts, return_counts=True)
-    first = np.concatenate(([0], np.cumsum(sizes)))
-    g = 0
-    while g < njs.size:
-        stop = g + 1
-        while (stop < njs.size and (first[stop + 1] - first[g])
-               * (njs[stop] + 1) <= _BATCH_CELLS):
-            stop += 1
-        yield from _skeleton_batch(bk, x, rng, njs[g:stop], sizes[g:stop],
-                                   order[first[g]:first[stop]], with_gaps)
-        g = stop
 
 
 def _first_above(cum, draw):
@@ -246,63 +209,74 @@ def _first_above(cum, draw):
     return above.argmax(axis=1)
 
 
-def _skeleton_batch(bk: BridgeKernel, x: int, rng, njs, sizes, sel,
-                    with_gaps: bool):
-    """Draw and step consecutive count groups together, then yield each.
+def _bridge_steps(bk: BridgeKernel, x: int, n_samples: int, rng,
+                  with_gaps: bool = False, dist=None):
+    """Exact bridges from x to bk.y, n_samples of them, one state at a time.
 
-    Column i of the tables is the i-th path of sel, whose count steps[i]
-    ascends, and row j holds what a path needs when j jumps remain: z[j]
-    its vertex there (x at j = nj, y at j = 0), unif[j - 1] the uniform of
-    its step k = nj - j. The sweep runs j from top - 1 down to 1; the paths
-    with nj > j are a suffix, and every one of them reads the same column
-    R^j[:, y]: P(z_k = c | z_{k-1}) ~ R[z_{k-1}, c] R^j[c, y]. So the
-    cumulative row weights of sweep j are one (n, width) table,
-    cumsum(vals * powers[j, cols]), built once and dropped after the sweep;
-    with fewer active paths than rows, the same rows are computed per path.
-    They are read on R's row support only: over the support the running sum
-    equals the dense one over all n columns (zero entries add +0.0), and
-    the first column whose sum exceeds u has positive weight, so it is in
-    the support. Each row is a cumsum of nonnegative terms, so it never
-    decreases, and the slots at or below u are a prefix: _first_above finds
-    its end by one bool argmax where the dense search counts every slot.
-    Every row ends in a pad (column n - 1, weight 0), so forcing the last
-    slot true sends a u at or above the row total to column n - 1, where
-    the dense search clamps: the draws are the dense sampler's bits.
+    dist is bk.count_distribution(x), computed here unless the caller
+    already holds it.
+
+    The paths are ordered by jump count, ascending. Each yield (lo, z, e)
+    gives the next vertex z[i] of paths lo + i, i = 0, 1, ..., and (None
+    unless with_gaps) the standard exponential e[i] of its holding time.
+    The first yield is x for every path; then one per remaining jump count
+    j, from the largest count down to 1, for the paths with more than j
+    jumps; last, y for the paths with at least one jump. Read in order, the
+    yields spell each path's skeleton z_0 = x, ..., z_nj = y, and its nj + 1
+    holding times are its exponentials normalized to sum to t.
+
+    The stream is drawn in this order: the counts; with gaps, one
+    exponential per path for its x state and one per moving path for its y
+    state; then per j one block of uniforms, one per path stepping, and
+    with gaps one block of exponentials. Callers must not draw from rng
+    while iterating.
+
+    Step j reads one column: P(z = c | z_prev) ~ R[z_prev, c] R^j[c, y].
+    The cumulative row weights cumsum(vals * powers[j, cols]) are read on
+    R's row support only: over the support the running sum equals the
+    dense one over all n columns (zero entries add +0.0), and the first
+    column whose sum exceeds u has positive weight, so it is in the
+    support. With at least as many paths stepping as rows, one (n, width)
+    table of them serves the step and is dropped after it; with fewer, the
+    rows are computed per path. Each row ends in a pad (column n - 1,
+    weight 0) that _first_above counts as above every draw, which is where
+    a dense search over all n columns clamps.
     """
-    steps = np.repeat(njs, sizes)
-    starts = np.cumsum(sizes) - sizes
-    top = int(njs[-1])
-    z = np.empty((top + 1, steps.size), dtype=np.intp)
-    z[0] = bk.y
-    unif = np.empty((max(top - 1, 0), steps.size))
-    gaps = []
-    for nj, m, lo in zip(njs, sizes, starts):
-        z[nj, lo:lo + m] = x
-        if nj >= 2:
-            unif[:nj - 1, lo:lo + m] = rng.random(m * (nj - 1)).reshape(
-                nj - 1, m)[::-1]
-        g = None
-        if with_gaps:
-            g = rng.standard_exponential((m, nj + 1))
-            g *= bk.t / g.sum(axis=1, keepdims=True)
-        gaps.append(g)
+    probs, _ = bk.count_distribution(x) if dist is None else dist
+    mass = np.cumsum(probs)
+    # u < mass[-1] for a normal total, so the count has positive mass; the
+    # cap covers a subnormal total, which u can round up to
+    counts = np.minimum(
+        np.searchsorted(mass, rng.random(n_samples) * mass[-1], side="right"),
+        np.flatnonzero(probs)[-1])
+    counts.sort()
+    moving = int(np.searchsorted(counts, 1))
+    ex = ey = None
+    if with_gaps:
+        ex = rng.standard_exponential(n_samples)
+        ey = rng.standard_exponential(n_samples - moving)
+    z = np.full(n_samples, x, dtype=np.intp)
+    yield 0, z.copy(), ex
     cols, vals, powers = bk.cols, bk.vals, bk.powers
     n, width = cols.shape
     flat_cols = cols.ravel()
-    remaining = range(top - 1, 0, -1)
-    suffixes = np.searchsorted(steps, remaining, side="right").tolist()
-    for j, lo in zip(remaining, suffixes):
-        prev = z[j + 1, lo:]
+    remaining = range(int(counts[-1]) - 1, 0, -1)
+    for j, lo in zip(remaining, np.searchsorted(
+            counts, remaining, side="right").tolist()):
+        prev = z[lo:]
         if prev.size < n:
             cum = np.cumsum(vals.take(prev, axis=0)
                             * powers[j].take(cols.take(prev, axis=0)), axis=1)
         else:
             cum = np.cumsum(vals * powers[j].take(cols), axis=1).take(
                 prev, axis=0)
-        pick = _first_above(cum, unif[j - 1, lo:] * cum[:, -1])
-        z[j, lo:] = flat_cols.take(prev * width + pick)
-    for nj, m, lo, g in zip(njs, sizes, starts, gaps):
-        yield sel[lo:lo + m], z[nj::-1, lo:lo + m].T.copy(), g
+        pick = _first_above(cum, rng.random(prev.size) * cum[:, -1])
+        step = flat_cols.take(prev * width + pick)
+        z[lo:] = step
+        yield lo, step, (rng.standard_exponential(step.size) if with_gaps
+                         else None)
+    if moving < n_samples:
+        yield moving, np.full(n_samples - moving, bk.y, dtype=np.intp), ey
 
 
 def sample_bridge(graph: WeightedGraph, x, y, t: float, rng=None) -> JumpPath:
@@ -314,10 +288,14 @@ def sample_bridge(graph: WeightedGraph, x, y, t: float, rng=None) -> JumpPath:
     rng = np.random.default_rng(rng)
     x = graph.resolve(x)
     bk = bridge_kernel(graph, t, graph.resolve(y))
-    (_, z, gaps), = _bridge_skeletons(bk, x, 1, rng, with_gaps=True)
-    times = np.cumsum(gaps[0, :-1])
-    jumps = [(float(when), int(b))
-             for when, a, b in zip(times, z[0, :-1], z[0, 1:]) if a != b]
+    states, holds = [], []
+    for _, z, e in _bridge_steps(bk, x, 1, rng, with_gaps=True):
+        states.append(int(z[0]))
+        holds.append(e[0])
+    gaps = np.array(holds)
+    gaps *= bk.t / gaps.sum()
+    jumps = [(float(when), b) for when, a, b in
+             zip(np.cumsum(gaps[:-1]), states, states[1:]) if a != b]
     return JumpPath(start=x, jumps=jumps, horizon=float(t))
 
 
@@ -346,10 +324,14 @@ def feynman_kac_trace_mc(graph: WeightedGraph, w, t: float, n_samples: int,
         rng = np.random.Generator(np.random.PCG64(children[xi]))
         bk = bridge_kernel(graph, t, xi)
         dist = bk.count_distribution(xi)
-        fk = np.empty(n_samples)
-        for sel, z, gaps in _bridge_skeletons(bk, xi, n_samples, rng,
-                                              with_gaps=True, dist=dist):
-            fk[sel] = np.exp(-(pot.values[z] * gaps).sum(axis=1))
+        # per path: sum of w(z) E and of E over its states, E the
+        # exponentials whose normalized values are the holding times
+        weighted, total = np.zeros(n_samples), np.zeros(n_samples)
+        for lo, z, e in _bridge_steps(bk, xi, n_samples, rng,
+                                      with_gaps=True, dist=dist):
+            weighted[lo:] += pot.values[z] * e
+            total[lo:] += e
+        fk = np.exp(-bk.t * weighted / total)
         var = float(fk.var(ddof=1)) if len(fk) > 1 else 0.0
         return dist[1], float(fk.mean()), var
 
@@ -385,10 +367,11 @@ def pnfb_probability(graph: WeightedGraph, x, subset, t: float,
     mask = np.zeros(graph.n, dtype=bool)
     mask[members] = True
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    vals = np.empty(n_samples)
-    for sel, z, _ in _bridge_skeletons(bridge_kernel(graph, t, xi), xi,
-                                       n_samples, rng):
-        vals[sel] = mask[z].all(axis=1)
+    alive = np.ones(n_samples, dtype=bool)
+    for lo, z, _ in _bridge_steps(bridge_kernel(graph, t, xi), xi,
+                                  n_samples, rng):
+        alive[lo:] &= mask[z]
+    vals = alive.astype(float)
     se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return McEstimate(mean=float(vals.mean()), std_error=se,
                       n_samples=n_samples, seed=int(seed))

@@ -122,47 +122,63 @@ def test_bridge_no_jump_probability(two_vertex):
 
 
 def test_sample_bridge_is_one_path_of_the_estimators_sampler(p5):
-    # the same stream gives the same bridge: the jump times are the
-    # cumulative holding times, and self-jumps of the skeleton are dropped
+    # the same stream gives the same bridge: its states are the sampler's
+    # yields, its jump times the cumulative normalized exponentials, and
+    # self-jumps of the skeleton are dropped; the FK exponent the trace
+    # estimator folds from the same yields is the integral along the path
     t = 0.9
+    w = np.array([1.0, -0.5, 0.0, 0.5, 2.0])
     bk = bridge_kernel(p5, t, 4)
     for seed in range(20):
         path = sample_bridge(p5, 0, 4, t, np.random.default_rng(seed))
-        (sel, z, gaps), = paths._bridge_skeletons(
-            bk, 0, 1, np.random.default_rng(seed), with_gaps=True)
-        assert sel.tolist() == [0]
-        assert gaps.sum() == pytest.approx(t, rel=1e-15)
-        times = np.cumsum(gaps[0, :-1])
-        assert path.jumps == [(float(when), int(b)) for when, a, b in
-                              zip(times, z[0, :-1], z[0, 1:]) if a != b]
+        steps = list(paths._bridge_steps(
+            bk, 0, 1, np.random.default_rng(seed), with_gaps=True))
+        assert all(lo == 0 and z.shape == e.shape == (1,)
+                   for lo, z, e in steps)
+        z = [int(s[1][0]) for s in steps]
+        e = np.array([s[2][0] for s in steps])
+        assert z[0] == 0 and z[-1] == 4
+        times = np.cumsum(e[:-1] * (t / e.sum()))
+        assert path.jumps == [(float(when), b) for when, a, b in
+                              zip(times, z, z[1:]) if a != b]
+        ends = [0.0] + [when for when, _ in path.jumps] + [t]
+        integral = math.fsum(w[path.value_at(a)] * (b - a)
+                             for a, b in zip(ends, ends[1:]))
+        folded = t * (w[z] * e).sum() / e.sum()
+        assert folded == pytest.approx(integral, rel=1e-12, abs=1e-15)
 
 
-def dense_bridge_skeletons(bk, x, n_samples, rng, with_gaps=False):
-    """Reference for paths._bridge_skeletons: each jump-count group on its
-    own, one categorical draw per step over all n columns of the dense
-    rows R[z_{k-1}, :] * R^{nj-k}[:, y]."""
-    probs, denom = bk.count_distribution(x)
+def dense_counts(bk, x, n_samples, rng):
+    """The sampler's jump counts, ascending: n_samples draws from the count
+    law of the (x, bk.y) bridge."""
+    probs, _ = bk.count_distribution(x)
     cum = np.cumsum(probs)
-    u = rng.random(n_samples) * denom
-    counts = np.minimum(np.searchsorted(cum, u, side="right"), len(probs) - 1)
-    for nj in np.unique(counts):
-        sel = np.flatnonzero(counts == nj)
-        m = sel.size
-        z = np.empty((m, nj + 1), dtype=np.intp)
-        z[:, 0] = x
-        if nj >= 1:
-            z[:, nj] = bk.y
-        for k in range(1, nj):
-            rows = bk.r[z[:, k - 1], :] * bk.powers[nj - k][None, :]
-            row_cum = np.cumsum(rows, axis=1)
-            draw = rng.random(m) * row_cum[:, -1]
-            z[:, k] = np.minimum((row_cum <= draw[:, None]).sum(axis=1),
-                                 bk.r.shape[1] - 1)
-        gaps = None
-        if with_gaps:
-            gaps = rng.standard_exponential((m, nj + 1))
-            gaps *= bk.t / gaps.sum(axis=1, keepdims=True)
-        yield sel, z, gaps
+    u = rng.random(n_samples) * cum[-1]
+    return np.sort(np.minimum(np.searchsorted(cum, u, side="right"),
+                              np.flatnonzero(probs)[-1]))
+
+
+def dense_bridge_steps(bk, x, n_samples, rng, with_gaps=False):
+    """Reference for paths._bridge_steps: one categorical draw per step over
+    all n columns of the dense rows R[z, :] * R^j[:, y]."""
+    counts = dense_counts(bk, x, n_samples, rng)
+    moving = int(np.count_nonzero(counts))
+    ex = ey = None
+    if with_gaps:
+        ex = rng.standard_exponential(n_samples)
+        ey = rng.standard_exponential(moving)
+    z = np.full(n_samples, x, dtype=np.intp)
+    yield 0, z.copy(), ex
+    for j in range(counts[-1] - 1, 0, -1):
+        lo = int(np.count_nonzero(counts <= j))
+        row_cum = np.cumsum(bk.r[z[lo:], :] * bk.powers[j][None, :], axis=1)
+        draw = rng.random(n_samples - lo) * row_cum[:, -1]
+        z[lo:] = np.minimum((row_cum <= draw[:, None]).sum(axis=1),
+                            bk.r.shape[1] - 1)
+        e = rng.standard_exponential(n_samples - lo) if with_gaps else None
+        yield lo, z[lo:].copy(), e
+    if moving:
+        yield n_samples - moving, np.full(moving, bk.y, dtype=np.intp), ey
 
 
 def _balanced_path(n):
@@ -189,33 +205,31 @@ def _sampler_graph(kind, size, seed):
        ends=st.tuples(st.integers(min_value=0, max_value=8),
                       st.integers(min_value=0, max_value=8)),
        n_samples=st.integers(min_value=1, max_value=120),
-       cells=st.sampled_from([1, 5, 64, 700, paths._BATCH_CELLS]),
        with_gaps=st.booleans())
-# x == y through the vertex with R[x, x] = 0, batches of one group each
+# x == y through the vertex with R[x, x] = 0
 @example(kind="random", size=6, seed=3, lam_t=40.0, ends=(0, 0),
-         n_samples=50, cells=1, with_gaps=True)
-# parity on a bipartite path, several groups per batch
+         n_samples=50, with_gaps=True)
+# parity on a bipartite path: every other count is empty
 @example(kind="bipartite", size=5, seed=0, lam_t=12.0, ends=(0, 3),
-         n_samples=120, cells=700, with_gaps=False)
+         n_samples=120, with_gaps=False)
 # nj in {0, 1} only, with and without self-jumps
 @example(kind="two", size=2, seed=0, lam_t=0.05, ends=(0, 1),
-         n_samples=100, cells=64, with_gaps=True)
+         n_samples=100, with_gaps=True)
 @example(kind="random", size=4, seed=8, lam_t=0.05, ends=(2, 2),
-         n_samples=100, cells=5, with_gaps=False)
-# lambda t ~ 200, many samples, crossing several batches of the real size
+         n_samples=100, with_gaps=False)
+# lambda t ~ 200, many samples
 @example(kind="random", size=9, seed=17, lam_t=200.0, ends=(1, 4),
-         n_samples=1500, cells=paths._BATCH_CELLS, with_gaps=True)
-# one path at lambda t = 200: fewer active paths than rows on every sweep,
-# so each row is computed per path
+         n_samples=1500, with_gaps=True)
+# one path at lambda t = 200: fewer paths stepping than rows on every
+# step, so each row is computed per path
 @example(kind="random", size=9, seed=29, lam_t=200.0, ends=(0, 5),
-         n_samples=1, cells=paths._BATCH_CELLS, with_gaps=True)
-# 1500 paths in batches of a few groups: the low counts of each batch sweep
-# with more active paths than rows (one row table per count), the top of
-# the last batch with fewer
+         n_samples=1, with_gaps=True)
+# 1500 paths: the low remaining counts step with more paths than rows (one
+# row table per count), the top ones with fewer
 @example(kind="bipartite", size=9, seed=4, lam_t=60.0, ends=(2, 6),
-         n_samples=1500, cells=4096, with_gaps=False)
+         n_samples=1500, with_gaps=False)
 def test_batched_sampler_draws_the_dense_samplers_bits(
-        kind, size, seed, lam_t, ends, n_samples, cells, with_gaps):
+        kind, size, seed, lam_t, ends, n_samples, with_gaps):
     g = _sampler_graph(kind, size, seed)
     x, y = (v % g.n for v in ends)
     bk = bridge_kernel(g, lam_t / g.jump_chain()[0], y)
@@ -224,18 +238,17 @@ def test_batched_sampler_draws_the_dense_samplers_bits(
     except (NTruncationExceeded, ZeroKernel):
         reject()
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    ref = list(dense_bridge_skeletons(bk, x, n_samples, ref_rng, with_gaps))
-    with mock.patch.object(paths, "_BATCH_CELLS", cells):
-        got = list(paths._bridge_skeletons(bk, x, n_samples, rng, with_gaps))
+    ref = list(dense_bridge_steps(bk, x, n_samples, ref_rng, with_gaps))
+    got = list(paths._bridge_steps(bk, x, n_samples, rng, with_gaps))
     assert len(got) == len(ref)
-    for (sel, z, gaps), (ref_sel, ref_z, ref_gaps) in zip(got, ref):
-        assert sel.tolist() == ref_sel.tolist()
-        assert z.dtype == ref_z.dtype and z.flags.c_contiguous
+    for (lo, z, e), (ref_lo, ref_z, ref_e) in zip(got, ref):
+        assert lo == ref_lo
+        assert z.dtype == ref_z.dtype
         assert np.array_equal(z, ref_z)
         if with_gaps:
-            assert gaps.tobytes() == ref_gaps.tobytes()
+            assert e.tobytes() == ref_e.tobytes()
         else:
-            assert gaps is None
+            assert e is None
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -297,13 +310,13 @@ def _rate64_graph():
     return g
 
 
-def _pnfb_peak_bytes(g, n_samples):
-    """tracemalloc peak of a pnfb estimate on the whole vertex set at t = 3,
+def _pnfb_peak_bytes(g, n_samples, t=3.0):
+    """tracemalloc peak of a pnfb estimate on the whole vertex set at t,
     with the bridge kernel built beforehand."""
-    bridge_kernel(g, 3.0, 0)
+    bridge_kernel(g, t, 0)
     tracemalloc.start()
     try:
-        est = pnfb_probability(g, 0, range(g.n), 3.0, n_samples, seed=1)
+        est = pnfb_probability(g, 0, range(g.n), t, n_samples, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -314,7 +327,7 @@ def _pnfb_peak_bytes(g, n_samples):
 def test_sampler_working_memory_is_bounded():
     # n = 150, lambda = 64, t = 3: about 190 steps for each of 20000 paths.
     # Holding every skeleton and its uniforms at once peaks near 90 MB;
-    # batches of _BATCH_CELLS cells keep the sampler's peak a few MB.
+    # keeping each path's current vertex alone keeps the peak a few MB.
     assert _pnfb_peak_bytes(_rate64_graph(), 20_000) < 16e6
 
 
@@ -324,6 +337,64 @@ def test_sampler_builds_no_count_indexed_table():
     # ~370 KB; the sampler keeps one count's rows at a time
     g = _rate64_graph()
     assert _pnfb_peak_bytes(g, 10) < bridge_kernel(g, 3.0, 0).powers.nbytes
+
+
+def test_sampler_memory_grows_with_paths_not_counts():
+    # lambda t = 192 against 48: four times the steps per path, and the
+    # same per-path state and per-step rows
+    g = _rate64_graph()
+    assert _pnfb_peak_bytes(g, 5000) <= 1.5 * _pnfb_peak_bytes(g, 5000, 0.75)
+
+
+def test_sampler_sweeps_each_remaining_count_once():
+    # 1000 pnfb paths at lambda t = 192: one pick per remaining count j =
+    # top - 1, ..., 1, each over the paths with more than j jumps, which
+    # grow as j falls
+    g = _rate64_graph()
+    bk = bridge_kernel(g, 3.0, 0)
+    seed, n_samples = 4, 1000
+    counts = dense_counts(bk, 0, n_samples, np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed))))
+    top = int(counts[-1])
+    sizes = []
+
+    def record(cum, draw):
+        sizes.append(draw.size)
+        return pick(cum, draw)
+
+    pick = paths._first_above
+    with mock.patch.object(paths, "_first_above", record):
+        pnfb_probability(g, 0, range(g.n), 3.0, n_samples, seed)
+    assert len(sizes) == top - 1 <= len(bk.pmf) - 2
+    assert sizes == [int(np.count_nonzero(counts > j))
+                     for j in range(top - 1, 0, -1)]
+
+
+class _TopDraws:
+    """A generator stand-in whose every uniform is the largest float below
+    1, 1 - 2**-53, and every exponential 1."""
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0 ** -53)
+
+    def standard_exponential(self, size):
+        return np.ones(size)
+
+
+def test_top_count_draw_lands_on_a_count_of_positive_mass(two_vertex):
+    # 0 -> 1 on the two-vertex graph at t = 0.25 needs an odd count; the
+    # cut keeps counts 0..10, and probs.sum() exceeds cumsum(probs)[-1] by
+    # an ulp, so a draw scaled by the sum went past the last cumulative
+    # value and was clamped onto the even count 10, of mass 0
+    bk = bridge_kernel(two_vertex, 0.25, 1)
+    probs, denom = bk.count_distribution(0)
+    assert len(probs) == 11 and probs[-1] == 0.0
+    assert (1.0 - 2.0 ** -53) * denom >= np.cumsum(probs)[-1]
+    steps = list(paths._bridge_steps(bk, 0, 3, _TopDraws(), with_gaps=True))
+    z = np.array([s[1] for s in steps])
+    assert len(steps) == 10     # x, steps for j = 8, ..., 1, then y
+    assert probs[len(steps) - 1] > 0.0
+    assert np.all(z[1:] != z[:-1]) and np.all(z[-1] == 1)
 
 
 def test_bridge_count_distribution_matches_kernel(two_vertex):
@@ -396,13 +467,16 @@ def test_bridge_time_reversal_symmetry():
 
 def bridge_functional_mc(graph, x, y, w, t, n, seed):
     """Mean and standard error of exp(-int_0^t w(gamma(s)) ds) over n exact
-    (x, y) bridges, evaluated on the estimators' skeletons and gaps."""
+    (x, y) bridges, folded from the estimators' sampler as the trace
+    estimator folds it."""
     w = np.broadcast_to(np.asarray(w, dtype=float), graph.n)
-    fk = np.empty(n)
-    for sel, z, gaps in paths._bridge_skeletons(
+    weighted, total = np.zeros(n), np.zeros(n)
+    for lo, z, e in paths._bridge_steps(
             bridge_kernel(graph, t, y), x, n, np.random.default_rng(seed),
             with_gaps=True):
-        fk[sel] = np.exp(-(w[z] * gaps).sum(axis=1))
+        weighted[lo:] += w[z] * e
+        total[lo:] += e
+    fk = np.exp(-t * weighted / total)
     return fk.mean(), fk.std(ddof=1) / math.sqrt(n)
 
 
