@@ -20,8 +20,8 @@ constructor, and derives everything else from them without a per-edge
 Python loop:
 
 - ``_upper``: the (m, 3) int64 table of stored edges (i, j, bits of b),
-  i < j, sorted ascending, b > 0 only. Its bytes are what the fingerprint
-  hashes after n and mu; ``edges`` is the same table as Python triples.
+  i < j, sorted ascending, b > 0 only. The fingerprint is its bytes after
+  those of n and mu; ``edges`` is the same table as Python triples.
 - ``_rows``, ``_cols``, ``_vals``, ``_indptr``: the symmetric matrix b in
   CSR form, each edge once in row i and once in row j, entries sorted by
   (row, column). ``neighbors(x)`` is one row slice; the generator is one
@@ -35,7 +35,6 @@ The constructor validates the raw edge list in one vectorized pass
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import threading
 
@@ -301,15 +300,15 @@ class WeightedGraph:
             raise UnknownVertex(f"vertex {x} outside 0..{self.n - 1}")
         return x
 
-    def fingerprint(self) -> str:
-        """Stable content hash used as a cache key for kernel tables: n, mu,
-        then the stored triples as int64 (i, j, bits of b) rows."""
+    def fingerprint(self) -> bytes:
+        """The graph's exact content, the cache key of its kernel tables:
+        int64 n, then mu, then the stored triples as int64 (i, j, bits of b)
+        rows. Not a hash: equal keys mean equal graphs, so two graphs never
+        share a cache entry. Built once; cache entries share it."""
         if self._fingerprint is None:
-            h = hashlib.sha256()
-            h.update(np.int64(self.n).tobytes())
-            h.update(self.mu.tobytes())
-            h.update(self._upper.tobytes())
-            self._fingerprint = h.hexdigest()
+            self._fingerprint = b"".join((np.int64(self.n).tobytes(),
+                                          self.mu.tobytes(),
+                                          self._upper.tobytes()))
         return self._fingerprint
 
     # ------------------------------------------------------------- geometry

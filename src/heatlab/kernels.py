@@ -343,7 +343,7 @@ class HeatKernelTable:
     t: float
     values: np.ndarray
     mu: np.ndarray
-    graph_key: str
+    graph_key: bytes
     uniformization_rate: float
     truncation_error_bound: float
     presymmetrization_defect: float

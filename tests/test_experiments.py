@@ -4,8 +4,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -805,3 +808,30 @@ def test_property_cli_flags_keep_exit_contract(tmp_path_factory, data):
         code = _exit_code(argv + ["--out", str(tmp_path / "out")])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# ----------------------------------------------------------- process start
+
+
+@pytest.fixture(scope="module")
+def start_modules():
+    """sys.modules of a fresh process after ``import heatlab, heatlab.cli``,
+    what every heatlab process imports before it runs a command."""
+    src = str(Path(hl.__file__).resolve().parents[1])
+    probe = ("import sys, heatlab, heatlab.cli; "
+             "print('\\n'.join(sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    return set(done.stdout.split())
+
+
+@pytest.mark.parametrize("module", [
+    "concurrent.futures",  # the pool: the first parallel_map that starts one
+    "numpy.fft",           # the first torus coefficient table
+    "numpy.random",        # the samplers; it maps OpenSSL through secrets
+    "hashlib",             # the graph cache key is the content, not a hash
+    "_hashlib",            # OpenSSL itself
+])
+def test_start_path_does_not_import(start_modules, module):
+    assert module not in start_modules

@@ -1,7 +1,7 @@
 """Weighted graph construction, validation and serialization."""
 
-import hashlib
 import json
+import struct
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -189,6 +189,15 @@ def test_fingerprint_distinguishes_graphs():
     b = hl.path_graph(4, b=2.0)
     assert a.fingerprint() != b.fingerprint()
     assert a.fingerprint() == hl.path_graph(4).fingerprint()
+    # the key is the exact content: one ulp of one weight or of one mu
+    # tells two graphs apart, and a zero-weight edge is no edge at all
+    mu, edges = [1.0, 2.0, 3.0], [(0, 1, 0.5), (1, 2, 1.5)]
+    key = WeightedGraph(mu, edges).fingerprint()
+    ulp_b = [(0, 1, np.nextafter(0.5, 1.0)), (1, 2, 1.5)]
+    assert WeightedGraph(mu, ulp_b).fingerprint() != key
+    ulp_mu = [1.0, np.nextafter(2.0, 3.0), 3.0]
+    assert WeightedGraph(ulp_mu, edges).fingerprint() != key
+    assert WeightedGraph(mu, edges + [(0, 2, 0.0)]).fingerprint() == key
 
 
 @settings(max_examples=25, deadline=None)
@@ -265,11 +274,10 @@ def _scalar_graph(mu, edges):
                         comp_of[w] = start
                         queue.append(w)
             comps.append(sorted(comp))
-    digest = hashlib.sha256(np.int64(n).tobytes() + mu.tobytes())
-    for i, j, b in triples:
-        digest.update(np.int64(i).tobytes() + np.int64(j).tobytes()
-                      + np.float64(b).tobytes())
-    return triples, degrees, h, comps, digest.hexdigest()
+    key = np.int64(n).tobytes() + mu.tobytes() + b"".join(
+        np.int64(i).tobytes() + np.int64(j).tobytes()
+        + np.float64(b).tobytes() for i, j, b in triples)
+    return triples, degrees, h, comps, key
 
 
 _WEIGHTS = [0.0, -0.0, 0.5, 1.0, 2.0, 1e300, 1e-320, -1.0, np.nan, np.inf,
@@ -295,19 +303,22 @@ def test_array_constructor_matches_the_scalar_reference(data, n):
         assert str(caught.value) == str(exc)
         return
     g = WeightedGraph(mu, edges)
-    triples, degrees, h, comps, digest = ref
+    triples, degrees, h, comps, key = ref
     assert g.edges == triples
     assert [tuple(map(type, e)) for e in g.edges] == \
         [(int, int, float)] * len(triples)
     assert g.degrees().tobytes() == degrees.tobytes()
     assert g.generator_matrix().tobytes() == h.tobytes()
     assert g.components() == comps
-    assert g.fingerprint() == digest
+    assert g.fingerprint() == key
 
 
 def test_golden_fingerprint():
-    assert hl.path_graph(4).fingerprint() == \
-        "47f95816f36a7a5c2a9eefca357cddf4931dce42fe9164b9adb495b1a7956d17"
+    # int64 n, float64 mu, then one (int64 i, int64 j, float64 b) per edge
+    golden = struct.pack("=q4d" + "qqd" * 3, 4, 1.0, 1.0, 1.0, 1.0,
+                         0, 1, 1.0, 1, 2, 1.0, 2, 3, 1.0)
+    assert len(golden) == 8 * (1 + 4 + 3 * 3)
+    assert hl.path_graph(4).fingerprint() == golden
 
 
 def test_neighbors_is_the_sorted_row():

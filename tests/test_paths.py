@@ -2,11 +2,8 @@
 
 import json
 import math
-import os
-import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -588,18 +585,6 @@ def test_parallel_map_caps_workers(threads, items, cpus, workers):
         got = util.parallel_map(lambda v: v * v, range(items), threads)
     assert got == [v * v for v in range(items)]
     assert asked == ([] if workers is None else [workers])
-
-
-def test_import_loads_no_thread_pool():
-    # the pool module (and the logging it pulls in) is imported by the first
-    # parallel_map that starts a pool, not by every process start
-    src = str(Path(hl.__file__).resolve().parents[1])
-    probe = ("import sys, heatlab, heatlab.cli; "
-             "print('concurrent.futures' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert done.stdout.strip() == "False"
 
 
 def test_fk_trace_with_huge_thread_count_is_capped_and_invariant(p5):

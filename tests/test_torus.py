@@ -3,10 +3,7 @@
 import itertools
 import json
 import math
-import os
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -257,18 +254,6 @@ def test_cosine_well_samples_are_bitwise_even(lengths):
     assert np.array_equal(vals, np.flip(vals))
     table = TorusModel(len(lengths), lengths, n_tr, well).coefficient_table()
     assert table.dtype == np.float64
-
-
-def test_import_loads_no_fft():
-    # numpy.fft is imported by the first coefficient table, not by every
-    # process start
-    src = str(Path(cli.__file__).resolve().parents[1])
-    probe = ("import sys, heatlab, heatlab.cli; "
-             "print('numpy.fft' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert done.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------- the targets
