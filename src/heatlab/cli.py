@@ -7,6 +7,9 @@ config errored, else 1 if any failed, else 0.
 verify-kernel and check-admissibility are the axioms and admissibility
 kinds on the command line: each builds a config document and runs it like
 `run`, writing axioms.* / admissibility.* (CSV and JSON sidecar).
+sample-paths --mode fk-trace and --mode pnfb take their numbers from the
+fk-crosscheck and pnfb runners' helpers, experiments.fk_trace_row and
+experiments.pnfb_at.
 """
 
 from __future__ import annotations
@@ -23,10 +26,8 @@ import numpy as np
 from . import experiments
 from .errors import AssertionFailed, HeatLabError
 from .graphs import load_graph
-from .paths import (_bridge_steps, bridge_kernel, feynman_kac_trace_mc,
-                    no_jump_lower_bound, pnfb_probability, sample_free_path,
-                    stay_probability_exact)
-from .traces import trace_semigroup
+from .paths import (_bridge_steps, bridge_kernel, no_jump_lower_bound,
+                    sample_free_path)
 from .util import write_csv
 
 
@@ -219,18 +220,12 @@ def _cmd_sample_paths(args) -> int:
             w = np.full(graph.n, args.constant)
         else:
             w = np.zeros(graph.n)
-        est = feynman_kac_trace_mc(graph, w, t, n, seed,
-                                   threads=args.threads)
-        exact = trace_semigroup(graph, w, t)
-        rows = [("fk_trace", t, est.mean, est.std_error, n, seed, exact,
-                 abs(est.mean - exact))]
+        rows = [experiments.fk_trace_row(graph, w, t, n, seed, args.threads)]
     else:  # pnfb
         x = _vertex(graph, args.x, "--x")
         if args.K is None:
             raise HeatLabError("pnfb mode requires --K")
-        est = pnfb_probability(graph, x, args.K, t, n, seed)
-        exact = stay_probability_exact(graph, x, args.K, t)
-        bound = no_jump_lower_bound(graph, x, t)
+        est, bound, exact = experiments.pnfb_at(graph, x, args.K, t, n, seed)
         rows = [
             ("stay_probability", t, est.mean, est.std_error, n, seed,
              exact, abs(est.mean - exact)),

@@ -1,9 +1,12 @@
 """Config-driven experiments with machine-checkable outcomes.
 
-Each experiment is one JSON document with a "kind" field. Running it writes
-a CSV table and a JSON sidecar into the output directory and then evaluates
-its checks (the report's own, such as AxiomReport.checks, plus the runner's);
-the first failing check raises AssertionFailed with that check's name.
+Each experiment is one JSON document with a "kind" field, and _KINDS maps
+each kind to its runner and the keys it reads. A runner computes and writes
+nothing: it returns a CSV table, a JSON sidecar and its checks (the report's
+own, such as AxiomReport.checks, plus its own). run alone writes the table
+as <name>.csv and the sidecar as <name>.json into the output directory and
+then evaluates the checks; the first failing check raises AssertionFailed
+with that check's name.
 Malformed documents raise ConfigError, unreadable data files InputError. A
 suite is a directory of configs run in sorted filename order with per-config
 error isolation and a one-line-per-config summary. The CLI's verify-kernel
@@ -33,8 +36,6 @@ from .traces import semiclassical_scan, trace_semigroup
 from .util import (check_keys, check_time_grid, default_time_grid, floats,
                    number, parallel_map, require, write_csv)
 
-KNOWN_KINDS = ("graph-limit", "torus-limit", "fk-crosscheck", "pnfb",
-               "axioms", "admissibility")
 VERDICTS = ("admissible", "inadmissible", "undecided")
 _NAME_MAX = 255     # bytes in one file name on common file systems
 
@@ -70,11 +71,11 @@ class ExperimentConfig:
         a ConfigError naming it.
         """
         kind = doc.get("kind")
-        if kind not in KNOWN_KINDS:
+        if kind not in _KINDS:
             raise ConfigError(
                 f"unknown experiment kind {kind!r} in {origin}; "
-                f"expected one of {', '.join(KNOWN_KINDS)}")
-        keys, tolerances = _KEYS[kind]
+                f"expected one of {', '.join(_KINDS)}")
+        _, keys, tolerances = _KINDS[kind]
         check_keys(doc, ("kind", "name", "seed") + keys, f"{kind} config")
         check_keys(_tolerances(doc), tolerances, "tolerances")
         name = doc.get("name", default_name)
@@ -208,35 +209,35 @@ def _write_json(path: Path, payload: dict) -> Path:
 
 # ------------------------------------------------------------ kind runners
 #
-# A runner returns (artifacts, checks, summary): the files it wrote, its
-# (name, ok, detail) checks in reporting order, and a console line or "".
+# A runner takes (cfg, seed, threads) and returns (table, sidecar, checks,
+# summary): the CSV's (header, rows), or None when no report exists; the
+# JSON sidecar's payload; its (name, ok, detail) checks in reporting order;
+# and a console line or "". Runners write nothing: run writes the files.
 
 _SCAN_TOLERANCES = {"final_rel_error": ("final_rel_tol", float),
                     "monotone_tail": ("monotone_tail", int),
                     "monotone": ("require_monotone", bool)}
 
 
-def _scan_outcome(report, out: Path, name: str):
-    csv = report.to_csv(out / f"{name}.csv")
-    js = _write_json(out / f"{name}.json", report.to_dict())
+def _scan_outcome(report):
     gap = report.gt_bounds - report.scaled_traces
     atol = 1e-10 * np.maximum(1.0, np.abs(report.gt_bounds))
-    return [csv, js], report.checks + [
+    return (report.header, report.rows()), report.to_dict(), report.checks + [
         ("trace_inequality", bool(np.all(gap >= -atol)),
          f"scaled trace exceeds its bound by {float(-gap.min())!r}")], ""
 
 
-def _run_graph_limit(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
+def _run_graph_limit(cfg: ExperimentConfig, seed: int, threads: int):
     doc = cfg.doc
     graph = _resolve_graph(require(doc, "graph", cfg.kind), cfg.base_dir)
     w = _potential_values(doc.get("potential"), graph.n)
     report = semiclassical_scan(
         graph, w, _time_grid(doc),
         **_options(_tolerances(doc), "tolerances", _SCAN_TOLERANCES))
-    return _scan_outcome(report, out, cfg.name)
+    return _scan_outcome(report)
 
 
-def _run_torus_limit(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
+def _run_torus_limit(cfg: ExperimentConfig, seed: int, threads: int):
     doc = cfg.doc
     dim = number(doc, "dim", cfg.kind, int)
     lengths = floats(require(doc, "lengths", cfg.kind), "lengths").tolist()
@@ -252,16 +253,34 @@ def _run_torus_limit(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
         report = torus_semiclassical_scan(model, _time_grid(doc), **options)
     except TruncationNotConverged as exc:
         # the doubling gate is an experiment check, not bad input
-        return [], [("truncation_doubling", False, str(exc))], ""
-    return _scan_outcome(report, out, cfg.name)
+        return None, None, [("truncation_doubling", False, str(exc))], ""
+    return _scan_outcome(report)
 
 
 MC_HEADER = ("statistic", "t", "estimate", "std_error", "n_samples", "seed",
               "reference", "abs_diff")
 
 
-def _run_fk_crosscheck(cfg: ExperimentConfig, out: Path, seed: int,
-                       threads: int):
+def fk_trace_row(graph: WeightedGraph, w, t: float, samples: int, seed: int,
+                 threads: int = 1) -> tuple:
+    """The MC_HEADER row "fk_trace": the Feynman-Kac estimate of
+    tr e^{-t(H + w)} against trace_semigroup, and their distance."""
+    est = feynman_kac_trace_mc(graph, w, t, samples, seed, threads=threads)
+    exact = trace_semigroup(graph, w, t)
+    return ("fk_trace", t, est.mean, est.std_error, est.n_samples, est.seed,
+            exact, abs(est.mean - exact))
+
+
+def pnfb_at(graph: WeightedGraph, x, subset, t: float, samples: int,
+            seed: int):
+    """pnfb at one time: (the McEstimate of the stay probability,
+    no_jump_lower_bound, stay_probability_exact)."""
+    return (pnfb_probability(graph, x, subset, t, samples, seed),
+            no_jump_lower_bound(graph, x, t),
+            stay_probability_exact(graph, x, subset, t))
+
+
+def _run_fk_crosscheck(cfg: ExperimentConfig, seed: int, threads: int):
     doc = cfg.doc
     graph = _resolve_graph(require(doc, "graph", cfg.kind), cfg.base_dir)
     w = _potential_values(doc.get("potential"), graph.n)
@@ -269,29 +288,26 @@ def _run_fk_crosscheck(cfg: ExperimentConfig, out: Path, seed: int,
     samples = number(doc, "samples", cfg.kind, int, minimum=1)
     tol = _tolerances(doc)
     k_sigma = number(tol, "k_sigma", "tolerances", default=3.0)
-    exact = trace_semigroup(graph, w, t)
-    est = feynman_kac_trace_mc(graph, w, t, samples, seed, threads=threads)
-    diff = abs(est.mean - exact)
-    csv = write_csv(out / f"{cfg.name}.csv", MC_HEADER,
-                    [("fk_trace", t, est.mean, est.std_error, est.n_samples,
-                      est.seed, exact, diff)])
-    js = _write_json(out / f"{cfg.name}.json", {
-        "t": t, "estimate": est.mean, "std_error": est.std_error,
-        "n_samples": est.n_samples, "seed": est.seed, "reference": exact,
-        "abs_diff": diff})
+    row = fk_trace_row(graph, w, t, samples, seed, threads)
+    fk = dict(zip(MC_HEADER[1:], row[1:]))
+    est, se, exact = fk["estimate"], fk["std_error"], fk["reference"]
     atol = 1e-10 * max(1.0, abs(exact))
     checks = [("mc_within_k_sigma",
-               diff <= k_sigma * est.std_error + atol,
-               f"|{est.mean!r} - {exact!r}| = {diff!r} > "
-               f"{k_sigma!r} * {est.std_error!r}")]
+               fk["abs_diff"] <= k_sigma * se + atol,
+               f"|{est!r} - {exact!r}| = {fk['abs_diff']!r} > "
+               f"{k_sigma!r} * {se!r}")]
     if "max_rel_se" in tol:
         cap = number(tol, "max_rel_se", "tolerances") * abs(exact)
-        checks.append(("relative_se", est.std_error <= cap,
-                       f"std error {est.std_error!r} exceeds {cap!r}"))
-    return [csv, js], checks, ""
+        checks.append(("relative_se", se <= cap,
+                       f"std error {se!r} exceeds {cap!r}"))
+    return (MC_HEADER, [row]), fk, checks, ""
 
 
-def _run_pnfb(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
+_PNFB_HEADER = ("t", "estimate", "std_error", "n_samples", "seed",
+                "lower_bound", "exact_ratio")
+
+
+def _run_pnfb(cfg: ExperimentConfig, seed: int, threads: int):
     doc = cfg.doc
     graph = _resolve_graph(require(doc, "graph", cfg.kind), cfg.base_dir)
     x = require(doc, "x", cfg.kind)
@@ -305,9 +321,7 @@ def _run_pnfb(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
     final_min = number(tol, "final_min", "tolerances", default=0.99)
     rows, checks, means = [], [], []
     for i, t in enumerate(t_list):
-        est = pnfb_probability(graph, x, subset, t, samples, seed + i)
-        bound = no_jump_lower_bound(graph, x, t)
-        exact = stay_probability_exact(graph, x, subset, t)
+        est, bound, exact = pnfb_at(graph, x, subset, t, samples, seed + i)
         rows.append((t, est.mean, est.std_error, est.n_samples, est.seed,
                      bound, exact))
         means.append(est.mean)
@@ -322,19 +336,16 @@ def _run_pnfb(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
                        est.mean >= bound - k_sigma * est.std_error - 1e-10,
                        f"at t={t!r}: estimate {est.mean!r} under bound "
                        f"{bound!r}"))
-    header = ("t", "estimate", "std_error", "n_samples", "seed",
-              "lower_bound", "exact_ratio")
-    csv = write_csv(out / f"{cfg.name}.csv", header, rows)
-    js = _write_json(out / f"{cfg.name}.json", {
+    sidecar = {
         "x": graph.resolve(x), "K": sorted(graph.resolve(v) for v in subset),
-        "rows": [dict(zip(header, r)) for r in rows]})
+        "rows": [dict(zip(_PNFB_HEADER, r)) for r in rows]}
     checks.append(("monotone_in_shrinking_t",
                    all(means[i + 1] >= means[i] - 1e-12
                        for i in range(len(means) - 1)),
                    f"estimates {means!r} do not increase as t shrinks"))
     checks.append(("final_value", means[-1] >= final_min,
                    f"final estimate {means[-1]!r} below {final_min!r}"))
-    return [csv, js], checks, ""
+    return (_PNFB_HEADER, rows), sidecar, checks, ""
 
 
 _AXIOM_TOLERANCES = {"ck": ("ck_tol", float),
@@ -342,7 +353,7 @@ _AXIOM_TOLERANCES = {"ck": ("ck_tol", float),
                      "mass": ("mass_tol", float)}
 
 
-def _run_axioms(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
+def _run_axioms(cfg: ExperimentConfig, seed: int, threads: int):
     doc = cfg.doc
     graph = _resolve_graph(require(doc, "graph", cfg.kind), cfg.base_dir)
     s = number(doc, "s", cfg.kind)
@@ -350,22 +361,16 @@ def _run_axioms(cfg: ExperimentConfig, out: Path, seed: int, threads: int):
     report = verify_axioms(
         *heat_semigroups(graph, [s, t, s + t]),
         **_options(_tolerances(doc), "tolerances", _AXIOM_TOLERANCES))
-    csv = write_csv(out / f"{cfg.name}.csv", report.header, report.rows())
-    js = _write_json(out / f"{cfg.name}.json", {
-        "s": report.s, "t": report.t,
-        "ck_defect": report.chapman_kolmogorov_defect,
-        "symmetry_defect": report.symmetry_defect,
-        "mass_excess": report.mass_excess,
-        "mass_deficit": report.mass_deficit, "passed": report.passed})
+    rows = report.rows()
     summary = (f"ck defect {report.chapman_kolmogorov_defect:.3e}, "
                f"symmetry defect {report.symmetry_defect:.3e}, "
                f"mass excess {report.mass_excess:.3e}, "
                f"deficit {report.mass_deficit:.3e}")
-    return [csv, js], report.checks, summary
+    return ((report.header, rows), dict(zip(report.header, rows[0])),
+            report.checks, summary)
 
 
-def _run_admissibility(cfg: ExperimentConfig, out: Path, seed: int,
-                       threads: int):
+def _run_admissibility(cfg: ExperimentConfig, seed: int, threads: int):
     doc = cfg.doc
     expect = doc.get("expect")
     if expect is not None and expect not in VERDICTS:
@@ -373,13 +378,12 @@ def _run_admissibility(cfg: ExperimentConfig, out: Path, seed: int,
                           f"expected one of {', '.join(VERDICTS)}")
     profile = growth_profile_from_config(require(doc, "profile", cfg.kind))
     result = ricci_admissibility(profile)
-    csv = write_csv(out / f"{cfg.name}.csv", result.header, result.rows())
-    js = _write_json(out / f"{cfg.name}.json", {
+    sidecar = {
         "verdict": result.verdict, "k_max": result.k_max,
         "partial_sum": result.partial_sum,
         "doubling_partial_sum": result.doubling_partial_sum,
         "certified_ratio": result.certified_ratio,
-        "tail_bound": result.tail_bound})
+        "tail_bound": result.tail_bound}
     checks = []
     if expect is not None:
         checks.append(("expected_verdict", result.verdict == expect,
@@ -387,31 +391,27 @@ def _run_admissibility(cfg: ExperimentConfig, out: Path, seed: int,
     summary = (f"verdict: {result.verdict} (k_max {result.k_max}, "
                f"partial sum {result.partial_sum!r}, "
                f"tail bound {result.tail_bound!r})")
-    return [csv, js], checks, summary
+    return (result.header, result.rows()), sidecar, checks, summary
 
 
-_RUNNERS = {
-    "graph-limit": _run_graph_limit,
-    "torus-limit": _run_torus_limit,
-    "fk-crosscheck": _run_fk_crosscheck,
-    "pnfb": _run_pnfb,
-    "axioms": _run_axioms,
-    "admissibility": _run_admissibility,
-}
-
-# the keys each kind's runner reads besides kind, name and seed, and the
-# keys of its tolerances object
-_KEYS = {
-    "graph-limit": (("graph", "potential", "t_grid", "tolerances"),
+# each kind's runner, the keys it reads besides kind, name and seed, and
+# the keys of its tolerances object; the order is the one errors list
+_KINDS = {
+    "graph-limit": (_run_graph_limit,
+                    ("graph", "potential", "t_grid", "tolerances"),
                     _SCAN_TOLERANCES),
-    "torus-limit": (("dim", "lengths", "truncation", "potential", "t_grid",
+    "torus-limit": (_run_torus_limit,
+                    ("dim", "lengths", "truncation", "potential", "t_grid",
                      "tolerances"), _SCAN_TOLERANCES),
-    "fk-crosscheck": (("graph", "potential", "t", "samples", "tolerances"),
+    "fk-crosscheck": (_run_fk_crosscheck,
+                      ("graph", "potential", "t", "samples", "tolerances"),
                       ("k_sigma", "max_rel_se")),
-    "pnfb": (("graph", "x", "K", "t_list", "samples", "tolerances"),
+    "pnfb": (_run_pnfb,
+             ("graph", "x", "K", "t_list", "samples", "tolerances"),
              ("k_sigma", "final_min")),
-    "axioms": (("graph", "s", "t", "tolerances"), _AXIOM_TOLERANCES),
-    "admissibility": (("profile", "expect"), ()),
+    "axioms": (_run_axioms, ("graph", "s", "t", "tolerances"),
+               _AXIOM_TOLERANCES),
+    "admissibility": (_run_admissibility, ("profile", "expect"), ()),
 }
 
 
@@ -422,16 +422,21 @@ def run(config: ExperimentConfig, out_dir, seed: int | None = None,
         threads: int = 1) -> ExperimentResult:
     """Run one experiment; write artifacts; evaluate its checks.
 
-    Artifacts land on disk before checks are evaluated, so a failing
-    experiment still leaves its data behind; the AssertionFailed then
-    carries the failed ExperimentResult as its result attribute. seed
-    overrides the config's own seed for the kinds that draw random numbers.
+    The runner's table and sidecar land on disk as <name>.csv and
+    <name>.json before checks are evaluated, so a failing experiment still
+    leaves its data behind; the AssertionFailed then carries the failed
+    ExperimentResult as its result attribute. A runner with no table (a
+    failed torus doubling gate) writes neither file. seed overrides the
+    config's own seed for the kinds that draw random numbers.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     effective_seed = config.seed if seed is None else int(seed)
-    artifacts, checks, summary = _RUNNERS[config.kind](
-        config, out, effective_seed, threads)
+    table, sidecar, checks, summary = _KINDS[config.kind][0](
+        config, effective_seed, threads)
+    artifacts = [] if table is None else [
+        write_csv(out / f"{config.name}.csv", *table),
+        _write_json(out / f"{config.name}.json", sidecar)]
     result = ExperimentResult(name=config.name, kind=config.kind,
                               status="pass", artifacts=artifacts,
                               summary=summary)

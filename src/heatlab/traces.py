@@ -18,7 +18,6 @@ scaled trace, with equality exactly for constant w.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from . import linalg
 from .errors import InputError
 from .graphs import WeightedGraph, require_connected, uniformize
 from .kernels import _exponential_chain
-from .util import check_time, check_time_grid, default_time_grid, write_csv
+from .util import check_time, check_time_grid, default_time_grid
 
 
 @dataclass
@@ -103,9 +102,6 @@ class ConvergenceReport:
         for i, t in enumerate(self.t_grid):
             yield (t, self.scaled_traces[i], self.target,
                    self.abs_errors[i], self.gt_bounds[i])
-
-    def to_csv(self, path) -> Path:
-        return write_csv(path, self.header, self.rows())
 
     def to_dict(self) -> dict:
         return {
