@@ -365,11 +365,13 @@ def check_truncation(model: TorusModel, t: float, *,
     doubled = galerkin_schrodinger_trace(model.with_truncation(
         2 * model.truncation), t)
     change = abs(doubled - base)
-    if change > _DOUBLING_REL_TOL * max(abs(base), 1e-300):
+    # guarded: a trace can underflow to 0 (a large constant potential)
+    scale = max(abs(base), 1e-300)
+    if change > _DOUBLING_REL_TOL * scale:
         raise TruncationNotConverged(
             f"N = {model.truncation} -> {2 * model.truncation} moves the "
-            f"trace by {change / abs(base):.3e} (limit {_DOUBLING_REL_TOL})")
-    return change / abs(base)
+            f"trace by {change / scale:.3e} (limit {_DOUBLING_REL_TOL})")
+    return change / scale
 
 
 def _refuse_infeasible(model: TorusModel) -> None:

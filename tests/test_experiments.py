@@ -103,14 +103,52 @@ def test_config_unknown_kind(tmp_path):
 # ------------------------------------------------------------- single runs
 
 
-def test_run_writes_artifacts(tmp_path):
-    cfg = ExperimentConfig.from_file(
-        write_config(tmp_path / "scan.json", PASSING_SCAN))
-    result = run(cfg, tmp_path / "out")
-    assert result.status == "pass"
-    names = sorted(a.name for a in result.artifacts)
-    assert names == ["scan.csv", "scan.json"]
-    assert all(a.exists() for a in result.artifacts)
+# one small config per kind, and the change that makes one of its checks
+# fail: new tolerances, or for admissibility a wrong expected verdict
+KIND_CASES = {
+    "graph-limit": (PASSING_SCAN, {"tolerances": {"final_rel_error": 1e-12}}),
+    "torus-limit": ({"kind": "torus-limit", "dim": 1,
+                     "lengths": [2 * math.pi], "truncation": 16,
+                     "t_grid": {"points": 6},
+                     "tolerances": {"final_rel_error": 0.05,
+                                    "monotone": False}},
+                    {"tolerances": {"final_rel_error": 1e-300,
+                                    "monotone": False}}),
+    "fk-crosscheck": ({"kind": "fk-crosscheck", "graph": "fixture:two_vertex",
+                       "potential": [0.0, 2.0], "t": 0.5, "samples": 200,
+                       "seed": 1, "tolerances": {"k_sigma": 4.0}},
+                      {"tolerances": {"max_rel_se": 1e-12}}),
+    "pnfb": ({"kind": "pnfb", "graph": "fixture:p5", "x": 2, "K": [1, 2, 3],
+              "t_list": [0.5, 0.1], "samples": 200,
+              "tolerances": {"final_min": 0.5}},
+             {"tolerances": {"final_min": 1.5}}),
+    "axioms": ({"kind": "axioms", "graph": "fixture:p5", "s": 0.3, "t": 0.7},
+               {"tolerances": {"mass": -1.0}}),
+    "admissibility": ({"kind": "admissibility", "expect": "inadmissible",
+                       "profile": {"m": 2, "A": 1.0, "k_max": 100,
+                                   "rule": {"rule": "constant",
+                                            "value": 1.0}}},
+                      {"expect": "admissible"}),
+}
+
+
+@pytest.mark.parametrize("failing", [False, True], ids=["pass", "fail"])
+@pytest.mark.parametrize("kind", list(KIND_CASES))
+def test_run_writes_artifacts(tmp_path, kind, failing):
+    # run writes <name>.csv and <name>.json, and nothing else, before it
+    # evaluates the checks, so a failing run leaves the same two files
+    doc, breaking = KIND_CASES[kind]
+    cfg = ExperimentConfig.from_file(write_config(
+        tmp_path / "exp.json", dict(doc, **breaking) if failing else doc))
+    out = tmp_path / "out"
+    try:
+        result = run(cfg, out)
+    except AssertionFailed as exc:
+        result = exc.result
+    assert result.status == ("fail" if failing else "pass")
+    assert sorted(a.name for a in result.artifacts) == ["exp.csv",
+                                                        "exp.json"]
+    assert sorted(p.name for p in out.iterdir()) == ["exp.csv", "exp.json"]
 
 
 def test_run_failing_tolerance_names_the_check(tmp_path):
@@ -199,8 +237,34 @@ def test_run_torus_doubling_gate_fails_as_assertion(tmp_path):
     doc = {"kind": "torus-limit", "dim": 1, "lengths": [1.0],
            "truncation": 4, "t_grid": [0.01, 0.005]}
     cfg = ExperimentConfig.from_file(write_config(tmp_path / "tr.json", doc))
-    with pytest.raises(AssertionFailed, match="^truncation_doubling:"):
+    with pytest.raises(AssertionFailed, match="^truncation_doubling:") as exc:
         run(cfg, tmp_path / "out")
+    # no report exists, so the failed gate writes neither file
+    assert exc.value.result.artifacts == []
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+# a trace that underflows to 0.0: e^{-800} on the circle of length 2 pi
+UNDERFLOWING_TORUS = {"kind": "torus-limit", "dim": 1,
+                      "lengths": [2 * math.pi], "truncation": 8,
+                      "potential": "constant:800", "t_grid": {"t0": 1.0}}
+
+
+def test_cli_run_torus_trace_underflow_keeps_exit_contract(tmp_path, capsys):
+    p = write_config(tmp_path / "under.json", UNDERFLOWING_TORUS)
+    code = cli.main(["run", str(p), "--out", str(tmp_path / "out")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_suite_torus_trace_underflow_gets_summary_row(tmp_path, capsys):
+    d = make_suite_dir(tmp_path)
+    write_config(d / "c_under.json", UNDERFLOWING_TORUS)
+    code = cli.main(["suite", str(d), "--out", str(tmp_path / "out")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    rows = (tmp_path / "out" / "suite_summary.csv").read_text().splitlines()
+    assert any(r.startswith("c_under,torus-limit,") for r in rows)
 
 
 # ------------------------------------------------------------------- suite
@@ -384,6 +448,54 @@ def test_cli_sample_paths_fk(tmp_path, capsys):
     assert code == 0
     text = (tmp_path / "sample_paths.csv").read_text()
     assert text.splitlines()[0].startswith("statistic,t,estimate")
+
+
+def test_cli_fk_trace_matches_fk_crosscheck(tmp_path, capsys):
+    # the CLI mode and the runner build the fk_trace row with one helper
+    gp = tmp_path / "g.graph"
+    hl.save_graph(hl.two_vertex(), gp)
+    code = cli.main(["sample-paths", "--graph", str(gp), "--t", "0.5",
+                     "--samples", "300", "--mode", "fk-trace",
+                     "--potential", "0,2", "--seed", "7",
+                     "--out", str(tmp_path / "cli")])
+    assert code == 0
+    doc = {"kind": "fk-crosscheck", "name": "fk", "graph": str(gp),
+           "potential": [0.0, 2.0], "t": 0.5, "samples": 300, "seed": 7}
+    with contextlib.suppress(AssertionFailed):
+        run(ExperimentConfig.from_doc(doc, tmp_path, "fk", "fk test"),
+            tmp_path / "run")
+    cli_text = (tmp_path / "cli" / "sample_paths.csv").read_text()
+    run_text = (tmp_path / "run" / "fk.csv").read_text()
+    assert cli_text.splitlines()[1].startswith("fk_trace,")
+    assert cli_text == run_text
+
+
+def test_cli_pnfb_matches_one_time_pnfb(tmp_path, capsys):
+    gp = tmp_path / "g.graph"
+    hl.save_graph(hl.path_graph(5), gp)
+    code = cli.main(["sample-paths", "--graph", str(gp), "--t", "0.5",
+                     "--samples", "300", "--mode", "pnfb", "--x", "2",
+                     "--K", "1,2,3", "--seed", "11",
+                     "--out", str(tmp_path / "cli")])
+    assert code == 0
+    doc = {"kind": "pnfb", "name": "pn", "graph": str(gp), "x": 2,
+           "K": [1, 2, 3], "t_list": [0.5], "samples": 300, "seed": 11}
+    with contextlib.suppress(AssertionFailed):
+        run(ExperimentConfig.from_doc(doc, tmp_path, "pn", "pnfb test"),
+            tmp_path / "run")
+    cli_rows = {r[0]: r for r in (
+        line.split(",") for line in
+        (tmp_path / "cli" / "sample_paths.csv").read_text().splitlines())}
+    header, row = (line.split(",") for line in
+                   (tmp_path / "run" / "pn.csv").read_text().splitlines())
+    got = dict(zip(header, row))
+    stay = cli_rows["stay_probability"]
+    # t, estimate, std_error, n_samples, seed; then the exact ratio and the
+    # no-jump bound
+    assert stay[1:6] == [got[k] for k in ("t", "estimate", "std_error",
+                                          "n_samples", "seed")]
+    assert stay[6] == got["exact_ratio"]
+    assert cli_rows["stay_lower_bound"][2] == got["lower_bound"]
 
 
 def test_cli_sample_paths_bridge(tmp_path, capsys):
