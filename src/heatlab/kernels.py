@@ -37,9 +37,10 @@ presymmetrization defect, the gemm rounding of the series. Its even powers
 are P P^T and every squaring is B B^T, which numpy hands to BLAS syrk: half
 the flops of a general product, and an exactly symmetric result. So every
 matrix the chain yields is exactly symmetric and nonnegative. Any other R
-(a killed generator, a generator given as a matrix) squares by B B. So does
-a chain that yields diagonals only (the graph scan's): only diagonals are
-read, so exact symmetry buys it nothing.
+(a killed generator, a generator given as a matrix) squares by B B. The
+graph scan runs its chain on the row-stochastic R of graphs.uniformize and
+reads each member's diagonal; that R is exactly symmetric, so the chain runs
+in the symmetric frame, when mu is constant.
 
 The certificate. The truncated step B and the exact step U are the same
 polynomial in R, with nonnegative weights summing to at most 1, so both have
@@ -218,22 +219,17 @@ def uniformized_exponential(h: np.ndarray, t: float):
     return e, info
 
 
-def _exponential_chain(lam: float, r: np.ndarray, times,
-                       diagonal: bool = False):
+def _exponential_chain(lam: float, r: np.ndarray, times):
     """Yield (t, e^{-t Lambda (I - R)}, UniformizationInfo) once for each
     distinct t in times, one scaling-and-squaring chain per step, with
     lam and r a rate and jump chain (module docstring).
 
-    An exactly symmetric r runs in the symmetric frame unless only
-    diagonals are asked for; any other squares by B B. Times come out
-    group by group, in increasing j within a group. Two n x n buffers serve
-    every group, so the matrix yielded is overwritten once the chain
-    advances: read or copy it first. With diagonal, the diagonal of
-    e^{-t Lambda (I - R)} is yielded instead, and the top of each chain is
-    never squared in full: its diagonal is read from the power below it at
-    O(n^2).
+    An exactly symmetric r runs in the symmetric frame; any other squares
+    by B B. Times come out group by group, in increasing j within a group.
+    Two n x n buffers serve every group, so the matrix yielded is
+    overwritten once the chain advances: read or copy it first.
     """
-    syrk = not diagonal and bool(np.array_equal(r, r.T))
+    syrk = bool(np.array_equal(r, r.T))
     groups: dict = {}
     for t in times:
         lam_t = lam * t
@@ -257,18 +253,13 @@ def _exponential_chain(lam: float, r: np.ndarray, times,
             idle *= 0.5
             b, idle = idle, b
         for k in range(top + 1):
-            if diagonal and k == top > 0:
-                value = np.einsum("ij,ji->i", b, b)
-            else:
-                if k:
-                    # a symmetric B squares as B B^T, which goes to syrk
-                    np.matmul(b, b.T if syrk else b, out=idle)
-                    b, idle = idle, b
-                if k not in members:
-                    continue
-                value = b.diagonal().copy() if diagonal else b
-            yield members[k], value, UniformizationInfo(
-                lam, len(pmf), math.ldexp(tail, k), k, defect)
+            if k:
+                # a symmetric B squares as B B^T, which goes to syrk
+                np.matmul(b, b.T if syrk else b, out=idle)
+                b, idle = idle, b
+            if k in members:
+                yield members[k], b, UniformizationInfo(
+                    lam, len(pmf), math.ldexp(tail, k), k, defect)
 
 
 def _poisson_series(r: np.ndarray, pmf: np.ndarray, out: np.ndarray,

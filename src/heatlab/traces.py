@@ -181,8 +181,8 @@ def semiclassical_scan(graph: WeightedGraph, w, t_grid=None,
     target = float(np.sum(boltz * (1.0 / graph.mu) * graph.mu))
     # [e^{-tH}]_{x,x} at every grid time, read off the squaring chains as
     # they pass: a grid of ratio 1/2 is one chain down to Lambda t <= 1
-    heat_diags = {t: d for t, d, _ in _exponential_chain(
-        *uniformize(h), grid.tolist(), diagonal=True)}
+    heat_diags = {t: e.diagonal().copy() for t, e, _ in _exponential_chain(
+        *uniformize(h), grid.tolist())}
     scaled = np.empty(grid.size)
     bounds = np.empty(grid.size)
     for i, t in enumerate(grid):
