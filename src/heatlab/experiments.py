@@ -1,12 +1,12 @@
 """Config-driven experiments with machine-checkable outcomes.
 
 Each experiment is one JSON document with a "kind" field, and _KINDS maps
-each kind to its runner and the keys it reads. A runner computes and writes
-nothing: it returns a CSV table, a JSON sidecar and its checks (the report's
-own, such as AxiomReport.checks, plus its own). run alone writes the table
-as <name>.csv and the sidecar as <name>.json into the output directory and
-then evaluates the checks; the first failing check raises AssertionFailed
-with that check's name.
+each kind to its runner and the keys it reads. A runner only computes: it
+returns a CSV table, a JSON sidecar and its checks (the report's own, such
+as AxiomReport.checks, plus its own). run alone writes the table as
+<name>.csv and the sidecar as <name>.json into the output directory, then
+evaluates the checks; the first failing check raises AssertionFailed with
+that check's name.
 Malformed documents raise ConfigError, unreadable data files InputError. A
 suite is a directory of configs run in sorted filename order with per-config
 error isolation and a one-line-per-config summary. The CLI's verify-kernel
@@ -289,22 +289,17 @@ def _run_fk_crosscheck(cfg: ExperimentConfig, seed: int, threads: int):
     tol = _tolerances(doc)
     k_sigma = number(tol, "k_sigma", "tolerances", default=3.0)
     row = fk_trace_row(graph, w, t, samples, seed, threads)
-    fk = dict(zip(MC_HEADER[1:], row[1:]))
-    est, se, exact = fk["estimate"], fk["std_error"], fk["reference"]
+    _, _, mean, se, _, _, exact, diff = row
     atol = 1e-10 * max(1.0, abs(exact))
     checks = [("mc_within_k_sigma",
-               fk["abs_diff"] <= k_sigma * se + atol,
-               f"|{est!r} - {exact!r}| = {fk['abs_diff']!r} > "
+               diff <= k_sigma * se + atol,
+               f"|{mean!r} - {exact!r}| = {diff!r} > "
                f"{k_sigma!r} * {se!r}")]
     if "max_rel_se" in tol:
         cap = number(tol, "max_rel_se", "tolerances") * abs(exact)
         checks.append(("relative_se", se <= cap,
                        f"std error {se!r} exceeds {cap!r}"))
-    return (MC_HEADER, [row]), fk, checks, ""
-
-
-_PNFB_HEADER = ("t", "estimate", "std_error", "n_samples", "seed",
-                "lower_bound", "exact_ratio")
+    return (MC_HEADER, [row]), dict(zip(MC_HEADER[1:], row[1:])), checks, ""
 
 
 def _run_pnfb(cfg: ExperimentConfig, seed: int, threads: int):
@@ -336,16 +331,18 @@ def _run_pnfb(cfg: ExperimentConfig, seed: int, threads: int):
                        est.mean >= bound - k_sigma * est.std_error - 1e-10,
                        f"at t={t!r}: estimate {est.mean!r} under bound "
                        f"{bound!r}"))
+    header = ("t", "estimate", "std_error", "n_samples", "seed",
+              "lower_bound", "exact_ratio")
     sidecar = {
         "x": graph.resolve(x), "K": sorted(graph.resolve(v) for v in subset),
-        "rows": [dict(zip(_PNFB_HEADER, r)) for r in rows]}
+        "rows": [dict(zip(header, r)) for r in rows]}
     checks.append(("monotone_in_shrinking_t",
                    all(means[i + 1] >= means[i] - 1e-12
                        for i in range(len(means) - 1)),
                    f"estimates {means!r} do not increase as t shrinks"))
     checks.append(("final_value", means[-1] >= final_min,
                    f"final estimate {means[-1]!r} below {final_min!r}"))
-    return (_PNFB_HEADER, rows), sidecar, checks, ""
+    return (header, rows), sidecar, checks, ""
 
 
 _AXIOM_TOLERANCES = {"ck": ("ck_tol", float),
@@ -395,7 +392,7 @@ def _run_admissibility(cfg: ExperimentConfig, seed: int, threads: int):
 
 
 # each kind's runner, the keys it reads besides kind, name and seed, and
-# the keys of its tolerances object; the order is the one errors list
+# the keys of its tolerances object, in the order errors list the kinds
 _KINDS = {
     "graph-limit": (_run_graph_limit,
                     ("graph", "potential", "t_grid", "tolerances"),

@@ -39,8 +39,8 @@ the flops of a general product, and an exactly symmetric result. So every
 matrix the chain yields is exactly symmetric and nonnegative. Any other R
 (a killed generator, a generator given as a matrix) squares by B B. The
 graph scan runs its chain on the row-stochastic R of graphs.uniformize and
-reads each member's diagonal; that R is exactly symmetric, so the chain runs
-in the symmetric frame, when mu is constant.
+reads each member's diagonal. When mu is constant that R is exactly
+symmetric, and the chain runs in the symmetric frame.
 
 The certificate. The truncated step B and the exact step U are the same
 polynomial in R, with nonnegative weights summing to at most 1, so both have
