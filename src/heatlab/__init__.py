@@ -21,8 +21,7 @@ from .potential_class import (AdmissibilityResult, GrowthProfile,
 from .torus import (TorusModel, TorusPotential, cosine_well,
                     exact_heat_trace, galerkin_schrodinger_trace,
                     potential_integral, torus_semiclassical_scan)
-from .traces import (ConvergenceReport, Potential, semiclassical_scan,
-                     trace_semigroup)
+from .traces import ConvergenceReport, semiclassical_scan, trace_semigroup
 
 __version__ = "0.1.0"
 

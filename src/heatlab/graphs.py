@@ -8,12 +8,15 @@ The formal difference Laplacian acts on functions psi by
 
 and the (nonnegative) generator used everywhere else in the package is
 H = -L, with matrix entries H[x,x] = Deg(x) and H[x,y] = -b(x,y)/mu(x),
-where Deg(x) = (1/mu(x)) * sum_y b(x,y) is the weighted degree. Its
-uniformization at the rate Lambda = max_x Deg(x) is the jump chain
-R = I - H/Lambda, which each graph builds once (jump_chain), together with
-the padded table of each row's nonzeros that the bridge sampler steps on.
-Heat tables run on its symmetric form M^{1/2} R M^{-1/2}, M = diag(mu),
-which symmetric_jump_chain builds from the edge table on each call.
+where Deg(x) = (1/mu(x)) * sum_y b(x,y) is the weighted degree. H is
+self-adjoint on L^2(X, mu), so S = M^{1/2} H M^{-1/2}, M = diag(mu), is
+symmetric. At the rate Lambda = max_x Deg(x) they uniformize to the jump
+chain R = I - H/Lambda and R_s = I - S/Lambda = M^{1/2} R M^{-1/2}. This
+module alone builds them, each as one scatter of the edge table: S on each
+call for the traces and killed kernels, R_s on each call for the heat
+tables, R (with the padded table of each row's nonzeros that the bridge
+sampler steps on) once per graph for the bridges, the killed actions and
+the scan, and H on each call for the tests.
 
 Storage. A WeightedGraph keeps its edges as numpy arrays, built once by the
 constructor, and derives everything else from them without a per-edge
@@ -24,7 +27,7 @@ Python loop:
   those of n and mu; ``edges`` is the same table as Python triples.
 - ``_rows``, ``_cols``, ``_vals``, ``_indptr``: the symmetric matrix b in
   CSR form, each edge once in row i and once in row j, entries sorted by
-  (row, column). ``neighbors(x)`` is one row slice; the generator is one
+  (row, column). ``neighbors(x)`` is one row slice; each operator is one
   fancy-index assignment; the weighted degrees are one ``bincount`` over
   the rows, which adds each row's weights in ascending column order from 0.
 
@@ -270,7 +273,6 @@ class WeightedGraph:
             raise InputError(f"weighted degree Deg({x}) = {sums[x]} / "
                              f"{mu[x]} is not finite")
         self._degrees.setflags(write=False)
-        self._generator = None
         self._chain = None
         self._components = None
         self._fingerprint = None
@@ -285,17 +287,15 @@ class WeightedGraph:
     # ------------------------------------------------------------- identity
 
     def resolve(self, key) -> int:
-        """Map an int index or a string label to a vertex index."""
+        """Map a string label or an integral index (_is_id) to a vertex."""
         if isinstance(key, str):
             try:
                 return self.labels.index(key)
             except ValueError:
                 raise UnknownVertex(f"no vertex labeled {key!r}") from None
-        try:
-            x = int(key)
-        except (OverflowError, TypeError, ValueError):
-            raise UnknownVertex(f"{key!r} is not a vertex index or label") \
-                from None
+        if not _is_id(key):
+            raise UnknownVertex(f"{key!r} is not a vertex index or label")
+        x = int(key)
         if not 0 <= x < self.n:
             raise UnknownVertex(f"vertex {x} outside 0..{self.n - 1}")
         return x
@@ -330,46 +330,58 @@ class WeightedGraph:
 
     # ------------------------------------------------------------- operator
 
+    def _dense(self, off: np.ndarray, diag) -> np.ndarray:
+        """A new n x n array: off at the stored positions (in CSR order),
+        diag on the diagonal, 0.0 elsewhere."""
+        a = np.zeros((self.n, self.n))
+        a[self._rows, self._cols] = off
+        np.fill_diagonal(a, diag)
+        return a
+
+    def _weights(self, symmetric: bool) -> np.ndarray:
+        """b(x,y)/mu(x) at the stored positions or, when symmetric, the
+        exactly symmetric b(x,y) / (sqrt(mu_x) * sqrt(mu_y))."""
+        if not symmetric:
+            return self._vals / self.mu[self._rows]
+        root = np.sqrt(self.mu)
+        return self._vals / (root[self._rows] * root[self._cols])
+
     def generator_matrix(self) -> np.ndarray:
-        """Dense matrix of H = -L; H[x,x] = Deg(x), H[x,y] = -b(x,y)/mu(x)."""
-        if self._generator is None:
-            h = np.zeros((self.n, self.n))
-            h[self._rows, self._cols] -= self._vals / self.mu[self._rows]
-            np.fill_diagonal(h, self._degrees)
-            h.setflags(write=False)
-            self._generator = h
-        return self._generator
+        """Dense H = -L, built on each call: H[x,x] = Deg(x) and H[x,y] =
+        0.0 - b(x,y)/mu(x), +0.0 where that underflows, as at a non-edge."""
+        return self._dense(0.0 - self._weights(False), self._degrees)
+
+    def symmetric_generator(self) -> np.ndarray:
+        """Dense S = M^{1/2} H M^{-1/2}, built on each call: exactly
+        symmetric, S[x,x] = Deg(x), S[x,y] = -b(x,y) / sqrt(mu_x mu_y)."""
+        return self._dense(0.0 - self._weights(True), self._degrees)
+
+    def _uniformized(self, symmetric: bool) -> tuple[float, np.ndarray]:
+        """uniformize(S if symmetric else H) bit for bit, from the edges:
+        weight / Lambda off the diagonal, 1 - Deg(x)/Lambda on it."""
+        lam = float(np.max(self._degrees))
+        if not lam:
+            return lam, np.eye(self.n)
+        return lam, self._dense(self._weights(symmetric) / lam,
+                                1.0 - self._degrees / lam)
 
     def jump_chain(self) -> tuple:
-        """(Lambda, R, cols, vals): uniformize(H) and _row_support(R), built
-        once and shared read-only."""
+        """(Lambda, R, cols, vals): R = I - H/Lambda and _row_support(R),
+        built once and shared read-only."""
         with _chain_lock:
             if self._chain is None:
-                lam, r = uniformize(self.generator_matrix())
+                lam, r = self._uniformized(False)
+                r.setflags(write=False)
                 self._chain = (lam, r) + _row_support(r)
         return self._chain
 
     def symmetric_jump_chain(self) -> tuple[float, np.ndarray]:
-        """(Lambda, R_s) with R_s = M^{1/2} R M^{-1/2}, M = diag(mu), built
-        from the edge table, not from H, and not kept.
-
-        R_s[x,y] = b(x,y) / (sqrt(mu_x) * sqrt(mu_y)) / Lambda off the
-        diagonal and 1 - Deg(x)/Lambda on it (exactly 0 where Deg(x) =
-        Lambda); R_s = I when Lambda = 0. Each entry rounds the same
-        operands as its mirror, so R_s is exactly symmetric, and it is
-        entrywise nonnegative. Dividing by Lambda last cannot overflow:
+        """(Lambda, R_s), R_s = I - S/Lambda = M^{1/2} R M^{-1/2}, built on
+        each call and not kept. R_s is exactly symmetric and nonnegative;
+        its off-diagonal divides by Lambda last, which cannot overflow:
         b(x,y) / sqrt(mu_x mu_y) <= sqrt(Deg(x) Deg(y)) <= Lambda.
         """
-        lam = float(np.max(self._degrees))
-        r = np.zeros((self.n, self.n))
-        if lam:
-            root = np.sqrt(self.mu)
-            r[self._rows, self._cols] = self._vals / (
-                root[self._rows] * root[self._cols]) / lam
-            np.fill_diagonal(r, 1.0 - self._degrees / lam)
-        else:
-            np.fill_diagonal(r, 1.0)
-        return lam, r
+        return self._uniformized(True)
 
     # ----------------------------------------------------------- structure
 
@@ -471,8 +483,9 @@ def _fields(item, keys: tuple) -> tuple:
 
 
 def _is_id(value) -> bool:
-    """value is an integral number (1 and 1.0, not 1.5, true or "1")."""
-    return is_finite_real(value) and float(value).is_integer()
+    """value is an integral number (1, 1.0, numpy's 1; not 1.5, true, "1")."""
+    return isinstance(value, np.integer) or (
+        is_finite_real(value) and float(value).is_integer())
 
 
 def _parse_structured(doc: dict, name_hint: str) -> WeightedGraph:

@@ -37,9 +37,9 @@ presymmetrization defect, the gemm rounding of the series. Its even powers
 are P P^T and every squaring is B B^T, which numpy hands to BLAS syrk: half
 the flops of a general product, and an exactly symmetric result. So every
 matrix the chain yields is exactly symmetric and nonnegative. Any other R
-(a killed generator, a generator given as a matrix) squares by B B. The
-graph scan runs its chain on the row-stochastic R of graphs.uniformize and
-reads each member's diagonal. When mu is constant that R is exactly
+(a generator given as a matrix) squares by B B. The graph scan runs its
+chain on the graph's row-stochastic R (jump_chain) and reads each member's
+diagonal, the same in both frames. When mu is constant that R is exactly
 symmetric, and the chain runs in the symmetric frame.
 
 The certificate. The truncated step B and the exact step U are the same
@@ -75,14 +75,14 @@ entries of minimal_heat_kernel and of paths.stay_probability_exact.
 potential_class.kato_modulus integrates the same series in time with other
 weights, unmasked.
 
-Killed (Dirichlet) kernels on a subset K use the principal submatrix of H,
-which keeps the full weighted degree on the diagonal: mass lost through
-edges leaving K is absorbed, and the killed kernels increase monotonically
-along any exhaustion toward the kernel of the full graph. minimal_heat_kernel
-masks one ambient (Lambda, R) to each member, one stack item per member, so
-every member goes through the same monotone operations on nonnegative
-operands, and the computed killed values are nondecreasing along an
-exhaustion exactly, not just up to rounding.
+Killed (Dirichlet) kernels on a subset K use the principal submatrix of H
+(of S in killed_kernel), which keeps the full weighted degree on the
+diagonal: mass lost through edges leaving K is absorbed, and the killed
+kernels increase monotonically along any exhaustion toward the kernel of
+the full graph. minimal_heat_kernel masks one ambient (Lambda, R) to each
+member, one stack item per member, so every member goes through the same
+monotone operations on nonnegative operands, and the computed killed values
+are nondecreasing along an exhaustion exactly, not just up to rounding.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ import numpy as np
 
 from .errors import (GraphMismatch, InputError, InvalidRate,
                      NTruncationExceeded, VertexOutsideExhaustion)
-from .graphs import WeightedGraph, require_connected, uniformize
+from .graphs import WeightedGraph, _is_id, require_connected, uniformize
 from .util import check_time
 
 DEFAULT_TAIL_CUTOFF = 1e-14
@@ -447,17 +447,17 @@ def killed_kernel(graph: WeightedGraph, subset, t: float):
 
     H_K is the principal submatrix of H on sorted(subset): its diagonal
     keeps the full ambient weighted degree, so edges leaving the subset act
-    as absorption (Dirichlet condition).
+    as absorption (Dirichlet condition). Built from S's principal submatrix
+    S_K, p_K = e^{-tS_K} / outer(sqrt(mu_K), sqrt(mu_K)) is exactly symmetric.
     """
     check_time(t)
     idx = sorted({graph.resolve(v) for v in subset})
     if not idx:
         raise VertexOutsideExhaustion("empty subset")
-    h_k = graph.generator_matrix()[np.ix_(idx, idx)]
-    e, _ = uniformized_exponential(h_k, t)
-    mu_k = graph.mu[idx]
-    p_raw = e / mu_k[None, :]
-    return 0.5 * (p_raw + p_raw.T), idx
+    e, _ = uniformized_exponential(
+        graph.symmetric_generator()[np.ix_(idx, idx)], t)
+    root = np.sqrt(graph.mu[idx])
+    return e / np.multiply.outer(root, root), idx
 
 
 def _killed_columns(graph: WeightedGraph, t: float, subsets,
@@ -483,11 +483,15 @@ def _killed_columns(graph: WeightedGraph, t: float, subsets,
 
 @dataclass
 class Exhaustion:
-    """Nested vertex subsets K_1 subset K_2 subset ... of an ambient graph."""
+    """Nested vertex subsets K_1 subset K_2 subset ... of an ambient graph,
+    each vertex an integral index (graphs._is_id), not a label."""
 
     subsets: list
 
     def __post_init__(self):
+        if not all(_is_id(v) for s in self.subsets for v in s):
+            raise VertexOutsideExhaustion(
+                f"exhaustion {self.subsets!r} holds a non-index vertex")
         sets = [sorted(set(int(v) for v in s)) for s in self.subsets]
         if not sets:
             raise VertexOutsideExhaustion("exhaustion has no members")
@@ -517,11 +521,11 @@ def minimal_heat_kernel(graph: WeightedGraph, exhaustion: Exhaustion,
     """p_{K_n}(t,x,y) for each member of the exhaustion.
 
     One stacked action of the ambient series on [e_x, e_y], one stack item
-    per member masked to it, gives the entries of every killed kernel (as
-    killed_kernel symmetrizes them) without building a table. The sequence
-    is nondecreasing in n exactly (see the module docstring); the gap
-    between the last two values is reported as the convergence proxy for
-    the minimal kernel. Lambda t above MAX_BRIDGE_TERMS raises
+    per member masked to it, gives the entries of every killed kernel
+    (the mean of the (x, y) and (y, x) routes) without building a table.
+    The sequence is nondecreasing in n exactly (see the module docstring);
+    the gap between the last two values is reported as the convergence
+    proxy for the minimal kernel. Lambda t above MAX_BRIDGE_TERMS raises
     NTruncationExceeded.
     """
     if not isinstance(exhaustion, Exhaustion):

@@ -1,12 +1,14 @@
 """Dense real-symmetric eigenvalues through LAPACK (numpy's eigvalsh / eigh).
 
-Graph traces and torus Galerkin traces (in the real cos/sin basis) go
-through these wrappers, which check that the input is a square, real,
-symmetric matrix and turn a LAPACK convergence failure into
-EigensolverNoConvergence. The routes their results are held against share
-no symmetric eigensolver: the uniformization series, Monte Carlo over jump
-paths, and (in the tests) closed-form spectra, numpy's nonsymmetric driver,
-scipy's matrix exponential and a complex plane-wave Galerkin matrix.
+Graph traces (on S + diag(w), with S the graph's symmetric_generator) and
+torus Galerkin traces (in the real cos/sin basis) go through these wrappers,
+which check that the input is a square, real, symmetric matrix and turn a
+LAPACK convergence failure into EigensolverNoConvergence. They build no
+operator: graphs.py and torus.py build the matrices. The routes their
+results are held against share no symmetric eigensolver: the uniformization
+series, Monte Carlo over jump paths, and (in the tests) closed-form spectra,
+numpy's nonsymmetric driver, scipy's matrix exponential and a complex
+plane-wave Galerkin matrix.
 """
 
 from __future__ import annotations
@@ -50,9 +52,3 @@ def symmetric_eigvals(a) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise EigensolverNoConvergence(f"eigvalsh: {exc}") from None
 
-
-def similarity_symmetrize(h: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """D^{1/2} h D^{-1/2} with D = diag(mu); symmetric when h is mu-symmetric."""
-    root = np.sqrt(mu)
-    s = h * (root[:, None] / root[None, :])
-    return 0.5 * (s + s.T)

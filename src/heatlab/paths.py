@@ -329,7 +329,7 @@ def feynman_kac_trace_mc(graph: WeightedGraph, w, t: float, n_samples: int,
         weighted, total = np.zeros(n_samples), np.zeros(n_samples)
         for lo, z, e in _bridge_steps(bk, xi, n_samples, rng,
                                       with_gaps=True, dist=dist):
-            weighted[lo:] += pot.values[z] * e
+            weighted[lo:] += pot[z] * e
             total[lo:] += e
         fk = np.exp(-bk.t * weighted / total)
         var = float(fk.var(ddof=1)) if len(fk) > 1 else 0.0

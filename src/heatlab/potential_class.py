@@ -91,7 +91,7 @@ def kato_modulus(graph: WeightedGraph, w, t: float) -> float:
     # c_k = P(N > k) / Lambda for k < K (c_K, below the tail, is dropped);
     # with Lambda t = 0, e^{-sH} = I on [0, t] and the integral is t |w|
     coeffs = np.cumsum(pmf[:0:-1])[::-1] / lam if lam_t else np.array([t])
-    per_vertex = _chain_action(graph, coeffs, np.abs(pot.values))
+    per_vertex = _chain_action(graph, coeffs, np.abs(pot))
     return float(per_vertex.max())
 
 

@@ -123,15 +123,18 @@ def cosine_well(lengths) -> TorusPotential:
 
 
 def potential_from_spec(spec, lengths) -> TorusPotential:
-    """Parse a config potential: zero | constant:c | cosine-well."""
+    """Parse a config potential: zero | constant:c (c finite) | cosine-well."""
     if spec in (None, "zero"):
         return zero_potential()
     if isinstance(spec, str):
         if spec.startswith("constant:"):
             try:
-                return constant_potential(float(spec.split(":", 1)[1]))
+                c = float(spec.split(":", 1)[1])
             except ValueError:
-                raise ConfigError(f"bad constant potential {spec!r}") from None
+                c = math.nan
+            if not math.isfinite(c):
+                raise ConfigError(f"bad constant potential {spec!r}")
+            return constant_potential(c)
         if spec == "cosine-well":
             return cosine_well(lengths)
     raise ConfigError(f"unknown potential spec {spec!r}")

@@ -1,11 +1,13 @@
 """Schrodinger operators H + w on weighted graphs and their heat traces.
 
 The form sum H(w) = H + diag(w) is symmetric in the mu-inner product; the
-similarity transform S = D^{1/2} (H + diag(w)) D^{-1/2} with D = diag(mu)
-makes it plainly symmetric, and tr e^{-tH(w)} = sum_i e^{-t lambda_i(S)}.
-Eigenvalues come from LAPACK through linalg.symmetric_eigvals; the trace
-inequality's right-hand side comes from the uniformized kernel instead, so
-each scan row carries a second route that shares no eigensolver.
+similarity transform D^{1/2} (H + diag(w)) D^{-1/2} = S + diag(w), with
+D = diag(mu) and S the graph's symmetric_generator (built from the edge
+table), makes it plainly symmetric, and tr e^{-tH(w)} = sum_i
+e^{-t lambda_i(S + diag(w))}. Eigenvalues come from LAPACK through
+linalg.symmetric_eigvals; the trace inequality's right-hand side comes from
+the uniformized kernel on the graph's jump chain R instead, so each scan row
+carries a second route that shares no eigensolver.
 
 The semiclassical scan follows psi(t) * tr e^{-t(H + w/t)} down a decreasing
 time grid. The space fixes psi through the limit of p(t,x,x) psi(t): on a
@@ -23,55 +25,35 @@ import numpy as np
 
 from . import linalg
 from .errors import InputError
-from .graphs import WeightedGraph, require_connected, uniformize
+from .graphs import WeightedGraph, require_connected
 from .kernels import _exponential_chain
 from .util import check_time, check_time_grid, default_time_grid
 
 
-@dataclass
-class Potential:
-    """A finite real potential on the vertex set."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        try:
-            vals = np.asarray(self.values, dtype=float)
-        except (TypeError, ValueError):
-            raise InputError("potential values must be numbers") from None
-        if vals.ndim != 1:
-            raise InputError("potential must be one-dimensional")
-        if not np.all(np.isfinite(vals)):
-            raise InputError("potential must be finite on all vertices")
-        self.values = vals
-
-    def __len__(self):
-        return len(self.values)
-
-
-def as_potential(w, n: int) -> Potential:
-    """Coerce an array, scalar, or Potential to length n."""
-    if isinstance(w, Potential):
-        pot = w
-    elif np.isscalar(w):
-        pot = Potential(np.full(n, w))
-    else:
-        pot = Potential(w)
-    if len(pot) != n:
-        raise InputError(f"potential has {len(pot)} entries for {n} vertices")
-    return pot
+def as_potential(w, n: int) -> np.ndarray:
+    """w as a finite 1-d float array of length n; a scalar fills all n."""
+    try:
+        vals = np.asarray(np.full(n, w) if np.isscalar(w) else w, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError("potential values must be numbers") from None
+    if vals.ndim != 1:
+        raise InputError("potential must be one-dimensional")
+    if not np.all(np.isfinite(vals)):
+        raise InputError("potential must be finite on all vertices")
+    if vals.size != n:
+        raise InputError(f"potential has {vals.size} entries for {n} vertices")
+    return vals
 
 
 # ------------------------------------------------------------ the operator
 
 
 def trace_semigroup(graph: WeightedGraph, w, t: float) -> float:
-    """tr e^{-t (H + w)} from the eigenvalues of the symmetrized operator
-    S = D^{1/2} (H + diag(w)) D^{-1/2}."""
+    """tr e^{-t (H + w)} from the eigenvalues of the symmetric operator
+    S + diag(w), S = D^{1/2} H D^{-1/2} (graph.symmetric_generator)."""
     check_time(t)
     pot = as_potential(w, graph.n)
-    s = linalg.similarity_symmetrize(graph.generator_matrix(), graph.mu)
-    lam = linalg.symmetric_eigvals(s + np.diag(pot.values))
+    lam = linalg.symmetric_eigvals(graph.symmetric_generator() + np.diag(pot))
     # sum smallest terms first for a stable total
     return float(np.sum(np.exp(-t * lam)[::-1]))
 
@@ -173,20 +155,21 @@ def semiclassical_scan(graph: WeightedGraph, w, t_grid=None,
     pot = as_potential(w, graph.n)
     grid = check_time_grid(default_time_grid() if t_grid is None else t_grid)
     require_connected(graph)
-    h = graph.generator_matrix()
-    base = linalg.similarity_symmetrize(h, graph.mu)
-    boltz = np.exp(-pot.values)
+    base = graph.symmetric_generator()
+    boltz = np.exp(-pot)
     # the limit density 1/mu times mu, kept as written: 1/mu * mu need not
     # round to 1
     target = float(np.sum(boltz * (1.0 / graph.mu) * graph.mu))
     # [e^{-tH}]_{x,x} at every grid time, read off the squaring chains as
-    # they pass: a grid of ratio 1/2 is one chain down to Lambda t <= 1
+    # they pass: a grid of ratio 1/2 is one chain down to Lambda t <= 1. The
+    # chain runs on R, not R_s: the diagonals are the same in both frames,
+    # and R's chain is the faster at the orders a scan runs
     heat_diags = {t: e.diagonal().copy() for t, e, _ in _exponential_chain(
-        *uniformize(h), grid.tolist())}
+        *graph.jump_chain()[:2], grid.tolist())}
     scaled = np.empty(grid.size)
     bounds = np.empty(grid.size)
     for i, t in enumerate(grid):
-        lam = linalg.symmetric_eigvals(base + np.diag(pot.values / t))
+        lam = linalg.symmetric_eigvals(base + np.diag(pot / t))
         scaled[i] = float(np.sum(np.exp(-t * lam)[::-1]))
         # p(t,x,x) = [e^{-tH}]_{x,x} / mu(x)
         diag = heat_diags[float(t)] / graph.mu

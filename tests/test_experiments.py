@@ -799,6 +799,34 @@ def test_malformed_value_gets_suite_error_row(tmp_path, name, path, value):
     assert any(r.startswith(f"{p.stem},") and ",error," in r for r in rows)
 
 
+# values that used to run: a non-finite torus constant wrote rows of nan or
+# inf and failed as an assertion (exit 1); a bool or fractional vertex id
+# was cast to vertex 1 and the pnfb run passed
+UNCAST_MUTANTS = [
+    ("torus_1d_zero.json", ["potential"], "constant:nan"),
+    ("torus_1d_zero.json", ["potential"], "constant:inf"),
+    ("torus_1d_zero.json", ["potential"], "constant:-1e999"),
+    ("pnfb_p5.json", ["x"], True),
+    ("pnfb_p5.json", ["K"], [0, 1.7, 2]),
+]
+
+
+@pytest.mark.parametrize("name,path,value", UNCAST_MUTANTS)
+def test_uncast_value_exits_2_and_gets_suite_error_row(tmp_path, capsys, name,
+                                                       path, value):
+    p = _mutant(tmp_path, name, path, value)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+    shutil.copy(CONFIGS / "acceptance" / "graph_limit_two_vertex.json",
+                p.parent)
+    suite = run_suite(p.parent, tmp_path / "suite")
+    assert {r.name: r.status for r in suite.results} == {
+        p.stem: "error", "graph_limit_two_vertex": "pass"}
+
+
 @pytest.mark.parametrize("name,path,value", KEY_MUTANTS)
 def test_unknown_key_error_names_it(tmp_path, capsys, name, path, value):
     # refused before anything runs: an ignored key would leave its default

@@ -15,7 +15,7 @@ import heatlab as hl
 from heatlab.errors import (AsymmetricWeights, DisconnectedGraph,
                             HeatLabError, InputError, NegativeWeight,
                             NonpositiveMeasure, SelfLoop, UnknownVertex)
-from heatlab.graphs import WeightedGraph, require_connected
+from heatlab.graphs import WeightedGraph, require_connected, uniformize
 
 
 def test_basic_construction(two_vertex):
@@ -78,6 +78,39 @@ def test_jump_chain_is_built_once_under_thread_stress():
         sys.setswitchinterval(interval)
 
 
+OPERATOR_GRAPHS = {
+    **{name: g for name, (g, _) in hl.fixture_registry().items()},
+    "lambda0": WeightedGraph([0.3], []),
+    "mu-extreme": WeightedGraph([1e300, 1e300, 1e-10],
+                                [(0, 1, 1e300), (1, 2, 1.0)]),
+    "b-subnormal": WeightedGraph([1.0, 1e300, 0.5],
+                                 [(0, 1, 5e-324), (1, 2, 1.0), (0, 2, 2.0)]),
+    "spread": WeightedGraph(
+        10.0 ** np.linspace(-6, 6, 7),
+        [(i, j, 10.0 ** ((3 * i + 5 * j) % 13 - 6))
+         for i in range(7) for j in range(i + 1, 7) if (i + j) % 3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_GRAPHS))
+def test_scattered_chains_are_the_uniformized_generators(name):
+    # each operator is one scatter of the edge table; the jump chains must
+    # be uniformize() of the generators bit for bit, on extreme mu and b too
+    g = OPERATOR_GRAPHS[name]
+    lam, r = uniformize(g.generator_matrix())
+    assert g.jump_chain()[0] == lam
+    assert g.jump_chain()[1].tobytes() == r.tobytes()
+    lam_s, r_s = uniformize(g.symmetric_generator())
+    assert g.symmetric_jump_chain()[0] == lam_s == lam
+    assert g.symmetric_jump_chain()[1].tobytes() == r_s.tobytes()
+    s = g.symmetric_generator()
+    assert np.array_equal(s, s.T) and np.array_equal(r_s, r_s.T)
+    assert np.all(r >= 0) and np.all(r_s >= 0)
+    # no underflowed off-diagonal of H or S is a negative zero
+    for a in (g.generator_matrix(), s):
+        assert not np.any(np.signbit(a[a == 0.0]))
+
+
 def test_rejects_negative_weight():
     with pytest.raises(NegativeWeight):
         WeightedGraph([1.0, 1.0], [(0, 1, -0.5)])
@@ -130,6 +163,21 @@ def test_resolve_labels():
     assert g.resolve(0) == 0
     with pytest.raises(UnknownVertex):
         g.resolve("zz")
+
+
+@pytest.mark.parametrize("key", [1, 1.0, np.int64(1), np.uint8(1),
+                                 np.float64(1.0)])
+def test_resolve_takes_integral_numbers(key):
+    assert hl.path_graph(3).resolve(key) == 1
+
+
+@pytest.mark.parametrize("key", [True, False, np.bool_(True), 1.7, -0.5,
+                                 float("nan"), float("inf"), None, [1],
+                                 10 ** 400, 3, -1])
+def test_resolve_refuses_what_is_not_an_index(key):
+    # a bool or a fractional id is not cast to an index
+    with pytest.raises(UnknownVertex):
+        hl.path_graph(3).resolve(key)
 
 
 def test_text_format_round_trip():

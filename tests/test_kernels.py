@@ -18,7 +18,8 @@ from heatlab import cli
 from heatlab import kernels
 from heatlab.errors import (DisconnectedGraph, GraphMismatch, HeatLabError,
                             InputError, InvalidRate, NonpositiveTime,
-                            NTruncationExceeded, VertexOutsideExhaustion)
+                            NTruncationExceeded, UnknownVertex,
+                            VertexOutsideExhaustion)
 from heatlab.graphs import WeightedGraph, uniformize
 from heatlab.kernels import (DEFAULT_TAIL_CUTOFF, MAX_BRIDGE_TERMS,
                              Exhaustion, _poisson_pmf, heat_semigroup,
@@ -601,6 +602,21 @@ def test_killed_below_full():
     assert np.all(p >= 0)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_killed_kernel_against_expm(seed):
+    # built in the symmetric frame, the table needs no symmetrizing pass:
+    # it is exactly symmetric and within 1e-14 of expm(-t H_K) / mu_y
+    g = hl.random_connected_graph(12, seed)
+    for subset in ([0, 1, 2, 3, 4, 5], [11, 9, 7, 5, 3, 1], range(12)):
+        for t in (0.05, 0.7, 3.0, 20.0):
+            p, idx = killed_kernel(g, subset, t)
+            assert idx == sorted(subset)
+            assert np.array_equal(p, p.T)
+            h_k = g.generator_matrix()[np.ix_(idx, idx)]
+            ref = scipy.linalg.expm(-t * h_k) / g.mu[idx][None, :]
+            assert np.max(np.abs(p - ref)) <= 1e-14
+
+
 def test_exhaustion_monotone_to_full():
     g = hl.random_connected_graph(10, 7)
     ex = Exhaustion([[0, 1, 2, 3], [0, 1, 2, 3, 4, 5, 6], list(range(10))])
@@ -628,6 +644,22 @@ def test_exhaustion_nondecreasing_bit_for_bit(n, seed, order, x, lam_t):
 def test_exhaustion_requires_nesting():
     with pytest.raises(VertexOutsideExhaustion):
         Exhaustion([[0, 1], [1, 2]])
+
+
+@pytest.mark.parametrize("bad", [1.5, True, None])
+def test_vertex_ids_are_not_cast(p5, bad):
+    # a bool or fractional id used to be cast to vertex 1; an exhaustion,
+    # which has no graph to look labels up in, takes no label either
+    for member in (bad, "1"):
+        with pytest.raises(VertexOutsideExhaustion):
+            Exhaustion([[0, member]])
+    ex = Exhaustion([[0, 1, 2]])
+    with pytest.raises(UnknownVertex):
+        minimal_heat_kernel(p5, ex, 0.5, bad, 1)
+    with pytest.raises(UnknownVertex):
+        minimal_heat_kernel(p5, ex, 0.5, 1, 1.9)
+    with pytest.raises(UnknownVertex):
+        killed_kernel(p5, [0, bad], 0.5)
 
 
 def test_exhaustion_requires_vertices_in_first_member(p5):

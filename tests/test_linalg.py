@@ -1,7 +1,8 @@
 """The LAPACK wrappers against routes that share no symmetric eigensolver.
 
 Oracles: closed-form spectra, numpy's general (nonsymmetric) eigenvalue
-driver applied before symmetrization, and traces from scipy's expm.
+driver on a matrix similar to the symmetric one, and traces from scipy's
+expm.
 """
 
 from pathlib import Path
@@ -35,16 +36,16 @@ def residual(a, w, v) -> float:
 @pytest.mark.parametrize("n,seed", [(1, 0), (2, 1), (3, 2), (5, 3), (8, 4),
                                     (13, 5), (21, 6), (30, 7)])
 def test_matches_numpy_oracle(n, seed):
-    # h = D^{-1/2} a D^{1/2} is not symmetric; numpy's general driver
-    # (Hessenberg QR) finds its spectrum without any symmetric solver
-    a = random_symmetric(n, seed)
+    # h = D^{-1/2} s D^{1/2} is similar to the symmetric s but not itself
+    # symmetric; numpy's general driver (Hessenberg QR) finds its spectrum
+    # without any symmetric solver
+    s = random_symmetric(n, seed)
     mu = np.random.default_rng(seed + 100).uniform(0.5, 2.0, size=n)
     root = np.sqrt(mu)
-    h = a * (root[None, :] / root[:, None])
+    h = s * (root[None, :] / root[:, None])
     w_ref = np.sort(np.linalg.eigvals(h).real)
-    s = linalg.similarity_symmetrize(h, mu)
     w, v = linalg.symmetric_eigh(s)
-    scale = max(1.0, float(np.linalg.norm(a, 2)))
+    scale = max(1.0, float(np.linalg.norm(s, 2)))
     assert np.max(np.abs(w - w_ref)) <= 1e-10 * scale
     assert np.max(np.abs(linalg.symmetric_eigvals(s) - w_ref)) <= 1e-10 * scale
     # residual contract: ||A v - v diag(w)|| <= 1e-9 ||A||
@@ -120,21 +121,27 @@ def test_rejects_nonsquare():
 
 
 def test_similarity_preserves_spectrum():
-    g = hl.random_connected_graph(9, 17)
-    h = g.generator_matrix()
-    s = linalg.similarity_symmetrize(h, g.mu)
-    assert np.max(np.abs(s - s.T)) <= 1e-12
-    w_s = linalg.symmetric_eigvals(s)
-    w_h = np.sort(np.linalg.eigvals(h).real)
-    assert np.max(np.abs(w_s - w_h)) <= 1e-9
+    # S = M^{1/2} H M^{-1/2} is exactly symmetric, and its symmetric
+    # spectrum is that of H from numpy's nonsymmetric driver
+    for g in (hl.random_connected_graph(9, 17),
+              WeightedGraph([0.5, 2.0, 3.0, 0.25],
+                            [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 4.0),
+                             (0, 3, 0.125)]),
+              WeightedGraph([1e6, 1.0, 1e-6], [(0, 1, 1.0), (1, 2, 1e-3)])):
+        s = g.symmetric_generator()
+        assert np.array_equal(s, s.T)
+        w_s = linalg.symmetric_eigvals(s)
+        w_h = np.sort(np.linalg.eigvals(g.generator_matrix()).real)
+        assert np.max(np.abs(w_s - w_h)) <= 1e-9 * max(1.0, float(w_h[-1]))
 
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_trace_matches_expm(seed):
-    # sum_i e^{-t lambda_i} = tr expm(-t S), S = symmetrized H + diag(w)
+    # sum_i e^{-t lambda_i} = tr expm(-t (S + diag(w))), S the symmetric form
+    # of H
     g = hl.random_connected_graph(15, seed)
     w = np.random.default_rng(seed).uniform(-1.0, 3.0, size=g.n)
-    s = linalg.similarity_symmetrize(g.generator_matrix(), g.mu) + np.diag(w)
+    s = g.symmetric_generator() + np.diag(w)
     lam = linalg.symmetric_eigvals(s)
     for t in (0.05, 0.5, 2.0):
         ref = float(np.trace(expm(-t * s)))

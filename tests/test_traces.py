@@ -43,10 +43,14 @@ def test_trace_zero_potential_is_heat_trace(two_vertex):
 
 
 def test_as_potential_coercions(two_vertex):
-    assert np.array_equal(as_potential(1.5, 2).values, [1.5, 1.5])
-    assert np.array_equal(as_potential([1.0, 2.0], 2).values, [1.0, 2.0])
+    assert np.array_equal(as_potential(1.5, 2), [1.5, 1.5])
+    assert np.array_equal(as_potential([1, 2], 2), [1.0, 2.0])
     pot = as_potential(np.array([0.0, -1.0]), 2)
-    assert np.array_equal(as_potential(pot, 2).values, pot.values)
+    assert pot.dtype == float and np.array_equal(as_potential(pot, 2), pot)
+    with pytest.raises(InputError):
+        as_potential([[1.0, 2.0]], 2)
+    with pytest.raises(InputError):
+        as_potential(np.inf, 2)
     with pytest.raises(InputError):
         as_potential([1.0], 2)
     with pytest.raises(InputError):
