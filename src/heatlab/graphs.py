@@ -14,9 +14,9 @@ symmetric. At the rate Lambda = max_x Deg(x) they uniformize to the jump
 chain R = I - H/Lambda and R_s = I - S/Lambda = M^{1/2} R M^{-1/2}. This
 module alone builds them, each as one scatter of the edge table: S on each
 call for the traces and killed kernels, R_s on each call for the heat
-tables, R (with the padded table of each row's nonzeros that the bridge
-sampler steps on) once per graph for the bridges, the killed actions and
-the scan, and H on each call for the tests.
+tables, R once per graph for the bridges, the killed actions and the scan,
+the padded table of R's row nonzeros (row_support) once per graph for the
+bridge sampler alone, and H on each call for the tests.
 
 Storage. A WeightedGraph keeps its edges as numpy arrays, built once by the
 constructor, and derives everything else from them without a per-edge
@@ -55,8 +55,8 @@ from .errors import (
 from .util import is_finite_real
 
 
-# serializes the first build of a graph's jump chain, so concurrent bridge
-# builds all share one R and one row-support table
+# serializes the first build of a graph's jump chain and of its row support,
+# so concurrent bridge builds all share one R and one row-support table
 _chain_lock = threading.Lock()
 
 
@@ -72,29 +72,6 @@ def uniformize(h: np.ndarray) -> tuple[float, np.ndarray]:
     r = np.eye(n) - h / lam if lam else np.eye(n)
     r.setflags(write=False)
     return lam, r
-
-
-def _row_support(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Padded table (cols, vals) of the nonzeros of each row of r.
-
-    Row z lists the columns with r[z, c] != 0 in ascending order and their
-    values, then pads with column n - 1 (where a search over all n columns
-    clamps) and value 0.0 up to one more than the longest row, so every row
-    ends in at least one pad. Both arrays are returned read-only.
-    """
-    n = r.shape[0]
-    rows, cs = np.nonzero(r)
-    per_row = np.bincount(rows, minlength=n)
-    slot = np.arange(rows.size) - np.repeat(np.cumsum(per_row) - per_row,
-                                            per_row)
-    width = int(per_row.max(initial=0)) + 1
-    cols = np.full((n, width), n - 1, dtype=np.intp)
-    vals = np.zeros((n, width))
-    cols[rows, slot] = cs
-    vals[rows, slot] = r[rows, cs]
-    cols.setflags(write=False)
-    vals.setflags(write=False)
-    return cols, vals
 
 
 def _edge_table(edges) -> np.ndarray:
@@ -274,6 +251,7 @@ class WeightedGraph:
                              f"{mu[x]} is not finite")
         self._degrees.setflags(write=False)
         self._chain = None
+        self._support = None
         self._components = None
         self._fingerprint = None
 
@@ -365,15 +343,36 @@ class WeightedGraph:
         return lam, self._dense(self._weights(symmetric) / lam,
                                 1.0 - self._degrees / lam)
 
-    def jump_chain(self) -> tuple:
-        """(Lambda, R, cols, vals): R = I - H/Lambda and _row_support(R),
-        built once and shared read-only."""
+    def jump_chain(self) -> tuple[float, np.ndarray]:
+        """(Lambda, R), R = I - H/Lambda, built once and shared read-only."""
         with _chain_lock:
             if self._chain is None:
-                lam, r = self._uniformized(False)
-                r.setflags(write=False)
-                self._chain = (lam, r) + _row_support(r)
+                self._chain = self._uniformized(False)
+                self._chain[1].setflags(write=False)
         return self._chain
+
+    def row_support(self) -> tuple[np.ndarray, np.ndarray]:
+        """Padded table (cols, vals) of R's row nonzeros, built once, shared
+        read-only, read by the bridge sampler alone. Row z lists the columns
+        c with R[z, c] != 0 in ascending order and their values, then pads
+        with column n - 1 (where a search over all n columns clamps) and 0.0
+        up to one more than the longest row, so each row ends in a pad."""
+        r = self.jump_chain()[1]
+        with _chain_lock:
+            if self._support is None:
+                rows, cs = np.nonzero(r)
+                per_row = np.bincount(rows, minlength=self.n)
+                slot = np.arange(rows.size) - np.repeat(
+                    np.cumsum(per_row) - per_row, per_row)
+                width = int(per_row.max(initial=0)) + 1
+                cols = np.full((self.n, width), self.n - 1, dtype=np.intp)
+                vals = np.zeros((self.n, width))
+                cols[rows, slot] = cs
+                vals[rows, slot] = r[rows, cs]
+                cols.setflags(write=False)
+                vals.setflags(write=False)
+                self._support = (cols, vals)
+        return self._support
 
     def symmetric_jump_chain(self) -> tuple[float, np.ndarray]:
         """(Lambda, R_s), R_s = I - S/Lambda = M^{1/2} R M^{-1/2}, built on
@@ -483,7 +482,9 @@ def _fields(item, keys: tuple) -> tuple:
 
 
 def _is_id(value) -> bool:
-    """value is an integral number (1, 1.0, numpy's 1; not 1.5, true, "1")."""
+    """An integral number, numpy's too (1, 1.0; not 1.5, true or "1")."""
+    if isinstance(value, np.floating):
+        value = float(value)
     return isinstance(value, np.integer) or (
         is_finite_real(value) and float(value).is_integer())
 

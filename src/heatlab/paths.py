@@ -147,7 +147,8 @@ class BridgeKernel:
         check_time(t)
         self.t = float(t)
         self.y = int(y)
-        self.lam, self.r, self.cols, self.vals = graph.jump_chain()
+        self.lam, self.r = graph.jump_chain()
+        self.cols, self.vals = graph.row_support()
         self.pmf, self.tail = _stepwise_weights(self.lam * self.t)
         powers = np.zeros((len(self.pmf), graph.n))
         powers[0, self.y] = 1.0

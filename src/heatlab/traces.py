@@ -165,7 +165,7 @@ def semiclassical_scan(graph: WeightedGraph, w, t_grid=None,
     # chain runs on R, not R_s: the diagonals are the same in both frames,
     # and R's chain is the faster at the orders a scan runs
     heat_diags = {t: e.diagonal().copy() for t, e, _ in _exponential_chain(
-        *graph.jump_chain()[:2], grid.tolist())}
+        *graph.jump_chain(), grid.tolist())}
     scaled = np.empty(grid.size)
     bounds = np.empty(grid.size)
     for i, t in enumerate(grid):

@@ -78,6 +78,20 @@ def test_jump_chain_is_built_once_under_thread_stress():
         sys.setswitchinterval(interval)
 
 
+def test_row_support_is_built_apart_from_the_chain():
+    # the chain's readers other than the bridge sampler pay for R alone
+    g = hl.random_connected_graph(12, 4)
+    r = g.jump_chain()[1]
+    assert g._support is None
+    cols, vals = g.row_support()
+    assert g.row_support()[0] is cols
+    for z in range(g.n):
+        nz = np.flatnonzero(r[z])
+        assert cols[z, :nz.size].tolist() == nz.tolist()
+        assert vals[z, :nz.size].tobytes() == r[z, nz].tobytes()
+        assert not np.any(vals[z, nz.size:])
+
+
 OPERATOR_GRAPHS = {
     **{name: g for name, (g, _) in hl.fixture_registry().items()},
     "lambda0": WeightedGraph([0.3], []),
@@ -166,14 +180,16 @@ def test_resolve_labels():
 
 
 @pytest.mark.parametrize("key", [1, 1.0, np.int64(1), np.uint8(1),
-                                 np.float64(1.0)])
+                                 np.float64(1.0), np.float32(1.0),
+                                 np.float16(1.0)])
 def test_resolve_takes_integral_numbers(key):
     assert hl.path_graph(3).resolve(key) == 1
 
 
 @pytest.mark.parametrize("key", [True, False, np.bool_(True), 1.7, -0.5,
                                  float("nan"), float("inf"), None, [1],
-                                 10 ** 400, 3, -1])
+                                 10 ** 400, 3, -1, np.float32(1.5),
+                                 np.float32("nan"), np.float32("inf")])
 def test_resolve_refuses_what_is_not_an_index(key):
     # a bool or a fractional id is not cast to an index
     with pytest.raises(UnknownVertex):

@@ -120,19 +120,28 @@ def test_rejects_nonsquare():
         linalg.symmetric_eigvals(np.zeros((2, 3)))
 
 
+def _spectrum_gap(g) -> tuple[float, float]:
+    """(max |spec S - spec H|, largest eigenvalue of H), after checking that
+    S = M^{1/2} H M^{-1/2} is exactly symmetric; spec H comes from numpy's
+    nonsymmetric driver."""
+    s = g.symmetric_generator()
+    assert np.array_equal(s, s.T)
+    w_s = linalg.symmetric_eigvals(s)
+    w_h = np.sort(np.linalg.eigvals(g.generator_matrix()).real)
+    return float(np.max(np.abs(w_s - w_h))), float(w_h[-1])
+
+
 def test_similarity_preserves_spectrum():
-    # S = M^{1/2} H M^{-1/2} is exactly symmetric, and its symmetric
-    # spectrum is that of H from numpy's nonsymmetric driver
-    for g in (hl.random_connected_graph(9, 17),
-              WeightedGraph([0.5, 2.0, 3.0, 0.25],
+    gap, _ = _spectrum_gap(hl.random_connected_graph(9, 17))
+    assert gap <= 1e-9
+    # mu spread over twelve decades puts lambda_max near 1e3, so the bound
+    # scales with it
+    for g in (WeightedGraph([0.5, 2.0, 3.0, 0.25],
                             [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 4.0),
                              (0, 3, 0.125)]),
               WeightedGraph([1e6, 1.0, 1e-6], [(0, 1, 1.0), (1, 2, 1e-3)])):
-        s = g.symmetric_generator()
-        assert np.array_equal(s, s.T)
-        w_s = linalg.symmetric_eigvals(s)
-        w_h = np.sort(np.linalg.eigvals(g.generator_matrix()).real)
-        assert np.max(np.abs(w_s - w_h)) <= 1e-9 * max(1.0, float(w_h[-1]))
+        gap, top = _spectrum_gap(g)
+        assert gap <= 1e-9 * max(1.0, top)
 
 
 @pytest.mark.parametrize("seed", [3, 11])

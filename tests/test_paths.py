@@ -251,7 +251,7 @@ def test_batched_sampler_draws_the_dense_samplers_bits(
 
 def _padded_cumsum(weights):
     """Cumulative rows of hand-made slot weights, each ending in a pad of
-    weight 0, as the sampler's rows over _row_support do."""
+    weight 0, as the sampler's rows over row_support do."""
     rows = np.asarray(weights, dtype=float).reshape(len(weights), -1)
     return np.cumsum(np.hstack([rows, np.zeros((len(rows), 1))]), axis=1)
 
@@ -549,7 +549,7 @@ def test_fk_trace_builds_each_kernel_once_under_thread_stress(registry):
             # every kernel references the graph's one read-only R and its
             # one row-support table
             assert {id(bk.r) for bk in kernels} == {id(g.jump_chain()[1])}
-            assert {id(bk.cols) for bk in kernels} == {id(g.jump_chain()[2])}
+            assert {id(bk.cols) for bk in kernels} == {id(g.row_support()[0])}
             assert not kernels[0].r.flags.writeable
     finally:
         sys.setswitchinterval(interval)
