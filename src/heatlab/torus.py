@@ -48,12 +48,15 @@ The semiclassical scan multiplies galerkin_schrodinger_trace by
 which for a potential with parts is the product of its per-axis integrals.
 It first runs the doubling gate at its largest time: N -> 2N must move the
 trace by less than 1e-6 relative.
+
+A model's lattice, eigenvalues, coefficient table and axis models are
+util.once memos in its _memo Cache, which is no field: == never reads it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -61,7 +64,7 @@ import numpy as np
 from . import linalg
 from .errors import ConfigError, InputError, TruncationNotConverged
 from .traces import ConvergenceReport, assemble_report
-from .util import check_time, check_time_grid, default_time_grid
+from .util import Cache, check_time, check_time_grid, default_time_grid, once
 
 _THETA_TERM_CUTOFF = 1e-16
 # the N -> 2N doubling gate: the largest relative change of the trace
@@ -151,10 +154,6 @@ class TorusModel:
     lengths: tuple
     truncation: int
     potential: TorusPotential = field(default_factory=zero_potential)
-    _lattice: np.ndarray | None = field(default=None, init=False, repr=False)
-    _lambdas: np.ndarray | None = field(default=None, init=False, repr=False)
-    _coeff: np.ndarray | None = field(default=None, init=False, repr=False)
-    _axes: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.dim = int(self.dim)
@@ -173,42 +172,40 @@ class TorusModel:
         parts = self.potential.parts
         if parts is not None and len(parts) != self.dim:
             raise InputError(f"{len(parts)} potential parts for dim {self.dim}")
+        self._memo = Cache()
 
     def with_truncation(self, n: int) -> "TorusModel":
-        return TorusModel(dim=self.dim, lengths=self.lengths, truncation=n,
-                          potential=self.potential)
+        return replace(self, truncation=n)
 
+    @once
     def axis_models(self) -> tuple:
         """One 1D model per axis when dim >= 2 and the potential has parts."""
-        if self._axes is None:
-            parts = self.potential.parts
-            self._axes = () if self.dim == 1 or parts is None else tuple(
-                TorusModel(1, (L,), self.truncation, part)
-                for L, part in zip(self.lengths, parts))
-        return self._axes
+        parts = self.potential.parts
+        return () if self.dim == 1 or parts is None else tuple(
+            TorusModel(1, (L,), self.truncation, part)
+            for L, part in zip(self.lengths, parts))
 
     @property
     def volume(self) -> float:
         return float(np.prod(self.lengths))
 
+    @once
     def lattice(self) -> np.ndarray:
         """Frequency vectors, shape (M, dim), lexicographic order."""
-        if self._lattice is None:
-            side = np.arange(-self.truncation, self.truncation + 1,
-                             dtype=np.int64)
-            axes = np.meshgrid(*[side] * self.dim, indexing="ij")
-            self._lattice = np.stack(axes, axis=-1).reshape(-1, self.dim)
-        return self._lattice
+        side = np.arange(-self.truncation, self.truncation + 1,
+                         dtype=np.int64)
+        axes = np.meshgrid(*[side] * self.dim, indexing="ij")
+        return np.stack(axes, axis=-1).reshape(-1, self.dim)
 
+    @once
     def eigenvalues(self) -> np.ndarray:
-        if self._lambdas is None:
-            k = self.lattice().astype(float)
-            freq = 2.0 * np.pi / np.asarray(self.lengths)
-            self._lambdas = ((k * freq[None, :]) ** 2).sum(axis=1)
-        return self._lambdas
+        k = self.lattice().astype(float)
+        freq = 2.0 * np.pi / np.asarray(self.lengths)
+        return ((k * freq[None, :]) ** 2).sum(axis=1)
 
     # ------------------------------------------------------- coefficients
 
+    @once
     def coefficient_table(self) -> np.ndarray:
         """w_hat(q) for |q_i| <= 2N, shape (4N+1,)^dim: every sum and
         difference of two lattice vectors. Real (float) when the potential
@@ -217,11 +214,9 @@ class TorusModel:
         Only a callable potential has one: galerkin_schrodinger_trace takes
         a zero or constant potential on the diagonal.
         """
-        if self._coeff is None:
-            table = self._quadrature_coefficients(4 * self.truncation + 1)
-            table.setflags(write=False)
-            self._coeff = table
-        return self._coeff
+        table = self._quadrature_coefficients(4 * self.truncation + 1)
+        table.setflags(write=False)
+        return table
 
     def _quadrature_coefficients(self, p: int) -> np.ndarray:
         """Trapezoidal w_hat(q), |q_i| <= p // 2, on p centered nodes per axis.

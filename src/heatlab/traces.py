@@ -65,8 +65,9 @@ def trace_semigroup(graph: WeightedGraph, w, t: float) -> float:
 class ConvergenceReport:
     """Scan output: scaled traces against the limit target along a grid.
 
-    checks are the convergence criteria as (name, ok, detail) triples; the
-    verdict is "pass" when all hold.
+    checks are (name, ok, detail) triples: the final error, the monotone
+    tail (unless not required) and the trace inequality, scaled <= gt_bound
+    up to 1e-10 relative; the verdict is "pass" when all hold.
     """
 
     t_grid: np.ndarray
@@ -120,6 +121,10 @@ class ConvergenceReport:
             out.append(("monotone_tail", self.tail_monotone(),
                         f"errors over the last {self.monotone_tail} grid "
                         f"points are not nonincreasing"))
+        gap = self.gt_bounds - self.scaled_traces
+        atol = 1e-10 * np.maximum(1.0, np.abs(self.gt_bounds))
+        out.append(("trace_inequality", bool(np.all(gap >= -atol)),
+                    f"scaled trace exceeds its bound by {float(-gap.min())!r}"))
         return out
 
     @property

@@ -1,10 +1,12 @@
-"""Small shared helpers: config numbers, time grids, sums, deterministic CSV."""
+"""Shared helpers: config numbers, time grids, sums, CSV, the one Cache."""
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -149,3 +151,49 @@ def parallel_map(fn, items, threads: int = 1) -> list:
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+class Cache:
+    """Thread-safe store that drops its oldest entry when full (capacity
+    None: never), never stores None and copies empty. get builds outside
+    the lock: a race may build twice, but all get the first value stored."""
+
+    def __init__(self, capacity: int | None = None):
+        self._lock = threading.Lock()
+        self._data: dict = {}
+        self._capacity = capacity
+
+    def lookup(self, key):
+        with self._lock:
+            return self._data.get(key)
+
+    def insert(self, key, value):
+        """Store value unless another thread won the race; return the winner."""
+        with self._lock:
+            existing = self._data.get(key)
+            if existing is not None:
+                return existing
+            if len(self._data) == self._capacity:
+                self._data.pop(next(iter(self._data)))
+            self._data[key] = value
+            return value
+
+    def get(self, key, build):
+        """The value stored at key, else build() inserted there."""
+        hit = self.lookup(key)
+        return hit if hit is not None else self.insert(key, build())
+
+    def clear(self):
+        with self._lock:
+            self._data.clear()
+
+    def __reduce__(self):
+        return Cache, (self._capacity,)
+
+
+def once(method):
+    """Memoize a zero-argument method in its object's Cache, self._memo."""
+    @functools.wraps(method)
+    def memoized(self):
+        return self._memo.get(method.__name__, lambda: method(self))
+    return memoized

@@ -498,6 +498,34 @@ def test_cli_pnfb_matches_one_time_pnfb(tmp_path, capsys):
     assert cli_rows["stay_lower_bound"][2] == got["lower_bound"]
 
 
+def test_cli_vertex_tokens_are_labels_first(tmp_path, capsys):
+    # vertex 0 is labelled 5 and vertex 5 is labelled x: a token names the
+    # vertex it labels, as a config's "5" does, and an index only otherwise
+    base = hl.path_graph(7)
+    g = hl.WeightedGraph(base.mu, base.edges,
+                         labels=["5", "1", "2", "3", "4", "x", "6"])
+    gp = tmp_path / "g.graph"
+    hl.save_graph(g, gp)
+    code = cli.main(["sample-paths", "--graph", str(gp), "--t", "0.5",
+                     "--samples", "300", "--mode", "pnfb", "--x", "5",
+                     "--K", "5,1,2", "--seed", "11",
+                     "--out", str(tmp_path / "cli")])
+    assert code == 0
+    est, bound, exact = experiments.pnfb_at(g, "5", ["5", "1", "2"], 0.5,
+                                            300, 11)
+    assert exact == experiments.pnfb_at(g, 0, [0, 1, 2], 0.5, 300, 11)[2]
+    rows = (tmp_path / "cli" / "sample_paths.csv").read_text().splitlines()
+    assert rows[1:] == [
+        f"stay_probability,0.5,{est.mean!r},{est.std_error!r},300,11,"
+        f"{exact!r},{abs(est.mean - exact)!r}",
+        f"stay_lower_bound,0.5,{bound!r},0.0,0,11,,"]
+    # a token that is no label is an index: 6 is vertex 6, x is vertex 5
+    assert cli._vertex(g, "6", "--x") == 6
+    assert cli._vertex(g, "x", "--x") == 5
+    plain = hl.path_graph(7)
+    assert [cli._vertex(plain, v, "--K") for v in ("5", "0")] == [5, 0]
+
+
 def test_cli_sample_paths_bridge(tmp_path, capsys):
     # x = y on the two-vertex graph: the no-jump probability of the bridge
     # is e^{-t Deg} / (p mu), the reference the CLI writes

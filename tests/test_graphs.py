@@ -1,6 +1,8 @@
 """Weighted graph construction, validation and serialization."""
 
+import copy
 import json
+import pickle
 import struct
 import sys
 import threading
@@ -16,6 +18,7 @@ from heatlab.errors import (AsymmetricWeights, DisconnectedGraph,
                             HeatLabError, InputError, NegativeWeight,
                             NonpositiveMeasure, SelfLoop, UnknownVertex)
 from heatlab.graphs import WeightedGraph, require_connected, uniformize
+from heatlab.torus import TorusModel, cosine_well
 
 
 def test_basic_construction(two_vertex):
@@ -57,33 +60,79 @@ def test_dirichlet_energy_two_vertex(two_vertex):
     assert f @ (two_vertex.mu * (h @ f)) == pytest.approx(1.0)
 
 
-def test_jump_chain_is_built_once_under_thread_stress():
-    # threads released together all get the one read-only R of the graph
+def _graph(seed):
+    return hl.random_connected_graph(60, seed)
+
+
+def _torus(seed):
+    return TorusModel(2, (1.0, 2.0), 3 + seed, cosine_well((1.0, 2.0)))
+
+
+# every util.once method: (name, a fresh owner, the call)
+SHARED = [
+    ("edges", _graph, lambda g: g.edges),
+    ("fingerprint", _graph, WeightedGraph.fingerprint),
+    ("jump_chain", _graph, WeightedGraph.jump_chain),
+    ("row_support", _graph, WeightedGraph.row_support),
+    ("components", _graph, WeightedGraph.components),
+    ("lattice", _torus, TorusModel.lattice),
+    ("eigenvalues", _torus, TorusModel.eigenvalues),
+    ("coefficient_table", _torus, TorusModel.coefficient_table),
+    ("axis_models", _torus, TorusModel.axis_models),
+]
+
+
+@pytest.mark.parametrize("owner, call", [(o, c) for _, o, c in SHARED],
+                         ids=[name for name, _, _ in SHARED])
+def test_once_value_is_shared_under_thread_stress(owner, call):
+    # threads released together all get the one value stored first
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for seed in range(5):
-            g = hl.random_connected_graph(60, seed)
+            obj = owner(seed)
             barrier = threading.Barrier(8)
 
             def build(_):
                 barrier.wait(timeout=30)
-                return g.jump_chain()[1]
+                return call(obj)
 
             with ThreadPoolExecutor(max_workers=8) as pool:
-                chains = list(pool.map(build, range(8)))
-            assert all(r is chains[0] for r in chains)
-            assert not chains[0].flags.writeable
+                values = list(pool.map(build, range(8)))
+            assert all(v is values[0] for v in values)
+            assert call(obj) is values[0]
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("copy_of", [
+    copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+    ids=["deepcopy", "pickle"])
+def test_copies_start_with_an_empty_memo(copy_of):
+    # a lock cannot be copied, so a copy rebuilds what it reads
+    g, m = hl.random_connected_graph(12, 4), TorusModel(1, (1.0,), 4)
+    r, lattice = g.jump_chain()[1], m.lattice()
+    g2, m2 = copy_of(g), copy_of(m)
+    assert g2._memo.lookup("jump_chain") is None
+    assert g2.jump_chain()[1].tobytes() == r.tobytes()
+    assert g2.fingerprint() == g.fingerprint()
+    assert m2 == m and m2.lattice().tobytes() == lattice.tobytes()
+
+
+def test_jump_chain_is_shared_read_only():
+    g = hl.random_connected_graph(12, 4)
+    lam, r = g.jump_chain()
+    assert g.jump_chain()[1] is r
+    assert not r.flags.writeable
 
 
 def test_row_support_is_built_apart_from_the_chain():
     # the chain's readers other than the bridge sampler pay for R alone
     g = hl.random_connected_graph(12, 4)
     r = g.jump_chain()[1]
-    assert g._support is None
+    assert g._memo.lookup("row_support") is None
     cols, vals = g.row_support()
+    assert g._memo.lookup("row_support")[0] is cols
     assert g.row_support()[0] is cols
     for z in range(g.n):
         nz = np.flatnonzero(r[z])

@@ -26,9 +26,11 @@ from heatlab.kernels import (DEFAULT_TAIL_CUTOFF, MAX_BRIDGE_TERMS,
                              heat_semigroups, killed_kernel,
                              minimal_heat_kernel, uniformized_exponential,
                              verify_axioms)
-from heatlab.paths import (feynman_kac_trace_mc, no_jump_lower_bound,
-                           pnfb_probability, stay_probability_exact)
+from heatlab.paths import (bridge_kernel, feynman_kac_trace_mc,
+                           no_jump_lower_bound, pnfb_probability,
+                           stay_probability_exact)
 from heatlab.potential_class import kato_modulus
+from heatlab.util import Cache
 
 
 def eigh_kernel_oracle(graph, t):
@@ -646,6 +648,17 @@ def test_exhaustion_requires_nesting():
         Exhaustion([[0, 1], [1, 2]])
 
 
+@pytest.mark.parametrize("bad", [[[0, 1], 5], 5, [{0, 1}], "01", None])
+def test_exhaustion_must_be_lists_of_vertices(p5, bad):
+    # a member, or the exhaustion itself, that is no list or tuple is an
+    # input error, not a bare TypeError
+    with pytest.raises(VertexOutsideExhaustion):
+        Exhaustion(bad)
+    with pytest.raises(VertexOutsideExhaustion):
+        minimal_heat_kernel(p5, bad, 0.5, 0, 1)
+    assert Exhaustion(((1, 0), [2, 0, 1])).subsets == [[0, 1], [0, 1, 2]]
+
+
 @pytest.mark.parametrize("bad", [1.5, True, None])
 def test_vertex_ids_are_not_cast(p5, bad):
     # a bool or fractional id used to be cast to vertex 1; an exhaustion,
@@ -758,6 +771,33 @@ def test_matrix_free_callers_reject_disconnected():
 
 
 # ----------------------------------------------------------------- caching
+
+
+def test_cache_evicts_oldest_and_keeps_first_insert():
+    cache = Cache(capacity=2)
+    assert cache.insert("a", 1) == 1
+    assert cache.insert("a", 2) == 1            # the first insert wins
+    assert cache.get("b", lambda: 3) == 3
+    assert cache.get("b", lambda: 4) == 3       # a hit builds nothing
+    cache.insert("c", 5)                        # full: "a" goes first
+    assert cache.lookup("a") is None
+    assert (cache.lookup("b"), cache.lookup("c")) == (3, 5)
+    cache.clear()
+    assert cache.lookup("b") is None
+
+
+def test_kernel_caches_have_their_capacities(two_vertex):
+    hl.clear_kernel_cache()
+    tables = heat_semigroups(two_vertex, [0.01 * k for k in range(1, 258)])
+    assert kernels._cache.lookup((two_vertex.fingerprint(), 0.01)) is None
+    assert kernels._cache.lookup((two_vertex.fingerprint(), 0.02)) \
+        is tables[1]
+    for y in (0, 1):
+        for k in range(1, 66):
+            bridge_kernel(two_vertex, 0.01 * k, y)
+    assert len(kernels._bridge_cache._data) == 129
+    hl.clear_kernel_cache()
+    assert not kernels._cache._data and not kernels._bridge_cache._data
 
 
 def test_cache_returns_same_table(two_vertex):

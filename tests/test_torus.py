@@ -36,6 +36,23 @@ def model_1d(truncation=8, potential=None, length=TWO_PI):
 # -------------------------------------------------------------- spectrum
 
 
+def test_models_compare_by_their_fields_after_caching():
+    # the memos are no fields: built arrays never enter ==
+    a, b = (TorusModel(1, (1.0,), 4) for _ in range(2))
+    for model in (a, b):
+        model.lattice()
+        model.eigenvalues()
+    assert a == b
+    assert a != a.with_truncation(5)
+    assert "memo" not in repr(a)
+    pot = cosine_well((1.0, 2.0))
+    c, d = (TorusModel(2, (1.0, 2.0), 3, pot) for _ in range(2))
+    c.coefficient_table()
+    c.axis_models()
+    d.lattice()
+    assert c == d
+
+
 def test_eigenvalues_unit_circle():
     ev = np.sort(model_1d().eigenvalues())
     assert np.allclose(ev[:5], [0.0, 1.0, 1.0, 4.0, 4.0], atol=1e-14)

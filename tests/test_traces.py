@@ -1,5 +1,6 @@
 """Schrodinger traces, the small-time scan and the trace inequality."""
 
+import json
 import math
 
 import numpy as np
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import heatlab as hl
-from heatlab import kernels
-from heatlab.errors import EmptyGrid, InputError, NonpositiveTime
+from heatlab import experiments, kernels
+from heatlab.errors import (AssertionFailed, EmptyGrid, InputError,
+                            NonpositiveTime)
 from heatlab.kernels import uniformized_exponential
-from heatlab.traces import as_potential, semiclassical_scan, trace_semigroup
+from heatlab.traces import (as_potential, assemble_report, semiclassical_scan,
+                            trace_semigroup)
 from heatlab.util import default_time_grid, write_csv
 
 
@@ -135,6 +138,41 @@ def test_report_serialization(tmp_path, two_vertex):
     doc = rep.to_dict()
     assert doc["verdict"] in ("pass", "fail")
     assert len(doc["scaled_traces"]) == 3
+
+
+def test_report_owns_the_trace_inequality():
+    # a scaled trace above its bound fails the report's third check, and
+    # the verdict with it
+    scaled = [2.0, 1.5, 1.25]
+    rep = assemble_report([1.0, 0.5, 0.25], scaled, 1.0, [2.0, 1.5, 1.2],
+                          0.5, 3)
+    assert [name for name, _, _ in rep.checks] == [
+        "final_rel_error", "monotone_tail", "trace_inequality"]
+    assert [ok for _, ok, _ in rep.checks] == [True, True, False]
+    assert "exceeds its bound by 0.05" in rep.checks[2][2]
+    assert rep.verdict == rep.to_dict()["verdict"] == "fail"
+    # within 1e-10 relative of the bound it holds
+    rep = assemble_report([1.0, 0.5, 0.25], scaled, 1.0,
+                          [2.0, 1.5, 1.25 * (1 - 5e-11)], 0.5, 3)
+    assert rep.checks[2][1] and rep.verdict == "pass"
+
+
+def test_sidecar_verdict_agrees_with_a_failed_trace_inequality(
+        tmp_path, monkeypatch):
+    scan = semiclassical_scan
+
+    def over_bound(*args, **kwargs):
+        rep = scan(*args, **kwargs)
+        rep.gt_bounds = rep.scaled_traces * 0.5
+        return rep
+
+    monkeypatch.setattr(experiments, "semiclassical_scan", over_bound)
+    doc = {"kind": "graph-limit", "name": "gt", "graph": "fixture:two_vertex",
+           "potential": [0.0, 2.0]}
+    with pytest.raises(AssertionFailed, match="^trace_inequality:"):
+        experiments.run(experiments.ExperimentConfig.from_doc(
+            doc, tmp_path, "gt", "trace inequality test"), tmp_path)
+    assert json.loads((tmp_path / "gt.json").read_text())["verdict"] == "fail"
 
 
 def test_monotone_slack_absorbs_noise_floor():
