@@ -34,20 +34,19 @@ from .potential_class import growth_profile_from_config, ricci_admissibility
 from .torus import TorusModel, potential_from_spec, torus_semiclassical_scan
 from .traces import semiclassical_scan, trace_semigroup
 from .util import (check_keys, check_time_grid, default_time_grid, floats,
-                   number, parallel_map, require, write_csv)
+                   number, parallel_map, read_utf8, require, write_csv)
 
 VERDICTS = ("admissible", "inadmissible", "undecided")
 _NAME_MAX = 255     # bytes in one file name on common file systems
 
 
 def read_json(path) -> dict:
-    """A JSON object from path; ConfigError if unreadable or not an object."""
+    """A JSON object from a UTF-8 file; ConfigError if the file is
+    unreadable, not UTF-8, not JSON, nested too deep or not an object."""
     p = Path(path)
     try:
-        doc = json.loads(p.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read {p}: {exc}") from None
-    except json.JSONDecodeError as exc:
+        doc = json.loads(read_utf8(p, ConfigError))
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON in {p}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{p} must hold a JSON object")

@@ -35,6 +35,21 @@ Python loop:
 
 The constructor validates the raw edge list in one vectorized pass
 (``_check_edges``), which reports the first invalid edge in input order.
+
+Reading files. Graph files are UTF-8. The line format is read in one pass
+over the lines that files each record's fields, as strings, into columns:
+vertex ids, mu and labels; edge endpoints and weights; each record with its
+line number. The pass stops at the first malformed record (an unknown tag or
+a wrong field count); a ``graph`` line sets the name. Each column is then
+converted at once by Python's own int and float, so the accepted spellings
+are theirs, and the constructor receives mu, an (m, 3) float edge array and
+labels only when some vertex has one. An edge id outside 0..n-1 goes in as
+the (u, v, b) triples instead, so that the constructor reports it as for any
+edge list. When a conversion raises or the vertex ids do not form 0..n-1,
+_first_bad_line walks the records in line order, converting field by field,
+and reports the first bad line as a line-at-a-time reader meets it: a
+malformed record, or within a line a bad id, a duplicate vertex id, then a
+bad number. With no bad line it reports the missing or gapped vertex ids.
 """
 
 from __future__ import annotations
@@ -52,7 +67,7 @@ from .errors import (
     SelfLoop,
     UnknownVertex,
 )
-from .util import Cache, is_finite_real, once
+from .util import Cache, is_finite_real, once, read_utf8
 
 
 def uniformize(h: np.ndarray) -> tuple[float, np.ndarray]:
@@ -414,41 +429,91 @@ _RECORD_USAGE = {"v": "expected: v <id> <mu> [label]",
 
 
 def _parse_text(text: str, name_hint: str) -> WeightedGraph:
-    """Parse the line format, converting each record as its line is read.
-
-    The error reported is the first bad line's: a malformed record, or
-    within one line a bad id, a duplicate vertex id, then a bad number.
-    """
+    """Parse the line format: one pass files the fields into columns, then
+    each column is converted at once (module docstring, "Reading files")."""
     name = name_hint
-    vertices, edges = {}, []        # id -> (mu, label); (u, v, b)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split("#", 1)[0].split()
+    vertices = ids, mus, given, vertex_lines = [], [], [], []
+    edges = us, vs, bs, edge_lines = [], [], [], []
+    malformed = None                # (line number, error) of the first one
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    for lineno, parts in enumerate(map(str.split, lines), start=1):
         if not parts:
             continue
         tag = parts[0]
+        if tag == "e" and len(parts) == 4:
+            us.append(parts[1])
+            vs.append(parts[2])
+            bs.append(parts[3])
+            edge_lines.append(lineno)
+        elif tag == "v" and 3 <= len(parts) <= 4:
+            ids.append(parts[1])
+            mus.append(parts[2])
+            given.append(parts[3] if len(parts) == 4 else None)
+            vertex_lines.append(lineno)
+        elif tag == "graph":
+            name = " ".join(parts[1:]) or name
+        else:
+            malformed = (lineno, InputError(f"line {lineno}: " + _RECORD_USAGE
+                         .get(tag, f"unknown record {tag!r}")))
+            break
+    del lines
+    try:
+        vid, mu = list(map(int, ids)), list(map(float, mus))
+        u, v, b = list(map(int, us)), list(map(int, vs)), list(map(float, bs))
+    except ValueError:
+        vid = []
+    n = len(vid)
+    if malformed or not n or sorted(vid) != list(range(n)):
+        raise _first_bad_line(vertices, edges, malformed)
+    if vid != list(range(n)):       # vertex lines out of id order
+        by_id = np.empty(n)
+        by_id[vid] = mu
+        mu = by_id
+    labels = None
+    if any(given):
+        labels = [str(x) if label is None else label
+                  for x, label in sorted(zip(vid, given))]
+    if u and not (0 <= min(u) and 0 <= min(v) and max(u) < n and max(v) < n):
+        # an id beyond 0..n-1 goes in as the triple its line names, where
+        # the constructor reports it (as a float it could round or overflow)
+        table = list(zip(u, v, b))
+    else:
+        table = np.array((u, v, b), dtype=float).T
+    return WeightedGraph(mu, table, labels=labels, name=name)
+
+
+def _first_bad_line(vertices, edges, malformed) -> InputError:
+    """The error of the first bad line, checking each record's fields one by
+    one as they stand on the line: a bad id, a duplicate vertex id, then a
+    bad number. With every line good, the error of the vertex ids."""
+    found = [malformed] if malformed else []
+    seen = set()
+    for vid, mu, _, lineno in zip(*vertices):
         try:
-            if tag == "e" and len(parts) == 4:
-                edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
-            elif tag == "v" and 3 <= len(parts) <= 4:
-                vid = int(parts[1])
-                if vid in vertices:
-                    raise InputError(f"line {lineno}: duplicate vertex {vid}")
-                vertices[vid] = (float(parts[2]), parts[3] if len(parts) == 4
-                                 else str(vid))
-            elif tag == "graph":
-                name = " ".join(parts[1:]) or name
-            else:
-                raise InputError(f"line {lineno}: " + _RECORD_USAGE.get(
-                    tag, f"unknown record {tag!r}"))
+            x = int(vid)
+            if x in seen:
+                found.append((lineno, InputError(
+                    f"line {lineno}: duplicate vertex {x}")))
+                break
+            seen.add(x)
+            float(mu)
         except ValueError as exc:
-            raise InputError(f"line {lineno}: {exc}") from None
-    if not vertices:
-        raise InputError("no vertices declared")
-    ids = sorted(vertices)
-    if ids != list(range(len(ids))):
-        raise InputError(f"vertex ids must form 0..{len(ids) - 1}, got {ids}")
-    mu, labels = zip(*(vertices[i] for i in ids))
-    return WeightedGraph(mu, edges, labels=labels, name=name)
+            found.append((lineno, InputError(f"line {lineno}: {exc}")))
+            break
+    for u, v, b, lineno in zip(*edges):
+        try:
+            int(u), int(v), float(b)
+        except ValueError as exc:
+            found.append((lineno, InputError(f"line {lineno}: {exc}")))
+            break
+    if found:
+        return min(found, key=lambda item: item[0])[1]
+    if not seen:
+        return InputError("no vertices declared")
+    ids = sorted(seen)
+    return InputError(f"vertex ids must form 0..{len(ids) - 1}, got {ids}")
 
 
 def _entries(doc: dict, key: str) -> list:
@@ -521,22 +586,19 @@ def loads_graph(text: str, name_hint: str = "") -> WeightedGraph:
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"invalid JSON graph document: {exc}") from None
         return _parse_structured(doc, name_hint)
     return _parse_text(text, name_hint)
 
 
 def load_graph(path) -> WeightedGraph:
-    """Load a graph file (text or JSON, sniffed by content); the
+    """Load a UTF-8 graph file (text or JSON, sniffed by content); the
     WeightedGraph constructor enforces every invariant of the data."""
     from pathlib import Path
 
     p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read graph file {p}: {exc}") from None
+    text = read_utf8(p, InputError, "graph file ")
     # the file stem, read as a graph line would read it
     hint = " ".join(p.stem.split("#", 1)[0].split())
     return loads_graph(text, name_hint=hint)

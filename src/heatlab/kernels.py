@@ -25,9 +25,14 @@ reached. The cut series B = sum_{k<=m} p_k R^k is evaluated by Paterson and
 Stockmeyer (SIAM J. Comput. 2, 1973): with R^2..R^s built once and the blocks
 B_i = sum_{k<s} p_{is+k} R^k, B = B_0 + R^s (B_1 + R^s (B_2 + ...)) takes
 about 2 sqrt(m) dense products instead of the m - 1 of Horner in R (6 or 7
-for the m = 13..18 of 1 < Lambda t <= 1024). Every power, block and product
-is a nonnegative combination of nonnegative matrices, so the result is
-certified nonnegative.
+for the m = 13..18 of 1 < Lambda t <= 1024). The basis R^2, R^3, ... is
+shared by the groups of a chain: it is built once, in the same order and
+frame as a lone group would build it, up to the largest block size any group
+needs; each group reads the prefix R..R^s of its own s, so every table is
+bit for bit the one its group's own chain yields. After each group's series
+the basis keeps only the powers a later group reads, so it is released
+after the last one. Every power, block and product is a nonnegative
+combination of nonnegative matrices, so the result is certified nonnegative.
 
 A chain whose R is exactly symmetric (R_s, or the chain of any symmetric
 generator) runs in the symmetric frame (Higham, Functions of Matrices, SIAM
@@ -240,12 +245,19 @@ def _exponential_chain(lam: float, r: np.ndarray, times):
         j = ((math.ceil(lam_t) - 1).bit_length()
              if 1.0 < lam_t < math.inf else 0)
         groups.setdefault(math.ldexp(t, -j), {})[j] = float(t)
+    # each group's members and the cut Poisson weights of its step
+    series = [(members, *_poisson_pmf(
+        lam * step, math.ldexp(DEFAULT_TAIL_CUTOFF, -max(members))))
+        for step, members in groups.items()]
+    needs = [_block_size(len(pmf) - 1) for _, pmf, _ in series]
     b, idle = np.empty(r.shape), np.empty(r.shape)
-    for step, members in groups.items():
+    # R, R^2, ...: the series basis, grown by each group to the block size
+    # it needs and cut, after each series, to the most a later group needs
+    powers = [r]
+    for g, (members, pmf, tail) in enumerate(series):
         top = max(members)
-        pmf, tail = _poisson_pmf(lam * step,
-                                 math.ldexp(DEFAULT_TAIL_CUTOFF, -top))
-        b, idle = _poisson_series(r, pmf, b, idle, syrk)
+        b, idle = _poisson_series(powers, pmf, b, idle, syrk)
+        del powers[max(needs[g + 1:], default=0):]
         defect = 0.0
         # B_s is symmetric in exact arithmetic: measure what rounding left,
         # then replace it by (B_s + B_s^T) / 2, in the buffers
@@ -265,27 +277,30 @@ def _exponential_chain(lam: float, r: np.ndarray, times):
                     lam, len(pmf), math.ldexp(tail, k), k, defect)
 
 
-def _poisson_series(r: np.ndarray, pmf: np.ndarray, out: np.ndarray,
+def _poisson_series(powers: list, pmf: np.ndarray, out: np.ndarray,
                     idle: np.ndarray, syrk: bool):
     """sum_k pmf[k] R^k by Paterson-Stockmeyer (module docstring), in the
     n x n buffers out and idle: returns them as (sum, the other one).
 
-    With syrk (r exactly symmetric), an even power R^{2i} is built as
+    powers is the basis [R, R^2, ...] of the chain; it is extended in place
+    up to R^s, s the block size of this series, and only that prefix is
+    read. With syrk (R exactly symmetric), an even power R^{2i} is built as
     P P^T with P = R^i, which BLAS syrk computes; the sum is not
     symmetrized here.
     """
+    r = powers[0]
     n = r.shape[0]
     m = len(pmf) - 1
     s = _block_size(m)
     # with blocks B_i = sum_{k<s} p_{is+k} R^k,
     # B = B_0 + R^s (B_1 + R^s (B_2 + ...)), Horner in R^s over the blocks
-    powers = [r]
-    for k in range(2, s + 1):
+    for k in range(len(powers) + 1, s + 1):
         if syrk and k % 2 == 0:
             half = powers[k // 2 - 1]
             powers.append(np.matmul(half, half.T))
         else:
             powers.append(np.matmul(powers[-1], r))
+    r_to_s = powers[s - 1]
     p = pmf.tolist()
     # each product writes into the idle buffer, which then serves as the
     # scratch for the block terms added to the other
@@ -293,11 +308,11 @@ def _poisson_series(r: np.ndarray, pmf: np.ndarray, out: np.ndarray,
     top = m - m % s     # where the top block B_q starts
     if m and top == m:
         # a top block p_m I costs no product: start from p_m R^s + B_{q-1}
-        np.multiply(powers[-1], p[m], out=out)
+        np.multiply(r_to_s, p[m], out=out)
         top -= s
     for i in range(top, -1, -s):
         if i < top:
-            np.matmul(out, powers[-1], out=idle)
+            np.matmul(out, r_to_s, out=idle)
             out, idle = idle, out
         # out += B_i, in place
         out.flat[::n + 1] += p[i]

@@ -32,6 +32,20 @@ def check_keys(doc, allowed, what: str) -> None:
                           f"{', '.join(allowed)}")
 
 
+def read_utf8(path: Path, error: type, what: str = "") -> str:
+    """The text of the UTF-8 file at path. Raises error (an exception
+    class) naming the file, prefixed by what, if the file cannot be read or
+    holds a byte sequence that is not UTF-8, at its byte offset."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {what}{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{what}{path} is not UTF-8: byte "
+                    f"0x{exc.object[exc.start]:02x} at offset {exc.start}") \
+            from None
+
+
 def is_finite_real(value) -> bool:
     """value is a finite int or float: not a bool, a string or null."""
     try:

@@ -721,6 +721,62 @@ def test_check_admissibility_bad_document_exit_2(tmp_path, capsys, text):
     assert "Traceback" not in capsys.readouterr().err
 
 
+# ------------------------------------------ undecodable and over-deep files
+
+# a graph with byte 0xff at offset 19 (a CRLF counts two bytes), a config
+# with a Latin-1 e-acute at offset 31, and JSON nested 200,000 deep
+NOT_UTF8_GRAPH = b"v 0 1\nv 1 1\r\ne 0 1 \xff\n"
+NOT_UTF8_CONFIG = b'{"kind": "axioms", "name": "caf\xe9"}'
+DEEP = b"[" * 200_000 + b"]" * 200_000
+DEEP_GRAPH = b'{"vertices": ' + DEEP + b"}"
+
+
+@pytest.mark.parametrize("command,content,message", [
+    ("verify-kernel", NOT_UTF8_GRAPH,
+     "bad is not UTF-8: byte 0xff at offset 19"),
+    ("verify-kernel", DEEP_GRAPH,
+     "invalid JSON graph document: maximum recursion depth"),
+    ("run", NOT_UTF8_CONFIG, "bad is not UTF-8: byte 0xe9 at offset 31"),
+    ("run", DEEP, "bad: maximum recursion depth"),
+    ("check-admissibility", NOT_UTF8_CONFIG,
+     "bad is not UTF-8: byte 0xe9 at offset 31"),
+    ("check-admissibility", DEEP, "bad: maximum recursion depth"),
+], ids=["graph-utf8", "graph-deep", "run-utf8", "run-deep", "adm-utf8",
+        "adm-deep"])
+def test_undecodable_or_deep_file_exits_2(tmp_path, capsys, command, content,
+                                          message):
+    p = tmp_path / "bad"
+    p.write_bytes(content)
+    args = (["verify-kernel", "--graph", str(p)]
+            if command == "verify-kernel" else [command, str(p)])
+    assert cli.main(args + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_suite_records_undecodable_and_deep_files_as_errors(tmp_path):
+    d = tmp_path / "configs"
+    d.mkdir()
+    shutil.copy(CONFIGS / "acceptance" / "adm_gaussian.json", d)
+    (d / "b_not_utf8.json").write_bytes(NOT_UTF8_CONFIG)
+    (d / "c_deep.json").write_bytes(DEEP)
+    (d / "bad.graph").write_bytes(NOT_UTF8_GRAPH)
+    (d / "deep.graph").write_bytes(DEEP_GRAPH)
+    for name in ("bad", "deep"):
+        write_config(d / f"d_{name}_graph.json",
+                     {"kind": "axioms", "graph": f"{name}.graph",
+                      "s": 0.5, "t": 0.5})
+    suite = run_suite(d, tmp_path / "out")
+    assert [(r.name, r.status) for r in suite.results] == [
+        ("adm_gaussian", "pass"), ("b_not_utf8", "error"),
+        ("c_deep", "error"), ("d_bad_graph", "error"),
+        ("d_deep_graph", "error")]
+    assert "not UTF-8" in suite.results[1].detail
+    assert "recursion depth" in suite.results[4].detail
+    assert suite.exit_code == 2
+    assert len(suite.summary_path.read_text().splitlines()) == 6
+
+
 # --------------------------------------- malformed values in shipped configs
 
 VALUE_MUTANTS = [

@@ -519,11 +519,129 @@ def test_json_integral_float_ids_are_accepted():
     ("v 0 1\ne 0 1 2 3\n", "line 2: expected: e <id> <id> <b>"),
     ("v 0\n", "line 1: expected: v <id> <mu> [label]"),
     ("v 1.0 1\n", "line 1: invalid literal for int() with base 10: '1.0'"),
+    # the first bad line wins, whatever column its bad field sits in
+    ("v 0 1\nv 1 1\ne 0 1 x\nv 1 1\n",
+     "line 3: could not convert string to float: 'x'"),
+    ("v 0 1\nv 0 1\ne 0 x 1\n", "line 2: duplicate vertex 0"),
+    ("e 0 x 1\nv 0 1\nv 0 1\n",
+     "line 1: invalid literal for int() with base 10: 'x'"),
+    ("v 0 1\nv 1 x\nzzz\n", "line 2: could not convert string to float: 'x'"),
+    ("v 1 1\nv 0 1 a\nv 0 z\n", "line 3: duplicate vertex 0"),
+    ("v 0 1 # a comment\n\nv 1 1\r\nq\n", "line 4: unknown record 'q'"),
+    # with every line good, the vertex ids
+    ("v 0 1\nv 2 1\n", "vertex ids must form 0..1, got [0, 2]"),
+    ("graph g\n# nothing\n", "no vertices declared"),
 ])
 def test_text_parse_reports_the_first_bad_line(text, message):
     with pytest.raises(InputError) as caught:
         hl.loads_graph(text)
     assert str(caught.value) == message
+    assert str(caught.value) == _reference_outcome(text)[1]
+
+
+def _reference_parse(text: str, name_hint: str = "") -> WeightedGraph:
+    """The per-line reader the column reader replaced, kept as a reference:
+    each record is converted as its line is read, the first bad line raises,
+    and the constructor takes (u, v, b) tuples and a label per vertex."""
+    name = name_hint
+    vertices, edges = {}, []        # id -> (mu, label); (u, v, b)
+    usage = {"v": "expected: v <id> <mu> [label]",
+             "e": "expected: e <id> <id> <b>"}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        tag = parts[0]
+        try:
+            if tag == "e" and len(parts) == 4:
+                edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
+            elif tag == "v" and 3 <= len(parts) <= 4:
+                vid = int(parts[1])
+                if vid in vertices:
+                    raise InputError(f"line {lineno}: duplicate vertex {vid}")
+                vertices[vid] = (float(parts[2]), parts[3] if len(parts) == 4
+                                 else str(vid))
+            elif tag == "graph":
+                name = " ".join(parts[1:]) or name
+            else:
+                raise InputError(f"line {lineno}: " + usage.get(
+                    tag, f"unknown record {tag!r}"))
+        except ValueError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
+    if not vertices:
+        raise InputError("no vertices declared")
+    ids = sorted(vertices)
+    if ids != list(range(len(ids))):
+        raise InputError(f"vertex ids must form 0..{len(ids) - 1}, got {ids}")
+    mu, labels = zip(*(vertices[i] for i in ids))
+    return WeightedGraph(mu, edges, labels=labels, name=name)
+
+
+def _reference_outcome(text: str):
+    return _outcome(_reference_parse, text)
+
+
+def _outcome(parse, text: str):
+    """(error type, message), or the graph's content, labels and name."""
+    try:
+        g = parse(text, "hint")
+    except HeatLabError as exc:
+        return type(exc), str(exc)
+    return g.fingerprint(), g.labels, g.name
+
+
+def _spellings(x: int) -> list:
+    """Ways int() reads x: signs, leading zeros, underscores, other digits."""
+    arabic_indic = str.maketrans("0123456789", "".join(
+        chr(0x660 + d) for d in range(10)))
+    return [str(x), f"+{x}", f"0{x}", f"0_{x}", str(x).translate(arabic_indic)]
+
+
+_NUMBERS = ["1", "0.5", "+2e0", "1_0.25", "3.", ".5", "0", "-0.0", "1e300",
+            "1e-320", "inf", "nan", "\u0661.5"]
+# one line that a valid text may not hold, or that tests one check
+_CORRUPT = ["q 1", "e 0 1", "v 0", "e 0 1 2 3", "v 0 1 a b", "v x 1",
+            "v 1.0 1", "v 0 y", "e 0 x 1", "e 0 1 z", "e 1.5 0 1",
+            "e -1 0 1", "e 0 99999999999999999999 1",
+            "e 0 1" + "0" * 400 + " 1", "e 0 9007199254740993 1", "v 0 1",
+            "v 1 1 lab", "v 9 1", "v -1 1", "graph", "e 0 0 1", "e 0 1 -1",
+            "e 1 0 7", "v 0 1 1", "{", "e 0 1 1e999"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=6))
+def test_column_reader_matches_the_per_line_reference(data, n):
+    # valid texts (ids out of order, every spelling int() and float() take,
+    # labels, comments, blank lines, graph lines, other line breaks) give the
+    # same graph; one corrupt line gives the same error type and message
+    lines = []
+    for x in data.draw(st.permutations(range(n))):
+        fields = ["v", data.draw(st.sampled_from(_spellings(x))),
+                  data.draw(st.sampled_from(["1", "0.5", "2e0", "+3", "1_0.5",
+                                             "\u0662"]))]
+        fields += data.draw(st.sampled_from([[], [], ["a"], [f"L{x}"]]))
+        lines.append(" ".join(fields))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for i, j in data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                   max_size=8)) if pairs else []:
+        u, v = (j, i) if data.draw(st.booleans()) else (i, j)
+        lines.append(" ".join(["e", data.draw(st.sampled_from(_spellings(u))),
+                               data.draw(st.sampled_from(_spellings(v))),
+                               data.draw(st.sampled_from(_NUMBERS[:6]))]))
+    extras = ["", "   ", "\t", "# comment", "graph  two  words", "graph g # c"]
+    for extra in data.draw(st.lists(st.sampled_from(extras), max_size=3)):
+        lines.insert(data.draw(st.integers(0, len(lines))), extra)
+    if data.draw(st.booleans()):
+        line = data.draw(st.sampled_from(_CORRUPT + [
+            f"e 0 {n - 1} {b}" for b in _NUMBERS]))
+        lines.insert(data.draw(st.integers(0, len(lines))), line)
+    lines = [line + data.draw(st.sampled_from(["", " # tail", "#"]))
+             for line in lines]
+    text = data.draw(st.sampled_from(["\n", "\r\n", "\r", "\x1c",
+                                      "\u2028"])).join(lines)
+    if text.lstrip().startswith("{"):
+        return
+    assert _outcome(hl.loads_graph, text) == _reference_outcome(text)
 
 
 @pytest.mark.parametrize("labels,message", [

@@ -321,6 +321,43 @@ def unit_rate(graph):
 CHAIN_TIMES = [0.6 * 2 ** j for j in range(10)] + [0.7, 2.1, 4.2, 0.05]
 
 
+def test_chain_builds_each_power_of_its_basis_once(monkeypatch):
+    # three groups whose series take block sizes 2 (Lambda t = 0.01), 4 (1
+    # and 2) and 3 (3 and 6): one basis R^2..R^4 serves them all, and each
+    # table is bit for bit the one its group's own chain yields
+    r_s = hl.random_connected_graph(30, 4).symmetric_jump_chain()[1]
+    groups = [[0.01], [1.0, 2.0], [3.0, 6.0]]
+    # (step, largest j) of each group
+    assert [kernels._block_size(len(_poisson_pmf(
+        step, math.ldexp(DEFAULT_TAIL_CUTOFF, -j))[0]) - 1)
+        for step, j in ((0.01, 0), (1.0, 1), (0.75, 3))] == [2, 4, 3]
+    matmul = np.matmul
+    products = {"powers": 0, "all": 0}
+
+    def counting_matmul(*args, **kwargs):
+        # a basis power is the only product not written into a buffer
+        products["powers"] += "out" not in kwargs
+        products["all"] += 1
+        return matmul(*args, **kwargs)
+
+    def tables(times):
+        return {t: (e.copy(), info)
+                for t, e, info in kernels._exponential_chain(1.0, r_s, times)}
+
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+    alone = {}
+    for times in groups:
+        alone.update(tables(times))
+    assert products == {"powers": 1 + 3 + 2, "all": 19}
+    products.update(powers=0, all=0)
+    shared = tables([t for times in groups for t in times])
+    monkeypatch.undo()
+    assert products == {"powers": 3, "all": 16}
+    assert shared.keys() == alone.keys()
+    for t, (e, info) in shared.items():
+        assert e.tobytes() == alone[t][0].tobytes() and info == alone[t][1]
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_chain_matches_each_time_alone(seed):
     g = hl.random_connected_graph(30, seed)
